@@ -11,17 +11,20 @@ path: each unsigned product ``q_a * q_w`` computed by the (8x8) multiplier
 is hit independently with probability ``probability``; a hit flips one
 randomly chosen bit among ``msb_bits``.  Instead of materialising every
 product, the injector samples the number of hits from the exact binomial
-distribution and scatter-adds the corresponding value deltas into the
-accumulator matrix, which keeps the NumPy inference fast while remaining
-statistically faithful.
+distribution, gathers only the hit products and scatter-adds the
+corresponding value deltas into the accumulator matrix with one
+``np.bincount`` (exact in any order: the deltas are integer-valued), which
+keeps the NumPy inference fast while remaining statistically faithful.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+import repro.observability as observability
 from repro.utils.rng import make_rng
 
 
@@ -37,7 +40,9 @@ class MsbBitFlipInjector:
         rng: seed or generator for the random fault locations.
         max_events_per_call: safety cap on the number of injected faults per
             call (prevents pathological memory use if the caller passes an
-            enormous probability and operand count).
+            enormous probability and operand count).  Faults drawn beyond
+            it are dropped, counted in ``nn.faults.truncated_events`` and
+            reported with a ``RuntimeWarning``.
     """
 
     probability: float
@@ -67,7 +72,9 @@ class MsbBitFlipInjector:
 
         Args:
             q_activations: unsigned activation codes, shape (M, K).
-            q_weights: unsigned weight codes, shape (K, N).
+            q_weights: unsigned weight codes, shape (K, N).  Hit products
+                are gathered through flat indices, which is cheapest when
+                both operands are C-contiguous.
 
         Returns:
             A dense (M, N) array of deltas, or ``None`` when no fault was
@@ -89,21 +96,30 @@ class MsbBitFlipInjector:
         num_events = int(self._generator.binomial(total_products, self.probability))
         if num_events == 0:
             return None
-        num_events = min(num_events, self.max_events_per_call)
+        if num_events > self.max_events_per_call:
+            dropped = num_events - self.max_events_per_call
+            observability.add("nn.faults.truncated_events", dropped)
+            warnings.warn(
+                f"sampled {num_events} faults but max_events_per_call is "
+                f"{self.max_events_per_call}; {dropped} faults were dropped",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            num_events = self.max_events_per_call
 
         flat_indices = self._generator.integers(0, total_products, size=num_events)
-        i = flat_indices // (inner * cols)
-        remainder = flat_indices % (inner * cols)
-        k = remainder // cols
-        j = remainder % cols
-        products = q_activations[i, k].astype(np.int64) * q_weights[k, j].astype(np.int64)
+        i, remainder = np.divmod(flat_indices, inner * cols)  # remainder = k * cols + j
+        k, j = np.divmod(remainder, cols)
+        activation_codes = q_activations.ravel()[i * inner + k]
+        weight_codes = q_weights.ravel()[remainder]
+        products = activation_codes.astype(np.int64) * weight_codes.astype(np.int64)
         bits = self._generator.choice(np.array(self.msb_bits), size=num_events)
         bit_values = (products >> bits) & 1
-        deltas_values = np.where(bit_values == 1, -(1 << bits), (1 << bits)).astype(np.float64)
+        # Flipping bit b adds 2^b where it was clear and subtracts it where set.
+        deltas_values = ((1 - 2 * bit_values) * (1 << bits)).astype(np.float64)
 
-        deltas = np.zeros((rows, cols), dtype=np.float64)
-        np.add.at(deltas, (i, j), deltas_values)
-        return deltas
+        deltas = np.bincount(i * cols + j, weights=deltas_values, minlength=rows * cols)
+        return deltas.reshape(rows, cols)
 
     def expected_faults(self, num_products: int) -> float:
         """Expected number of injected faults over ``num_products`` MACs."""

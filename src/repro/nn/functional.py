@@ -1,14 +1,17 @@
 """Low-level tensor operations shared by the NN layers.
 
 All activations use the NCHW layout.  Convolutions are implemented with an
-im2col/col2im pair so both FP32 inference/training and the integer
-(quantized) execution path share the exact same operand matrices — the
-integer path is what the paper's MAC-level analysis operates on.
+im2col/col2im pair.  FP32 inference/training unfolds the real-valued input;
+the integer (quantized) execution path — what the paper's MAC-level analysis
+operates on — unfolds the layer's activation *codes* instead, padding with
+the code of 0.0 (``pad_value``), which yields exactly the codes of the FP32
+columns.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -23,12 +26,20 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def im2col(
-    x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int
+    x: np.ndarray,
+    kernel_h: int,
+    kernel_w: int,
+    stride: int,
+    padding: int,
+    pad_value: float = 0.0,
 ) -> tuple[np.ndarray, int, int]:
     """Unfold ``x`` (N, C, H, W) into convolution columns.
 
+    ``pad_value`` fills the ``padding`` border (the integer path pads
+    activation codes with the code of 0.0).
+
     Returns:
-        ``(columns, out_h, out_w)`` where ``columns`` has shape
+        ``(columns, out_h, out_w)`` where ``columns`` is a new array of shape
         ``(N * out_h * out_w, C * kernel_h * kernel_w)``: one row per output
         position, one column per weight element.  Row-major ordering is
         ``(n, oh, ow)``.
@@ -38,25 +49,23 @@ def im2col(
     batch, channels, height, width = x.shape
     out_h = conv_output_size(height, kernel_h, stride, padding)
     out_w = conv_output_size(width, kernel_w, stride, padding)
-    if padding > 0:
-        x = np.pad(
-            x,
-            ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-            mode="constant",
-        )
-    columns = np.empty(
-        (batch, channels, kernel_h, kernel_w, out_h, out_w), dtype=x.dtype
+    # Padded NHWC copy of the input: each window row then reads its
+    # channels contiguously.
+    padded = np.full(
+        (batch, height + 2 * padding, width + 2 * padding, channels), pad_value, dtype=x.dtype
     )
-    for i in range(kernel_h):
-        i_end = i + stride * out_h
-        for j in range(kernel_w):
-            j_end = j + stride * out_w
-            columns[:, :, i, j, :, :] = x[:, :, i:i_end:stride, j:j_end:stride]
-    # (N, C, kh, kw, oh, ow) -> (N, oh, ow, C, kh, kw) -> (N*oh*ow, C*kh*kw)
-    columns = columns.transpose(0, 4, 5, 1, 2, 3).reshape(
-        batch * out_h * out_w, channels * kernel_h * kernel_w
+    padded[:, padding : padding + height, padding : padding + width, :] = x.transpose(0, 2, 3, 1)
+    # (N, oh, ow, C, kh, kw) strided view of every window, copied once.
+    windows = sliding_window_view(padded, (kernel_h, kernel_w), axis=(1, 2))[
+        :, : stride * out_h : stride, : stride * out_w : stride
+    ]
+    columns = np.empty(windows.shape, dtype=x.dtype)
+    columns[...] = windows
+    return (
+        columns.reshape(batch * out_h * out_w, channels * kernel_h * kernel_w),
+        out_h,
+        out_w,
     )
-    return columns, out_h, out_w
 
 
 def col2im(

@@ -9,7 +9,8 @@ implements
 * ``forward_quantized`` — execution under a
   :class:`~repro.nn.quantized.QuantizationContext`, where convolution and
   dense layers run on the integer MAC path (and optionally inject
-  multiplication faults), while shape/activation layers simply pass through.
+  multiplication faults) over their input's activation codes, while
+  shape/activation layers simply pass through.
 """
 
 from __future__ import annotations
@@ -153,8 +154,9 @@ class Conv2D(Layer):
 
     # ------------------------------------------------------------- quantized
     def forward_quantized(self, x: np.ndarray, context) -> np.ndarray:
+        operand, pad_value = context.layer_input(self, x)
         columns, out_h, out_w = im2col(
-            x, self.kernel_size, self.kernel_size, self.stride, self.padding
+            operand, self.kernel_size, self.kernel_size, self.stride, self.padding, pad_value
         )
         weight_matrix = self.weight.value.reshape(self.out_channels, -1)
         output = context.linear(self, columns, weight_matrix, self.bias.value)
@@ -203,7 +205,8 @@ class Dense(Layer):
         return grad @ self.weight.value
 
     def forward_quantized(self, x: np.ndarray, context) -> np.ndarray:
-        return context.linear(self, x, self.weight.value, self.bias.value)
+        operand, _ = context.layer_input(self, x)
+        return context.linear(self, operand, self.weight.value, self.bias.value)
 
 
 class ReLU(Layer):

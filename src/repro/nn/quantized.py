@@ -7,18 +7,29 @@ inference the paper's NPU performs:
   biases to ``16-α-β`` bits (per Section V of the paper),
 * every convolution / dense layer computes the raw unsigned products
   ``q_a * q_w`` — exactly what the 8-bit MAC multiplier produces — followed
-  by the zero-point corrections and rescaling,
+  by the zero-point corrections and rescaling (the zero-point expansion of
+  Jacob et al., arXiv:1712.05877, whose weight-side terms are fixed per
+  layer at :meth:`QuantizationContext.finalize`),
 * an optional :class:`~repro.nn.faults.MsbBitFlipInjector` perturbs those
   raw products to model aging-induced timing errors of an unprotected NPU.
 
 The quantization *method* (M1..M5) only decides the clipping ranges; the
 execution path is identical for all methods, so accuracy differences are
 attributable to the range/bias-correction choices alone, as in the paper.
+
+Run-phase contract: a layer first asks :meth:`QuantizationContext.layer_input`
+for its operand — the activation codes of its whole input, quantized once —
+and then passes those codes (im2col-unfolded for a convolution, padded with
+the code of 0.0) to :meth:`QuantizationContext.linear`.  Activation
+parameters are per-tensor and quantization is elementwise, so this equals
+quantizing the unfolded FP32 columns, without quantizing every input value
+once per kernel tap.  In the calibration phase ``layer_input`` passes the
+FP32 input through and ``linear`` receives FP32 operands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +54,13 @@ class LayerQuantization:
         quantized_bias: integer bias codes at the accumulator scale.
         bias_scale: per-output-channel scale of the accumulator
             (``s_a * s_w``).
+
+    The remaining attributes are derived once, for the run phase:
+    ``activation_pad`` (the code of real 0.0, which pads unfolded codes),
+    ``weight_codes`` (the contiguous (K, N) float64 GEMM operand),
+    ``weight_zero`` (the per-channel decode zero points ``z_w``) and the
+    constant zero-point terms ``zero_col_sums`` (``z_a * sum_k q_w``) and
+    ``zero_product`` (``K * z_a * z_w``).
     """
 
     activation: QuantParams
@@ -51,6 +69,22 @@ class LayerQuantization:
     quantized_weights: np.ndarray
     quantized_bias: np.ndarray
     bias_scale: np.ndarray
+    activation_pad: float = field(init=False)
+    weight_codes: np.ndarray = field(init=False, repr=False)
+    weight_zero: np.ndarray = field(init=False, repr=False)
+    zero_col_sums: np.ndarray = field(init=False, repr=False)
+    zero_product: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        channels, inner = self.quantized_weights.shape
+        activation_zero = float(np.asarray(self.activation.zero_point).reshape(-1)[0])
+        self.activation_pad = float(self.activation.quantize(0.0))
+        self.weight_codes = np.ascontiguousarray(self.quantized_weights.T, dtype=np.float64)
+        self.weight_zero = np.broadcast_to(
+            np.asarray(self.weight_decode.zero_point, dtype=np.float64), (channels,)
+        )
+        self.zero_col_sums = activation_zero * self.weight_codes.sum(axis=0)
+        self.zero_product = inner * activation_zero * self.weight_zero
 
 
 @dataclass(frozen=True)
@@ -180,6 +214,27 @@ class QuantizationContext:
         )
 
     # -------------------------------------------------------------- execution
+    def _params(self, layer: Layer) -> LayerQuantization:
+        try:
+            return self.layer_params[layer.name]
+        except KeyError:
+            raise KeyError(
+                f"layer {layer.name!r} has no quantization parameters; "
+                "was the context calibrated on this model?"
+            ) from None
+
+    def layer_input(self, layer: Layer, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """The operand ``layer`` builds its :meth:`linear` input from, and its pad value.
+
+        During calibration this is ``x`` itself, padded with 0.0.  In the run
+        phase it is the float64 activation codes of ``x`` (one quantization
+        of the whole input), padded with the code of 0.0.
+        """
+        if self._calibrating:
+            return x, 0.0
+        params = self._params(layer)
+        return params.activation.quantize(x).astype(np.float64), params.activation_pad
+
     def linear(
         self,
         layer: Layer,
@@ -189,23 +244,18 @@ class QuantizationContext:
     ) -> np.ndarray:
         """Quantized affine transform ``inputs @ weights.T + bias``.
 
-        ``inputs`` is the (M, K) FP32 operand matrix (im2col columns for a
-        convolution, features for a dense layer), ``weights`` the (N, K)
-        FP32 weight matrix.  During calibration the FP32 result is returned
-        and the operands recorded; afterwards the integer path runs.
+        ``inputs`` is the (M, K) operand matrix (im2col columns for a
+        convolution, features for a dense layer) built from
+        :meth:`layer_input`, ``weights`` the (N, K) FP32 weight matrix.
+        During calibration ``inputs`` is FP32: the FP32 result is returned
+        and the operands recorded.  Afterwards ``inputs`` holds activation
+        codes and the integer path runs on the frozen weight codes.
         """
-        weights = weights.reshape(weights.shape[0], -1)
         if self._calibrating:
+            weights = weights.reshape(weights.shape[0], -1)
             self._observe(layer.name, inputs, weights, bias)
             return inputs @ weights.T + bias
-        try:
-            params = self.layer_params[layer.name]
-        except KeyError:
-            raise KeyError(
-                f"layer {layer.name!r} has no quantization parameters; "
-                "was the context calibrated on this model?"
-            ) from None
-        return self._integer_linear(inputs, params)
+        return self._integer_linear(inputs, self._params(layer))
 
     def _observe(
         self, layer_name: str, inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray
@@ -232,39 +282,23 @@ class QuantizationContext:
             np.asarray(bias, dtype=np.float64),
         )
 
-    def _integer_linear(self, inputs: np.ndarray, params: LayerQuantization) -> np.ndarray:
-        # Integer codes (held in float64 for exact, BLAS-accelerated matmul).
-        q_activations = params.activation.quantize(inputs).astype(np.float64)
-        q_weights = params.quantized_weights.astype(np.float64).T  # (K, N)
-        inner = q_activations.shape[1]
-
-        raw = q_activations @ q_weights  # the unsigned MAC products, accumulated
+    def _integer_linear(self, q_activations: np.ndarray, params: LayerQuantization) -> np.ndarray:
+        # Integer codes are held in float64 for exact, BLAS-accelerated matmul.
+        raw = q_activations @ params.weight_codes  # the unsigned MAC products, accumulated
         if self.fault_injector is not None:
-            deltas = self.fault_injector.accumulation_deltas(q_activations, q_weights)
+            deltas = self.fault_injector.accumulation_deltas(q_activations, params.weight_codes)
             if deltas is not None:
-                raw = raw + deltas
-
-        activation_zero = float(np.asarray(params.activation.zero_point).reshape(-1)[0])
-        activation_scale = float(np.asarray(params.activation.scale).reshape(-1)[0])
-        weight_zero = np.broadcast_to(
-            np.asarray(params.weight_decode.zero_point, dtype=np.float64),
-            (params.quantized_weights.shape[0],),
-        )
-        weight_scale = np.broadcast_to(
-            np.asarray(params.weight_decode.scale, dtype=np.float64),
-            (params.quantized_weights.shape[0],),
-        )
+                raw += deltas
 
         row_sums = q_activations.sum(axis=1, keepdims=True)  # (M, 1)
-        col_sums = params.quantized_weights.astype(np.float64).sum(axis=1)  # (N,)
-        accumulator = (
-            raw
-            - row_sums * weight_zero[None, :]
-            - activation_zero * col_sums[None, :]
-            + inner * activation_zero * weight_zero[None, :]
-        )
-        accumulator = accumulator + params.quantized_bias[None, :]
-        return activation_scale * weight_scale[None, :] * accumulator
+        # Strictly left to right: decode zero points may be non-integer (bias
+        # correction), so reassociating the terms would change the result.
+        accumulator = raw - row_sums * params.weight_zero
+        accumulator -= params.zero_col_sums
+        accumulator += params.zero_product
+        accumulator += params.quantized_bias
+        accumulator *= params.bias_scale
+        return accumulator
 
 
 class QuantizedModel:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.nn.blocks import FireModule, ResidualBlock
 from repro.nn.functional import col2im, conv_output_size, im2col, one_hot, softmax
@@ -48,6 +49,37 @@ class TestFunctional:
                         patch = padded[n, :, i : i + 3, j : j + 3]
                         reference[n, o, i, j] = float((patch * weight[o]).sum())
         assert np.allclose(output, reference, atol=1e-10)
+
+    @given(
+        batch=st.integers(1, 2),
+        channels=st.integers(1, 3),
+        height=st.integers(1, 7),
+        width=st.integers(1, 7),
+        kernel_h=st.integers(1, 4),
+        kernel_w=st.integers(1, 4),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 2),
+        pad_value=st.sampled_from([0.0, 3.0, 128.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_im2col_matches_per_position_loop(
+        self, batch, channels, height, width, kernel_h, kernel_w, stride, padding, pad_value
+    ):
+        assume(height + 2 * padding >= kernel_h and width + 2 * padding >= kernel_w)
+        x = np.random.default_rng(height * 7 + width).integers(0, 255, (batch, channels, height, width))
+        x = x.astype(np.float64)
+        columns, out_h, out_w = im2col(x, kernel_h, kernel_w, stride, padding, pad_value)
+        padded = np.full(
+            (batch, channels, height + 2 * padding, width + 2 * padding), pad_value
+        )
+        padded[:, :, padding : padding + height, padding : padding + width] = x
+        expected = [
+            padded[n, :, oh * stride : oh * stride + kernel_h, ow * stride : ow * stride + kernel_w].ravel()
+            for n in range(batch)
+            for oh in range(out_h)
+            for ow in range(out_w)
+        ]
+        assert np.array_equal(columns, np.array(expected))
 
     def test_col2im_is_adjoint_of_im2col(self):
         rng = np.random.default_rng(1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.observability as observability
 from repro.nn.evaluate import evaluate_with_fault_injection, quantize_and_evaluate
 from repro.nn.faults import MsbBitFlipInjector
 from repro.nn.quantized import QuantizationContext, QuantizedModel
@@ -32,6 +33,23 @@ class TestQuantizationContext:
         foreign.name = "foreign"
         with pytest.raises(KeyError):
             quantized.context.linear(foreign, np.zeros((1, 4)), foreign.weight.value, foreign.bias.value)
+
+    def test_unquantized_layer_forward_fails_cleanly(self, tiny_model, tiny_calibration):
+        quantized = QuantizedModel.build(
+            tiny_model, get_method("M2"), 8, 8, calibration_data=tiny_calibration
+        )
+        from repro.nn.layers import Conv2D, Dense
+
+        # The run-phase lookup of the layer's activation codes fails first,
+        # with the same explanation as a direct linear call.
+        dense = Dense(4, 2, rng=0)
+        dense.name = "foreign_dense"
+        with pytest.raises(KeyError, match="no quantization parameters"):
+            dense.forward_quantized(np.zeros((1, 4)), quantized.context)
+        conv = Conv2D(3, 2, rng=0)
+        conv.name = "foreign_conv"
+        with pytest.raises(KeyError, match="'foreign_conv' has no quantization parameters"):
+            conv.forward_quantized(np.zeros((1, 3, 4, 4)), quantized.context)
 
 
 class TestQuantizedModel:
@@ -110,6 +128,18 @@ class TestFaultInjection:
         q_w = np.full((1, 1), 255.0)  # product 65025 has bit 15 set
         deltas = injector.accumulation_deltas(q_a, q_w)
         assert deltas[0, 0] == -(1 << 15)
+
+    def test_event_cap_truncates_counts_and_warns(self):
+        injector = MsbBitFlipInjector(probability=1.0, rng=0, max_events_per_call=10)
+        q_a = np.ones((4, 4))
+        q_w = np.ones((4, 4))
+        with observability.collecting() as recorded:
+            with pytest.warns(RuntimeWarning, match="54 faults were dropped"):
+                deltas = injector.accumulation_deltas(q_a, q_w)
+        assert recorded.metrics.counter("nn.faults.truncated_events") == 64 - 10
+        # Truncation keeps exactly max_events_per_call faults of +2^14/2^15.
+        magnitudes = np.abs(deltas).sum()
+        assert 10 * (1 << 14) <= magnitudes <= 10 * (1 << 15)
 
     def test_expected_fault_count_scales_with_probability(self):
         injector = MsbBitFlipInjector(probability=0.01, rng=0)
