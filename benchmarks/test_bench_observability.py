@@ -9,6 +9,7 @@ a full Fig. 1a error sweep must cost at most a few percent of its runtime.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import repro.observability as observability
@@ -18,14 +19,23 @@ from repro.timing.error_model import sweep_timing_errors
 #: Maximum tolerated enabled-path overhead on the Fig. 1a sweep.
 MAX_OVERHEAD = 0.05
 
-ROUNDS = 3
+#: The Fig. 1a sweep's ΔVth levels (1000 samples each).
+LEVELS_MV = (0.0, 30.0, 50.0)
+
+#: Rounds over the levels.  Every (round, level) is one interleaved
+#: disabled/enabled pair, 21 in all, and the bound is checked on the median
+#: of the per-pair ratios.  On a shared 2-CPU host one ~1 s level sweep
+#: swings by up to ±30%; over ten runs there this median stayed within
+#: -1.6% .. +2.2%, while the median of 7 whole-sweep pairs ranged from
+#: -5.6% to +7.9%.
+ROUNDS = 7
 
 
-def _sweep(unit, observe: bool):
+def _sweep(unit, observe: bool, levels_mv=LEVELS_MV):
     def run():
         return sweep_timing_errors(
             unit,
-            levels_mv=(0.0, 30.0, 50.0),
+            levels_mv=levels_mv,
             num_samples=1000,
             rng=0,
             effective_output_width=16,
@@ -43,24 +53,30 @@ def test_bench_observability_overhead(benchmark):
     _sweep(unit, True)
 
     off_s, on_s = [], []
-    # Interleaved min-of-N: drift (thermal, page cache) hits both variants
-    # equally, and the minima estimate the true cost of each path.
-    for _ in range(ROUNDS):
-        start = time.perf_counter()
-        reference = _sweep(unit, False)
-        off_s.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        observed = _sweep(unit, True)
-        on_s.append(time.perf_counter() - start)
-        assert observed == reference  # recording never changes the statistics
+    # Each pair runs one level with recording off and on back to back,
+    # alternating which goes first, so host drift hits both alike.
+    for round_index in range(ROUNDS):
+        for level_index, level in enumerate(LEVELS_MV):
+            results = {}
+            seconds = {}
+            order = (False, True) if (round_index + level_index) % 2 == 0 else (True, False)
+            for observe in order:
+                start = time.perf_counter()
+                results[observe] = _sweep(unit, observe, (level,))
+                seconds[observe] = time.perf_counter() - start
+            # Recording never changes the statistics.
+            assert results[True] == results[False]
+            off_s.append(seconds[False])
+            on_s.append(seconds[True])
 
-    overhead = min(on_s) / min(off_s) - 1.0
+    overhead = statistics.median(on / off for on, off in zip(on_s, off_s)) - 1.0
     print(
-        f"\nfig1a sweep: disabled {min(off_s) * 1e3:.1f} ms, "
-        f"enabled {min(on_s) * 1e3:.1f} ms, overhead {overhead * 100:+.2f}%"
+        f"\nfig1a sweep ({len(off_s)} level pairs): disabled {sum(off_s) * 1e3:.1f} ms, "
+        f"enabled {sum(on_s) * 1e3:.1f} ms in all, "
+        f"median per-pair overhead {overhead * 100:+.2f}%"
     )
-    benchmark.extra_info["disabled_s"] = min(off_s)
-    benchmark.extra_info["enabled_s"] = min(on_s)
+    benchmark.extra_info["disabled_s"] = sum(off_s)
+    benchmark.extra_info["enabled_s"] = sum(on_s)
     benchmark.extra_info["overhead"] = overhead
     benchmark.pedantic(_sweep, args=(unit, True), rounds=1, iterations=1)
     assert overhead <= MAX_OVERHEAD, (

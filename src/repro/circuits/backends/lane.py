@@ -57,12 +57,23 @@ table (a ``{gate: delay}`` mapping) or carry **per-corner delay columns**
 (a ``(gates, corners)`` matrix aligned with ``topological_gates()``),
 which is how per-PE aging scenarios of a whole accelerator array batch
 into a single pass (:func:`repro.timing.sta.scenario_case_delays`).
+
+Case-analysis constants
+-----------------------
+
+The nets each corner's case analysis forces to a constant resolve on the
+same schedule (:meth:`LevelizedGraph.constant_mask`): per net, two
+``(nets, corners)`` bool rows record whether it can be 0 and whether it can
+be 1, and each cell group enumerates its truth table once for the whole
+corner batch.  The structural constants of the lane simulator come from the
+same pass with no assignments.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import product as iter_product
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -70,9 +81,9 @@ import numpy as np
 import repro.observability as observability
 from repro.aging.scenarios.base import resolve_gate_delays
 from repro.circuits.backends.base import BatchedSimulationBackend, ErrorCounters
-from repro.circuits.constants import propagate_constants
-from repro.circuits.gates import WORD_CELL_FUNCTIONS
-from repro.circuits.netlist import Gate, Netlist
+from repro.circuits.constants import case_assignments
+from repro.circuits.gates import CELL_FUNCTIONS, CELL_INPUT_COUNTS, WORD_CELL_FUNCTIONS
+from repro.circuits.netlist import Gate, Net, Netlist
 from repro.circuits.simulator import BATCH_ARRIVAL_MODELS
 from repro.utils.bitops import (
     UINT64_MASK,
@@ -83,6 +94,18 @@ from repro.utils.bitops import (
 
 #: The two supported net numberings (see the module docstring).
 GRAPH_LAYOUTS = ("level", "creation")
+
+#: Per cell, its truth table for the constant pass: the ``(2**arity, arity)``
+#: input combinations, the ``(arity,)`` pin indices that pair with them, and
+#: the ``(2**arity,)`` bool outputs.
+_TRUTH_TABLES: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
+    cell_name: (
+        combos := np.array(list(iter_product((0, 1), repeat=arity)), dtype=np.intp),
+        np.arange(arity),
+        np.array([CELL_FUNCTIONS[cell_name](*combo) for combo in combos], dtype=bool),
+    )
+    for cell_name, arity in CELL_INPUT_COUNTS.items()
+}
 
 
 def _as_slice(rows: np.ndarray) -> "slice | None":
@@ -245,14 +268,8 @@ class LevelizedGraph:
             [self.net_row[net] for net in nets], dtype=np.intp
         )
 
-        structural = propagate_constants(netlist)
-        self.structural_rows = np.zeros(self.num_nets, dtype=bool)
-        for net in structural:
-            self.structural_rows[self.net_row[net]] = True
-
-        self.levels: list[LevelPlan] = []
-        for gates, groups in zip(level_gates, level_groups):
-            value_groups = tuple(
+        level_value_groups = [
+            tuple(
                 ValueGroup(
                     cell_name=cell_name,
                     input_rows=(input_rows := tuple(
@@ -270,6 +287,34 @@ class LevelizedGraph:
                 )
                 for cell_name, members in groups
             )
+            for groups in level_groups
+        ]
+
+        # The constant pass's schedule: per cell group in level order, its
+        # truth table, the (arity, size) stacked input rows and the output
+        # index (a slice view under the "level" layout).
+        self._constant_groups = tuple(
+            (
+                *_TRUTH_TABLES[group.cell_name],
+                np.stack(group.input_rows),
+                group.output_rows if group.output_slice is None else group.output_slice,
+            )
+            for value_groups in level_value_groups
+            for group in value_groups
+        )
+        self._driven_rows = np.zeros(self.num_nets, dtype=bool)
+        self._driven_rows[[self.net_row[gate.output] for gate in order]] = True
+        self._constant_rows = tuple(
+            np.array(
+                [self.net_row[net] for net in nets if net.constant_value == value],
+                dtype=np.intp,
+            )
+            for value in (0, 1)
+        )
+        self.structural_rows = self.constant_mask([{}])[:, 0]
+
+        self.levels: list[LevelPlan] = []
+        for gates, value_groups in zip(level_gates, level_value_groups):
             padded = np.array(
                 [
                     [self.net_row[gate.inputs[min(pin, len(gate.inputs) - 1)]] for gate in gates]
@@ -316,14 +361,7 @@ class LevelizedGraph:
             for plan in self.levels
         ]
 
-        self.constant_one_rows = np.array(
-            [
-                self.net_row[net]
-                for net in nets
-                if net.is_constant and net.constant_value == 1
-            ],
-            dtype=np.intp,
-        )
+        self.constant_one_rows = self._constant_rows[1]
         self.input_bus_rows = {
             name: np.array([self.net_row[net] for net in bus_nets], dtype=np.intp)
             for name, bus_nets in netlist.input_buses.items()
@@ -482,6 +520,58 @@ class LevelizedGraph:
                     values[group.output_rows] = result
         return values
 
+    # ------------------------------------------------------------- constants
+    def constant_mask(self, corner_assignments: Sequence[Mapping[Net, int]]) -> np.ndarray:
+        """``(nets, corners)`` bool mask of the nets forced to a constant.
+
+        Column ``j`` holds the constants of corner ``j``: the declared
+        constant nets plus ``corner_assignments[j]`` (validated nets tied to
+        0/1, see :func:`repro.circuits.constants.case_assignments`),
+        propagated through the logic.  Every net carries two rows of
+        possible values, ``can[0]`` and ``can[1]``.  Each cell group then
+        enumerates its truth table once for the whole corner batch: an input
+        combination is allowed where every pin can take its bit, and each
+        allowed combination makes its output value possible.  A net is
+        constant exactly where one value is possible (``can[0] ^ can[1]``).
+        Free inputs are enumerated independently and known inputs stay
+        fixed, which is the rule of the scalar
+        :func:`~repro.circuits.constants.constant_gate_output`, so the mask
+        equals :func:`~repro.circuits.constants.propagate_constants` corner
+        by corner.  A tie on a gate output holds unless the gate's inputs
+        already force it, again as in the scalar pass.
+        """
+        corners = len(corner_assignments)
+        can = np.ones((2, self.num_nets, corners), dtype=bool)
+        can[1, self._constant_rows[0]] = False
+        can[0, self._constant_rows[1]] = False
+        values: list[int] = []
+        rows: list[int] = []
+        columns: list[int] = []
+        for column, assignments in enumerate(corner_assignments):
+            for net, value in assignments.items():
+                values.append(value)
+                rows.append(self.net_row[net])
+                columns.append(column)
+        tied = None
+        if rows:
+            value_index = np.array(values, dtype=np.intp)
+            row_index = np.array(rows, dtype=np.intp)
+            can[value_index, row_index, columns] = True
+            can[1 - value_index, row_index, columns] = False
+            if self._driven_rows[row_index].any():
+                tied = np.zeros_like(can)
+                tied[value_index, row_index, columns] = True
+        for combos, pins, ones, pin_rows, out in self._constant_groups:
+            # (combinations, arity, size, corners): can[bit of the pin, pin row].
+            allowed = can[:, pin_rows][combos, pins].all(axis=1)
+            can[0, out] = allowed[~ones].any(axis=0)
+            can[1, out] = allowed[ones].any(axis=0)
+            if tied is not None:
+                free = can[0, out] & can[1, out]
+                can[0, out] &= ~(free & tied[1, out])
+                can[1, out] &= ~(free & tied[0, out])
+        return can[0] ^ can[1]
+
     # -------------------------------------------------------------- arrivals
     def max_plus_pass(
         self,
@@ -592,41 +682,45 @@ def levelized_graph_cache_stats() -> dict[str, int]:
 def corner_case_delays(
     netlist: Netlist,
     gate_delay_ps: "Mapping[Gate, float] | np.ndarray",
-    corner_constants: Sequence[Mapping[object, int]],
+    corner_cases: "Sequence[Mapping[str, int] | None]",
     layout: str = "level",
 ) -> list[float]:
     """Critical-path delays of many case-analysis corners in one pass.
 
-    Arrival vectors of shape ``(nets, corners)`` run through the same
+    ``corner_cases[j]`` is corner ``j``'s case analysis: net name -> 0/1
+    (``None`` for none), validated by
+    :func:`~repro.circuits.constants.case_assignments`.  The constants of
+    every corner resolve in one vectorised pass
+    (:meth:`LevelizedGraph.constant_mask`), and the resulting exclusion
+    mask feeds arrival vectors of shape ``(nets, corners)`` through the same
     levelized :meth:`LevelizedGraph.max_plus_pass` schedule the lane
-    simulator uses for Monte-Carlo lanes; per-corner constants only shape
-    the exclusion mask.  Bit-identical to running a scalar STA traversal
-    once per corner (max-plus over float64 is order-insensitive and every
-    gate adds the same delay; arrivals are non-negative, so masking by
-    multiplication equals exclusion).
+    simulator uses for Monte-Carlo lanes.  Bit-identical to running a scalar
+    STA traversal once per corner (max-plus over float64 is
+    order-insensitive and every gate adds the same delay; arrivals are
+    non-negative, so masking by multiplication equals exclusion).
 
     ``gate_delay_ps`` is either one ``{gate: delay}`` table shared by every
     corner, or a ``(gates, corners)`` float matrix aligned with
     ``netlist.topological_gates()`` — per-corner delay columns, which is
     how per-PE aging scenarios batch a whole accelerator array into a
-    single levelized pass.  When every entry of ``corner_constants`` is the
-    *same* mapping object (one shared case-analysis set), the exclusion
-    mask collapses to one broadcast column.
+    single levelized pass.  When every entry of ``corner_cases`` is the
+    *same* object (one shared case analysis), the constants resolve once
+    and the exclusion mask is one broadcast column.
+
+    Records the ``sta.case_constants`` span and the
+    ``sta.case_constants.corners`` counter (constant columns resolved).
     """
-    if not corner_constants:
+    if not corner_cases:
         return []
     graph = levelized_graph(netlist, layout)
-    corners = len(corner_constants)
-    first = corner_constants[0]
-    if all(constants is first for constants in corner_constants):
-        excluded = np.zeros((graph.num_nets, 1), dtype=bool)
-        for net in first:
-            excluded[graph.net_row[net], 0] = True
-    else:
-        excluded = np.zeros((graph.num_nets, corners), dtype=bool)
-        for corner, constants in enumerate(corner_constants):
-            for net in constants:
-                excluded[graph.net_row[net], corner] = True
+    corners = len(corner_cases)
+    first = corner_cases[0]
+    columns = [first] if all(case is first for case in corner_cases) else corner_cases
+    with observability.span("sta.case_constants", columns=len(columns)):
+        observability.add("sta.case_constants.corners", len(columns))
+        excluded = graph.constant_mask(
+            [case_assignments(netlist, case) for case in columns]
+        )
     if isinstance(gate_delay_ps, np.ndarray):
         matrix = np.asarray(gate_delay_ps, dtype=float)
         if matrix.ndim != 2 or matrix.shape[1] != corners:

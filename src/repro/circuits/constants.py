@@ -6,6 +6,11 @@ operand bits to 0.  Both the STA engine and the timed simulator need to know
 which internal nets are thereby forced to a constant value: such nets never
 transition, never contribute to arrival times and are excluded from the
 sensitisable critical path (PrimeTime ``set_case_analysis`` semantics).
+
+:func:`propagate_constants` is the scalar reference used by the scalar
+engines; the corner-batched STA pass resolves the same sets for many corners
+at once on the levelized schedule
+(:meth:`repro.circuits.backends.LevelizedGraph.constant_mask`).
 """
 
 from __future__ import annotations
@@ -15,6 +20,26 @@ from collections.abc import Mapping
 
 from repro.circuits.gates import CELL_FUNCTIONS
 from repro.circuits.netlist import Gate, Net, Netlist
+
+
+def case_assignments(
+    netlist: Netlist, case_analysis: Mapping[str, int] | None
+) -> dict[Net, int]:
+    """Validate a case-analysis mapping (net name -> 0/1) and resolve its nets.
+
+    The one boundary check shared by the scalar STA path and the
+    corner-batched pass: values must be 0/1 (``ValueError``) and every name
+    must exist in ``netlist`` (``KeyError``).  ``None`` means no assignment.
+    """
+    assignments: dict[Net, int] = {}
+    for net_name, value in (case_analysis or {}).items():
+        if value not in (0, 1):
+            raise ValueError(f"case-analysis value for {net_name!r} must be 0/1")
+        net = netlist.nets.get(net_name)
+        if net is None:
+            raise KeyError(f"case-analysis net {net_name!r} not found in netlist")
+        assignments[net] = value
+    return assignments
 
 
 def constant_gate_output(gate: Gate, constants: Mapping[Net, int]) -> int | None:

@@ -28,6 +28,7 @@ from repro.core.padding import Padding
 from repro.core.timing_analysis import CompressionTiming, CompressionTimingAnalyzer
 from repro.nn.evaluate import QuantizedEvaluation, quantize_and_evaluate
 from repro.nn.model import Model
+from repro.nn.quantized import record_calibration
 from repro.quantization.base import QuantizationMethod
 from repro.quantization.registry import available_methods
 
@@ -112,6 +113,11 @@ class AgingAwareQuantizer:
     ) -> tuple[str, QuantizedEvaluation, dict[str, QuantizedEvaluation], bool]:
         """Search the method library at the compression's bit-widths.
 
+        The FP32 calibration forward pass depends only on the model and the
+        calibration data, so it runs once here and every method quantizes
+        from the shared :func:`~repro.nn.quantized.record_calibration`
+        (bit-for-bit equal to calibrating per method).
+
         Returns ``(selected_key, selected_evaluation, per_method, satisfied)``.
         """
         multiplier_width = int(self.timing_analyzer.mac.input_widths.get("a", 8))
@@ -121,6 +127,7 @@ class AgingAwareQuantizer:
         if fp32_accuracy is None:
             fp32_accuracy = model.accuracy(x_test, y_test)
 
+        recording = record_calibration(model, calibration_data)
         per_method: dict[str, QuantizedEvaluation] = {}
         for method in self.methods:
             evaluation = quantize_and_evaluate(
@@ -133,6 +140,7 @@ class AgingAwareQuantizer:
                 x_test=x_test,
                 y_test=y_test,
                 fp32_accuracy=fp32_accuracy,
+                calibration_recording=recording,
             )
             per_method[method.key] = evaluation
             if (

@@ -103,11 +103,13 @@ class ExperimentSettings:
 
     # Fig. 1a multiplier error characterisation.  The batched simulation
     # backends (repro.circuits.backends) make large sample counts cheap:
-    # "settle"/"transition" run batched, "event" falls back to the scalar
-    # event-driven simulator.  "transition" (optimistic bound) keeps the
-    # MSB-flip probabilities in the same 1e-5..1e-2 regime the Fig. 1b
-    # fault-injection sweep covers; "settle" (pessimistic bound) saturates
-    # the error rate within a few mV of aging.
+    # "settle"/"transition" run on the levelized engines, "event" on the
+    # batched time wheel (the scalar event loop for narrow batches).
+    # "transition" (optimistic bound) gives exactly zero mean error
+    # distance, MSB flips and errors from 0 to 40 mV at the fast profile;
+    # at 50 mV the error rate is 0.002 and MSB flips are still 0, so it
+    # does not show the paper's monotone rise.  "settle" (pessimistic
+    # bound) saturates the error rate within a few mV of aging.
     error_samples: int = 2000
     error_arrival_model: str = "transition"
 

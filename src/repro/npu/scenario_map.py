@@ -27,7 +27,6 @@ from repro.aging.cell_library import CellLibrary
 from repro.aging.scenarios.base import default_fresh_library, gate_delay_columns
 from repro.aging.scenarios.heterogeneous import VariationAging
 from repro.circuits.backends import corner_case_delays
-from repro.circuits.constants import propagate_constants
 from repro.circuits.mac import ArithmeticUnit, build_mac
 from repro.npu.systolic import SystolicArray
 from repro.parallel.executor import ParallelExecutor
@@ -179,8 +178,7 @@ def _evaluate_array_batched(
         [scenario.gate_delta_vth_mv(netlist, library) for scenario in scenarios], axis=1
     )
     delay_matrix = gate_delay_columns(netlist, library, deltas)
-    constants = propagate_constants(netlist)
-    delays = corner_case_delays(netlist, delay_matrix, [constants] * len(scenarios))
+    delays = corner_case_delays(netlist, delay_matrix, [None] * len(scenarios))
     reports = scenario_energy_reports(mac, deltas, activity, clock_period_ps, library)
 
     model = library.delay_model

@@ -24,7 +24,7 @@ from repro.aging.scenarios.base import (
     resolve_gate_delays,
 )
 from repro.circuits.backends import corner_case_delays
-from repro.circuits.constants import propagate_constants
+from repro.circuits.constants import case_assignments, propagate_constants
 from repro.circuits.mac import ArithmeticUnit
 from repro.circuits.netlist import Net, Netlist
 
@@ -77,18 +77,9 @@ def scenario_case_delays(
     if len(scenarios) == 0:
         return []
     delay_matrix = resolve_gate_delay_columns(netlist, list(scenarios), library)
-    assignments: dict[Net, int] = {}
-    for net_name, value in (case_analysis or {}).items():
-        if value not in (0, 1):
-            raise ValueError(f"case-analysis value for {net_name!r} must be 0/1")
-        net = netlist.nets.get(net_name)
-        if net is None:
-            raise KeyError(f"case-analysis net {net_name!r} not found in netlist")
-        assignments[net] = value
-    constants = propagate_constants(netlist, assignments)
-    # One shared constant map for every column: corner_case_delays detects
-    # the identity and broadcasts the exclusion mask instead of re-resolving.
-    return corner_case_delays(netlist, delay_matrix, [constants] * delay_matrix.shape[1])
+    # One shared case analysis for every column: corner_case_delays detects
+    # the identity and resolves one broadcast exclusion column.
+    return corner_case_delays(netlist, delay_matrix, [case_analysis] * delay_matrix.shape[1])
 
 
 class StaticTimingAnalyzer:
@@ -110,19 +101,6 @@ class StaticTimingAnalyzer:
         #: which is what the case-analysis sweep benchmark asserts on.
         self.levelized_passes = 0
 
-    # ----------------------------------------------------------- case analysis
-    def _resolve_case_constants(self, case_analysis: Mapping[str, int]) -> dict[Net, int]:
-        """Propagate user-supplied constant input bits through the logic."""
-        assignments: dict[Net, int] = {}
-        for net_name, value in case_analysis.items():
-            if value not in (0, 1):
-                raise ValueError(f"case-analysis value for {net_name!r} must be 0/1")
-            net = self.netlist.nets.get(net_name)
-            if net is None:
-                raise KeyError(f"case-analysis net {net_name!r} not found in netlist")
-            assignments[net] = value
-        return propagate_constants(self.netlist, assignments)
-
     # ----------------------------------------------------------------- timing
     def arrival_times(
         self, case_analysis: Mapping[str, int] | None = None
@@ -132,7 +110,9 @@ class StaticTimingAnalyzer:
         Returns the arrival-time map and the resolved constant map.  Constant
         nets do not appear in the arrival map (they never transition).
         """
-        constants = self._resolve_case_constants(case_analysis or {})
+        constants = propagate_constants(
+            self.netlist, case_assignments(self.netlist, case_analysis)
+        )
         self.levelized_passes += 1
         observability.add("sta.levelized_passes")
         arrivals: dict[Net, float] = {}
@@ -171,20 +151,27 @@ class StaticTimingAnalyzer:
         the corner-batched max-plus pass of the ndarray simulation backend
         (:func:`repro.circuits.backends.corner_case_delays`): the whole
         corner batch runs on the same levelized gather/scatter schedule the
-        lane simulator uses for Monte-Carlo lanes.  Constants still resolve
-        per corner (they differ between paddings), but that is cheap
-        boolean propagation, not arrival analysis.
+        lane simulator uses for Monte-Carlo lanes.  The per-corner constants
+        (they differ between paddings) resolve in one three-valued pass over
+        the same schedule
+        (:meth:`~repro.circuits.backends.LevelizedGraph.constant_mask`),
+        which enumerates each cell group's truth table once for all corners
+        and yields the exclusion mask directly.  The scalar
+        :func:`~repro.circuits.constants.propagate_constants` would cost one
+        Python call per gate and corner, over ten times the arrival pass
+        itself on the default MAC.
 
         Returns per-corner delays identical to calling
-        :meth:`critical_path_delay` once per corner (max-plus over float64
-        is order-insensitive, so the vectorised pass is bit-identical).
+        :meth:`critical_path_delay` once per corner (the constant sets are
+        the same, and max-plus over float64 is order-insensitive, so the
+        vectorised pass is bit-identical).
         """
         if not cases:
             return []
-        corner_constants = [self._resolve_case_constants(case or {}) for case in cases]
+        delays = corner_case_delays(self.netlist, self._gate_delay_ps, cases)
         self.levelized_passes += 1
         observability.add("sta.levelized_passes")
-        return corner_case_delays(self.netlist, self._gate_delay_ps, corner_constants)
+        return delays
 
     def critical_path(self, case_analysis: Mapping[str, int] | None = None) -> TimingPath:
         """Worst-case path with the nets along it (for reports and debugging)."""

@@ -382,17 +382,88 @@ class TestCornerStaPass:
             gate: library.delay_ps(gate.cell_name, fanout=gate.output.fanout)
             for gate in netlist.topological_gates()
         }
-        constants = [{}, {netlist.nets["a[0]"]: 0, netlist.nets["a[1]"]: 0}]
-        from repro.circuits.constants import propagate_constants
-
-        resolved = [propagate_constants(netlist, c) for c in constants]
-        delays_out = corner_case_delays(netlist, delays, resolved)
+        cases = [{}, {"a[0]": 0, "a[1]": 0}]
+        delays_out = corner_case_delays(netlist, delays, cases)
         assert len(delays_out) == 2
         assert delays_out[0] >= delays_out[1] > 0.0
+
+    @pytest.mark.parametrize("multiplier", ["array", "wallace"])
+    @pytest.mark.parametrize("adder", ["ripple", "carry_select"])
+    def test_constant_mask_matches_scalar_propagation(self, multiplier, adder):
+        from repro.circuits.constants import case_assignments, propagate_constants
+        from repro.core.padding import Padding, mac_case_analysis
+
+        netlist = build_mac(multiplier=multiplier, adder=adder).netlist
+        cases = [
+            mac_case_analysis(alpha, beta, padding)
+            for alpha in range(8)
+            for beta in range(8)
+            for padding in (Padding.MSB, Padding.LSB)
+        ]
+        assignments = [case_assignments(netlist, case) for case in cases]
+        graph = levelized_graph(netlist)
+        mask = graph.constant_mask(assignments)
+        assert mask.shape == (graph.num_nets, len(cases))
+        for column, corner in enumerate(assignments):
+            expected = np.zeros(graph.num_nets, dtype=bool)
+            for net in propagate_constants(netlist, corner):
+                expected[graph.net_row[net]] = True
+            assert np.array_equal(mask[:, column], expected), cases[column]
+
+    @pytest.mark.parametrize("multiplier", ["array", "wallace"])
+    @pytest.mark.parametrize("adder", ["ripple", "carry_select"])
+    def test_every_corner_matches_critical_path_delay(self, multiplier, adder):
+        from repro.core.padding import Padding, mac_case_analysis
+
+        analyzer = StaticTimingAnalyzer(
+            build_mac(multiplier=multiplier, adder=adder), _LIBRARIES.library(50.0)
+        )
+        cases = [
+            mac_case_analysis(alpha, beta, padding)
+            for alpha in range(8)
+            for beta in range(8)
+            for padding in (Padding.MSB, Padding.LSB)
+        ]
+        batched = analyzer.case_analysis_delays(cases)
+        assert batched == [analyzer.critical_path_delay(case) for case in cases]
+
+    def test_case_validation_at_the_boundary(self):
+        delays = {gate: 1.0 for gate in _MAC.netlist.topological_gates()}
+        with pytest.raises(ValueError, match="0/1"):
+            corner_case_delays(_MAC.netlist, delays, [{}, {"a[0]": 2}])
+        with pytest.raises(KeyError, match="missing"):
+            corner_case_delays(_MAC.netlist, delays, [{"missing": 0}])
+        analyzer = StaticTimingAnalyzer(_MAC, _LIBRARIES.fresh)
+        with pytest.raises(KeyError, match="missing"):
+            analyzer.case_analysis_delays([{"missing": 0}])
+        with pytest.raises(ValueError, match="0/1"):
+            analyzer.critical_path_delay({"a[0]": -1})
+
+    def test_constant_pass_is_observable_and_inert(self):
+        import repro.observability as observability
+        from repro.core.padding import Padding, mac_case_analysis
+
+        analyzer = StaticTimingAnalyzer(_MAC, _LIBRARIES.library(20.0))
+        cases = [
+            mac_case_analysis(alpha, 1, Padding.LSB, multiplier_width=5, accumulator_width=12)
+            for alpha in range(4)
+        ]
+        plain = analyzer.case_analysis_delays(cases)
+        with observability.collecting() as snapshot:
+            traced = analyzer.case_analysis_delays(cases)
+            scenario_delays = corner_case_delays(
+                _MAC.netlist, {gate: 1.0 for gate in _MAC.netlist.gates}, [None] * 3
+            )
+        assert traced == plain
+        assert len(scenario_delays) == 3
+        # Four distinct corners, then one shared (broadcast) column.
+        assert snapshot.metrics.counter("sta.case_constants.corners") == 5
+        assert sum(span.name == "sta.case_constants" for span in snapshot.spans) == 2
 
     def test_empty_corner_list(self):
         analyzer = StaticTimingAnalyzer(_MAC, _LIBRARIES.fresh)
         assert analyzer.case_analysis_delays([]) == []
+        assert corner_case_delays(_MAC.netlist, {}, []) == []
 
 
 # ------------------------------------------------------- level-ordered layout
@@ -508,11 +579,8 @@ class TestLevelOrderedLayout:
             gate: library.delay_ps(gate.cell_name, fanout=gate.output.fanout)
             for gate in _MAC.netlist.topological_gates()
         }
-        from repro.circuits.constants import propagate_constants
-
-        constants = propagate_constants(_MAC.netlist)
         before = graph.max_plus_passes
-        corner_case_delays(_MAC.netlist, delays, [constants] * 5)
+        corner_case_delays(_MAC.netlist, delays, [None] * 5)
         assert graph.max_plus_passes == before + 1  # 5 corners, one traversal
 
 

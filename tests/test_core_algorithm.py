@@ -112,6 +112,51 @@ class TestAlgorithmSelection:
         assert result.selected_method in result.per_method
         assert result.accuracy_loss_percent == result.evaluation.accuracy_loss_percent
 
+    def test_shared_calibration_matches_per_method_calibration(
+        self, paper_mac, library_set, tiny_model, tiny_calibration, tiny_dataset
+    ):
+        import numpy as np
+
+        from repro.nn.evaluate import quantize_and_evaluate
+        from repro.nn.quantized import QuantizedModel, record_calibration
+
+        methods = available_methods(["M1", "M2", "M3", "M4", "M5"])
+        quantizer = AgingAwareQuantizer(
+            mac=paper_mac, library_set=library_set, methods=methods
+        )
+        compression = CompressionChoice(2, 1)
+        _, _, per_method, _ = quantizer.quantize_model(
+            tiny_model, compression, tiny_calibration, tiny_dataset.x_test, tiny_dataset.y_test
+        )
+        bits = {
+            "activation_bits": compression.activation_bits(8),
+            "weight_bits": compression.weight_bits(8),
+            "bias_bits": compression.bias_bits(8),
+        }
+        recording = record_calibration(tiny_model, tiny_calibration)
+        assert list(per_method) == [method.key for method in methods]
+        for method in methods:
+            assert per_method[method.key] == quantize_and_evaluate(
+                tiny_model,
+                method,
+                calibration_data=tiny_calibration,
+                x_test=tiny_dataset.x_test,
+                y_test=tiny_dataset.y_test,
+                **bits,
+            )
+            # Accuracy is coarse; the logits pin the recording bit for bit.
+            shared, own = (
+                QuantizedModel.build(
+                    tiny_model,
+                    method=method,
+                    calibration_data=tiny_calibration,
+                    calibration_recording=calibration_recording,
+                    **bits,
+                ).predict_logits(tiny_dataset.x_test)
+                for calibration_recording in (recording, None)
+            )
+            assert np.array_equal(shared, own)
+
     def test_empty_method_library_rejected(self, paper_mac, library_set):
         with pytest.raises(ValueError):
             AgingAwareQuantizer(mac=paper_mac, library_set=library_set, methods=[])

@@ -1,8 +1,13 @@
 """Property-based tests (hypothesis) of the circuit substrate invariants."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.circuits.backends import levelized_graph
+from repro.circuits.constants import case_assignments, propagate_constants
+from repro.circuits.gates import CELL_FUNCTIONS, CELL_INPUT_COUNTS
 from repro.circuits.mac import build_adder, build_mac, build_multiplier
+from repro.circuits.netlist import Netlist
 from repro.circuits.simulator import (
     BatchLogicSimulator,
     BatchTimingSimulator,
@@ -80,6 +85,66 @@ class TestTimingProperties:
         smaller = _MAC8_STA.critical_path_delay(mac_case_analysis(alpha, beta, padding))
         larger = _MAC8_STA.critical_path_delay(mac_case_analysis(min(alpha + extra, 8), beta, padding))
         assert larger <= smaller + 1e-9
+
+
+@st.composite
+def all_cell_netlists(draw):
+    """A small random netlist instantiating every cell, with partial case analyses.
+
+    Returns the netlist and a list of corners (net name -> 0/1) that tie
+    random primary inputs, constant nets and internal gate outputs.
+    """
+    netlist = Netlist("all_cells")
+    pool = list(netlist.add_input_bus("in", draw(st.integers(2, 5))))
+    if draw(st.booleans()):
+        pool.append(netlist.constant(0))
+    if draw(st.booleans()):
+        pool.append(netlist.constant(1))
+    cells = draw(st.permutations(sorted(CELL_FUNCTIONS)))
+    cells += draw(st.lists(st.sampled_from(sorted(CELL_FUNCTIONS)), max_size=12))
+    for cell in cells:
+        inputs = [
+            pool[draw(st.integers(0, len(pool) - 1))]
+            for _ in range(CELL_INPUT_COUNTS[cell])
+        ]
+        pool.append(netlist.add_gate(cell, inputs))
+    netlist.add_output_bus("out", pool[-draw(st.integers(1, 4)) :])
+    names = sorted(netlist.nets)
+    corners = draw(
+        st.lists(
+            st.dictionaries(st.sampled_from(names), st.integers(0, 1), max_size=6),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return netlist, corners
+
+
+class TestCaseConstantProperties:
+    """The vectorised constant pass against the scalar reference."""
+
+    @given(case=all_cell_netlists())
+    @settings(max_examples=60, deadline=None)
+    def test_constant_mask_matches_propagate_constants(self, case):
+        netlist, corners = case
+        assert set(netlist.cell_histogram()) == set(CELL_FUNCTIONS)
+        assignments = [case_assignments(netlist, corner) for corner in corners]
+        for layout in ("level", "creation"):
+            graph = levelized_graph(netlist, layout)
+            mask = graph.constant_mask(assignments)
+            for column, corner in enumerate(assignments):
+                expected = np.zeros(graph.num_nets, dtype=bool)
+                for net in propagate_constants(netlist, corner):
+                    expected[graph.net_row[net]] = True
+                assert np.array_equal(mask[:, column], expected)
+
+    @given(case=all_cell_netlists())
+    @settings(max_examples=30, deadline=None)
+    def test_case_analysis_delays_match_critical_path_delay(self, case):
+        netlist, corners = case
+        analyzer = StaticTimingAnalyzer(netlist, _FRESH)
+        batched = analyzer.case_analysis_delays(corners)
+        assert batched == [analyzer.critical_path_delay(corner) for corner in corners]
 
 
 class TestBatchEquivalenceProperties:
