@@ -2,7 +2,7 @@
 
 Four properties are asserted, matching the PR acceptance criteria:
 
-* at wide batch widths (8192 lanes, far beyond the 512-lane auto-selection
+* at wide batch widths (8192 lanes, far beyond the 32-lane auto-selection
   crossover) the NumPy ``uint64``-lane backend must beat the bigint
   word-packed backend by >= 3x on the paper's MAC for both levelized
   arrival models, with bit-identical evaluations;
@@ -15,16 +15,18 @@ Four properties are asserted, matching the PR acceptance criteria:
   one batched max-plus traversal (counter-asserted, not wall clock) with
   grids byte-identical to the per-PE scalar path.
 
-A softer benchmark records the measured bigint/ndarray throughput at
-the crossover width that the ``"auto"`` selection heuristic
-(``LANE_BACKEND_MIN_LANES``) encodes.
+A softer benchmark asserts that ndarray already beats bigint at the
+crossover width that the ``"auto"`` selection heuristic
+(``LANE_BACKEND_MIN_LANES``) encodes, for both levelized models, as the
+median of interleaved pairs; it runs on any host.
 
-Like the process-parallel suite, the wall-clock speedup assertions are
+Like the process-parallel suite, the 8192-lane speedup assertions are
 skipped on machines with fewer than 4 usable CPUs, where shared/noisy
-hardware makes ratios unreliable; the counter-based batching assertions run
-everywhere.
+hardware makes best-of-N ratios unreliable; the counter-based batching
+assertions run everywhere.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -46,7 +48,7 @@ from repro.npu.systolic import SystolicArray
 from repro.parallel import usable_cpu_count
 from repro.timing.sta import StaticTimingAnalyzer
 
-#: Batch width of the headline speedup measurement (>= 512-lane criterion).
+#: Batch width of the headline speedup measurement.
 WIDE_LANES = 8192
 #: Required ndarray-over-bigint speedup at WIDE_LANES.
 REQUIRED_SPEEDUP = 3.0
@@ -65,6 +67,24 @@ def _batch_inputs(rng, lanes):
         bus: [int(value) for value in rng.integers(0, 1 << len(nets), size=lanes)]
         for bus, nets in _MAC.netlist.input_buses.items()
     }
+
+
+def _median_speedup(slow, fast, pairs):
+    """Median of ``slow / fast`` seconds over interleaved pairs.
+
+    Each pair times both callables back to back, alternating which runs
+    first, so host drift hits both sides alike.
+    """
+    ratios = []
+    for index in range(pairs):
+        seconds = {}
+        order = (slow, fast) if index % 2 == 0 else (fast, slow)
+        for run in order:
+            start = time.perf_counter()
+            run()
+            seconds[run] = time.perf_counter() - start
+        ratios.append(seconds[slow] / seconds[fast])
+    return statistics.median(ratios)
 
 
 def _time_propagate(simulator, previous, current, repetitions=3):
@@ -205,32 +225,46 @@ def test_bench_array_map_64x64_single_pass(benchmark):
 
 
 def test_bench_crossover_width(benchmark):
-    """At the auto-selection crossover the ndarray backend already wins."""
-    if usable_cpu_count() < MIN_CPUS:
-        pytest.skip(
-            f"needs >= {MIN_CPUS} usable CPUs for a reliable wall-clock "
-            f"ratio (have {usable_cpu_count()})"
-        )
+    """At the auto-selection crossover the ndarray backend already wins.
+
+    Both levelized models are timed, since ``"auto"`` applies one
+    threshold to both; each ratio is the median of interleaved pairs,
+    alternating which backend runs first, so it holds on a 2-CPU host.
+    """
     library = _LIBRARIES.library(50.0)
     rng = np.random.default_rng(1)
     lanes = LANE_BACKEND_MIN_LANES
     previous = _batch_inputs(rng, lanes)
     current = _batch_inputs(rng, lanes)
-    lane_sim = get_backend("ndarray").timing_simulator(_MAC.netlist, library, "settle")
-    bigint_sim = get_backend("bigint").timing_simulator(_MAC.netlist, library, "settle")
 
-    lane_elapsed, _ = _time_propagate(lane_sim, previous, current, repetitions=5)
+    ratios = {}
+    for model in BATCH_ARRIVAL_MODELS:
+        lane_sim = get_backend("ndarray").timing_simulator(_MAC.netlist, library, model)
+        bigint_sim = get_backend("bigint").timing_simulator(_MAC.netlist, library, model)
+        lane_sim.propagate_batch(previous, current)  # warm caches / schedules
+        bigint_sim.propagate_batch(previous, current)
+
+        def repeat(simulator):
+            # One pair side: a few calls, well above timer resolution.
+            return lambda: [simulator.propagate_batch(previous, current) for _ in range(5)]
+
+        ratios[model] = _median_speedup(repeat(bigint_sim), repeat(lane_sim), pairs=11)
+
     benchmark.pedantic(
-        lambda: bigint_sim.propagate_batch(previous, current), rounds=5, iterations=1
+        lambda: get_backend("ndarray")
+        .timing_simulator(_MAC.netlist, library, "settle")
+        .propagate_batch(previous, current),
+        rounds=5,
+        iterations=1,
     )
-    bigint_elapsed = benchmark.stats.stats.min
-
-    ratio = bigint_elapsed / lane_elapsed
     benchmark.extra_info["lanes"] = lanes
-    benchmark.extra_info["speedup_vs_bigint"] = ratio
-    # The heuristic switches exactly where ndarray stops losing; leave slack
-    # for timer noise but catch a regression that moves the crossover.
-    assert ratio >= 1.0
+    for model, ratio in ratios.items():
+        benchmark.extra_info[f"speedup_vs_bigint.{model}"] = ratio
+    # The heuristic switches where ndarray stops losing; the median of
+    # interleaved pairs absorbs timer noise but still catches a regression
+    # that moves the crossover.
+    for model, ratio in ratios.items():
+        assert ratio >= 1.0, (model, ratio)
 
 
 def test_bench_corner_sta_grid_bit_identical(benchmark):

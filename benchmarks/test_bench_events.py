@@ -1,38 +1,34 @@
-"""Benchmarks of the batched time-wheel event engine.
+"""Benchmarks of the batched event engine (per-gate waveform propagation).
 
 The headline assertion matches the PR acceptance criterion: at 1024 lanes
 on the paper's MAC the batched :class:`EventWheelSimulator` must beat the
 scalar delta-cycle event loop (one ``TimingSimulator.propagate`` per lane)
 by >= 3x, with bit-identical timelines asserted before anything is timed.
 
-A softer benchmark records the measured throughput ratio at the
-``EVENT_BACKEND_MIN_LANES`` crossover width that the ``"auto"`` selection
-heuristic encodes, and the counter-based observability assertions (events
-popped, wheel buckets) run everywhere.
+A softer benchmark asserts that the batched engine already holds its own
+at the ``EVENT_BACKEND_MIN_LANES`` crossover width that the ``"auto"``
+selection heuristic encodes, and the counter-based observability
+assertions (events popped, wheel buckets) run everywhere.
 
-Like the other wall-clock suites, the speedup assertions are skipped on
-machines with fewer than 4 usable CPUs, where shared/noisy hardware makes
-ratios unreliable.
+Both wall-clock ratios are the median of interleaved pairs, alternating
+which engine runs first, so drift on a shared host hits both sides alike
+and the assertions hold on a 2-CPU box.
 """
 
+import statistics
 import time
 
 import numpy as np
-import pytest
 
 from repro.aging.cell_library import AgingAwareLibrarySet
 from repro.circuits.backends import EVENT_BACKEND_MIN_LANES, EventWheelSimulator
 from repro.circuits.mac import build_mac
 from repro.circuits.simulator import TimingSimulator
-from repro.parallel import usable_cpu_count
 
 #: Batch width of the headline speedup measurement (>= 1024-lane criterion).
 WIDE_LANES = 1024
-#: Required wheel-over-scalar speedup at WIDE_LANES.
+#: Required batched-over-scalar speedup at WIDE_LANES.
 REQUIRED_SPEEDUP = 3.0
-#: Minimum usable CPUs for a meaningful wall-clock ratio (matches the
-#: backend benchmark's skip rule).
-MIN_CPUS = 4
 
 _MAC = build_mac()
 _LIBRARIES = AgingAwareLibrarySet.generate((0.0, 50.0))
@@ -49,26 +45,33 @@ def _lane_slice(batch, lane):
     return {bus: values[lane] for bus, values in batch.items()}
 
 
-def _time_scalar_sweep(simulator, previous, current, lanes, repetitions=3):
-    best = float("inf")
-    evaluations = None
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        evaluations = [
-            simulator.propagate(_lane_slice(previous, lane), _lane_slice(current, lane))
-            for lane in range(lanes)
-        ]
-        best = min(best, time.perf_counter() - start)
-    return best, evaluations
+def _scalar_sweep(simulator, previous, current, lanes):
+    return [
+        simulator.propagate(_lane_slice(previous, lane), _lane_slice(current, lane))
+        for lane in range(lanes)
+    ]
+
+
+def _median_speedup(slow, fast, pairs):
+    """Median of ``slow / fast`` seconds over interleaved pairs.
+
+    Each pair times both callables back to back, alternating which runs
+    first, so host drift hits both sides alike.
+    """
+    ratios = []
+    for index in range(pairs):
+        seconds = {}
+        order = (slow, fast) if index % 2 == 0 else (fast, slow)
+        for run in order:
+            start = time.perf_counter()
+            run()
+            seconds[run] = time.perf_counter() - start
+        ratios.append(seconds[slow] / seconds[fast])
+    return statistics.median(ratios)
 
 
 def test_bench_wheel_beats_scalar_event_loop_at_wide_batches(benchmark):
-    """The time-wheel must be >= 3x faster at 1024-lane MAC event batches."""
-    if usable_cpu_count() < MIN_CPUS:
-        pytest.skip(
-            f"needs >= {MIN_CPUS} usable CPUs for a reliable wall-clock "
-            f"ratio (have {usable_cpu_count()})"
-        )
+    """The batched engine must be >= 3x faster at 1024-lane MAC event batches."""
     library = _LIBRARIES.library(50.0)
     rng = np.random.default_rng(0)
     previous = _batch_inputs(rng, WIDE_LANES)
@@ -91,15 +94,15 @@ def test_bench_wheel_beats_scalar_event_loop_at_wide_batches(benchmark):
         assert _lane_slice(captured, lane) == reference.captured_outputs(clock)
         assert float(evaluation.worst_arrival_ps[lane]) == reference.worst_arrival_ps
 
+    speedup = _median_speedup(
+        lambda: _scalar_sweep(scalar, previous, current, WIDE_LANES),
+        lambda: wheel.propagate_batch(previous, current),
+        pairs=3,
+    )
     wheel_eval = benchmark.pedantic(
         lambda: wheel.propagate_batch(previous, current), rounds=3, iterations=1
     )
-    wheel_elapsed = benchmark.stats.stats.min
-    scalar_elapsed, _ = _time_scalar_sweep(scalar, previous, current, WIDE_LANES)
-
-    speedup = scalar_elapsed / wheel_elapsed
     benchmark.extra_info["lanes"] = WIDE_LANES
-    benchmark.extra_info["scalar_s"] = scalar_elapsed
     benchmark.extra_info["speedup_vs_scalar"] = speedup
     benchmark.extra_info["events_popped"] = wheel_eval.counters.events_popped
     benchmark.extra_info["wheel_buckets"] = wheel_eval.counters.wheel_buckets
@@ -108,12 +111,7 @@ def test_bench_wheel_beats_scalar_event_loop_at_wide_batches(benchmark):
 
 
 def test_bench_crossover_width(benchmark):
-    """At the auto-selection crossover the wheel already holds its own."""
-    if usable_cpu_count() < MIN_CPUS:
-        pytest.skip(
-            f"needs >= {MIN_CPUS} usable CPUs for a reliable wall-clock "
-            f"ratio (have {usable_cpu_count()})"
-        )
+    """At the auto-selection crossover the batched engine already holds its own."""
     library = _LIBRARIES.library(50.0)
     rng = np.random.default_rng(1)
     lanes = EVENT_BACKEND_MIN_LANES
@@ -123,17 +121,19 @@ def test_bench_crossover_width(benchmark):
     scalar = TimingSimulator(_MAC.netlist, library, arrival_model="event")
 
     wheel.propagate_batch(previous, current)  # warm schedules
+    ratio = _median_speedup(
+        lambda: _scalar_sweep(scalar, previous, current, lanes),
+        lambda: wheel.propagate_batch(previous, current),
+        pairs=11,
+    )
     benchmark.pedantic(
         lambda: wheel.propagate_batch(previous, current), rounds=5, iterations=1
     )
-    wheel_elapsed = benchmark.stats.stats.min
-    scalar_elapsed, _ = _time_scalar_sweep(scalar, previous, current, lanes)
-
-    ratio = scalar_elapsed / wheel_elapsed
     benchmark.extra_info["lanes"] = lanes
     benchmark.extra_info["speedup_vs_scalar"] = ratio
-    # The heuristic switches exactly where the wheel stops losing; leave
-    # slack for timer noise but catch a regression that moves the crossover.
+    # The heuristic switches where the batched engine stops losing; the
+    # median of interleaved pairs absorbs timer noise but still catches a
+    # regression that moves the crossover.
     assert ratio >= 1.0
 
 

@@ -14,9 +14,9 @@ bigint     one arbitrary-precision int per net, bit ``k`` =      settle,
            lane ``k`` (word-packed Monte-Carlo lanes)            transition
 ndarray    one ``uint64[ceil(lanes / 64)]`` NumPy row per net,   settle,
            a whole level of same-type gates per ufunc call       transition
-event      one ``uint64[ceil(lanes / 64)]`` NumPy row per net,   event
-           delta-cycle time wheel committing whole lane-mask
-           buckets per arrival time (glitch-exact)
+event      per net, a waveform of exact commit times with        event
+           ``uint64[ceil(lanes / 64)]`` changed-lane and value
+           rows, one gate at a time (glitch-exact)
 ========== ===================================================== ==============
 
 Every backend must be **bit-identical** to the scalar reference for the

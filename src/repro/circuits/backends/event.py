@@ -1,49 +1,64 @@
-"""Batched event-driven timing engine (time-wheel lanes).
+"""Batched event-driven timing engine (per-gate waveform propagation).
 
 The fourth simulation backend: glitch-exact event-driven simulation of many
 vector-pair lanes at once.  The scalar :class:`~repro.circuits.simulator.
 TimingSimulator` propagates one vector pair through a delta-cycle time
-wheel; this engine runs the *same* wheel over ``(nets, ceil(lanes / 64))``
-uint64 lane words, so one bucket step covers every lane that has an event
-pending at that time.
+wheel; this engine computes the *same* per-lane event streams over
+``ceil(lanes / 64)`` uint64 lane words, one gate at a time in topological
+order instead of one wheel bucket at a time.
 
-Time wheel
-----------
+Waveforms
+---------
 
-Events are bucketed by **exact float arrival time**.  Gate delays come from
-the same :func:`~repro.aging.scenarios.base.resolve_gate_delays` funnel as
-every other engine, and a child event's time is computed as
-``bucket time + gate delay`` with the identical float operation in both
-engines, so the scalar and batched wheels visit identical bucket keys —
-the root of the bit-identity contract (no quantisation, no epsilon
-comparisons).  Each bucket holds one pending ``[lane mask, value word]``
-slot per net (last write wins per lane, exactly the scalar wheel's one
-value per ``(net, time)`` slot); processing a bucket
+Every net that changes in some lane carries one waveform:
 
-1. commits every pending slot: ``changed = mask & (value ^ current)``,
-   XOR-applied to the net's lane row, appending ``(time, changed mask,
-   new row)`` to the event log of output-bus rows;
-2. collects the affected sink gates (a gate is affected in the union of
-   its input rows' changed masks);
-3. evaluates each affected gate once on the committed lane words with
-   :data:`~repro.circuits.gates.WORD_CELL_FUNCTIONS` and schedules its
-   output at ``time + delay``, merging into an existing ``(net, time)``
-   slot lane-wise.
+* its commit times, ``float64[T]`` (strictly increasing);
+* the lanes that changed at each commit, ``uint64[T, words]``;
+* its value after each commit, ``uint64[T + 1, words]``; row 0 is the
+  settled previous value.
 
-Gate delays are strictly positive (validated at construction), so a bucket
-never schedules into itself and the wheel terminates.
+The primary inputs commit once, at ``0.0``.  A gate then
 
-Bit-identity
-------------
+1. takes ``U``, the union of its input nets' commit times (exact float
+   equality, no quantisation or epsilon comparisons);
+2. reads every input's value at ``U`` (``searchsorted(side="right")``: the
+   value after all commits at or before each time);
+3. ORs the input change masks at the times that hit ``U`` exactly — the
+   lanes in which the wheel would evaluate the gate in that bucket;
+4. evaluates :data:`~repro.circuits.gates.WORD_CELL_FUNCTIONS` once over
+   the ``(|U|, words)`` arrays;
+5. schedules its output at ``U + delay``, the identical float addition
+   the scalar wheel performs, so both engines produce identical time keys;
+6. merges output times that round to the same float (``t1 + d == t2 + d``):
+   the masks OR and the later value is kept — the wheel's lane-wise
+   last-write-wins ``(net, time)`` slot;
+7. commits ``mask & (v_k ^ v_{k-1})`` at each scheduled time.  A time at
+   which no lane commits still counts as popped (and as a bucket), but it
+   is dropped from the net's waveform.
 
-For every lane ``k``, this wheel performs exactly the per-lane work of the
-scalar engine: a pending slot covers lane ``k`` iff the scalar wheel for
-lane ``k`` has that ``(net, time)`` event, and the committed value bit is
-the same word-function output.  ``tests/test_event_backend.py``
-property-tests the full evaluation surface — values, per-bit timelines,
-captured outputs, arrivals, worst arrival, and the lane-summed
-:class:`~repro.circuits.simulator.EventCounters` — against the scalar
-engine across aging-scenario families.
+A net's waveform is released after its last sink gate has read it, except
+on output-bus rows, whose waveforms become the evaluation's event logs.
+
+Why this is exact
+-----------------
+
+The start state is consistent: every net holds the settled value of the
+previous vectors (``graph.evaluate(prev)``).  Between two times of ``U``
+no input of a gate moves, so in every lane — masked or not — the value
+scheduled for ``t + delay`` is the gate function of its inputs at ``t``,
+and the value the wheel holds on the net just before that slot is the one
+scheduled by the previous slot.  Hence each scheduled slot commits
+exactly the lanes the wheel commits, with the same values, at the same
+time keys; a merged slot keeps the latest evaluation, and lanes absent
+from that evaluation's mask have unchanged inputs since the earlier one,
+so their value agrees.  Gate delays are strictly positive (validated at
+construction), matching the wheel's termination requirement.
+
+``tests/test_event_backend.py`` property-tests the full evaluation surface
+— values, per-bit timelines, captured outputs, arrivals, worst arrival,
+and the lane-summed :class:`~repro.circuits.simulator.EventCounters` —
+against the scalar engine across aging-scenario families, plus a
+hand-built same-slot collision.
 
 The committed-change stream doubles as glitch-aware switching activity:
 :attr:`EventTimedEvaluation.commit_counts` holds per-net toggle counts
@@ -54,8 +69,9 @@ summed over lanes (glitches included), which
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -87,19 +103,20 @@ def _popcount(words: np.ndarray) -> int:
 
 @dataclass
 class EventTimedEvaluation(LaneTimedEvaluation):
-    """Result of a batched event-driven (time-wheel) simulation.
+    """Result of a batched event-driven simulation.
 
     Extends :class:`~repro.circuits.backends.lane.LaneTimedEvaluation` with
     the per-bit event logs the glitch-exact model needs: where the
     levelized evaluations reduce each bit to one arrival time, the event
-    evaluation keeps the full committed-change sequence and *replays* it
-    for capture.
+    evaluation keeps the full committed-change sequence and reads each
+    bit's last commit before the clock edge for capture.
 
     Attributes (beyond the lane-evaluation ones):
         event_logs: per output bus, an LSB-first list holding for every bit
             the chronological ``(time_ps, changed lane mask, value lane
             row)`` commits (packed uint64 rows; a lane participates in a
-            commit iff its mask bit is set).
+            commit iff its mask bit is set, and the value row is the bit's
+            whole lane row after the commit).
         counters: lane-aggregated :class:`~repro.circuits.simulator.
             EventCounters` of the propagation (``events_popped`` /
             ``events_suppressed`` / ``glitches_per_net`` summed over lanes;
@@ -123,11 +140,11 @@ class EventTimedEvaluation(LaneTimedEvaluation):
     def captured_output_words(self, clock_period_ps: float) -> dict[str, np.ndarray]:
         """Per-bit lane rows captured by a flip-flop at the clock edge.
 
-        Replays each bit's committed changes up to and including the edge
-        (an event landing exactly at ``time_ps == clock_period_ps`` is
+        Each bit takes the value row of its last commit at or before the
+        edge (an event landing exactly at ``time_ps == clock_period_ps`` is
         captured, matching the scalar engine's ``time_ps >
         clock_period_ps`` break); lanes with no commit by the edge keep the
-        stale value of the previous computation.
+        stale value of the previous computation, which that row carries.
         """
         if clock_period_ps <= 0:
             raise ValueError("clock_period_ps must be positive")
@@ -135,11 +152,9 @@ class EventTimedEvaluation(LaneTimedEvaluation):
         for bus, previous in self.previous_output_words.items():
             words = previous.copy()
             for bit, log in enumerate(self.event_logs[bus]):
-                row = words[bit]
-                for time_ps, mask, value in log:
-                    if time_ps > clock_period_ps:
-                        break
-                    row ^= (row ^ value) & mask
+                count = bisect_right(log, clock_period_ps, key=itemgetter(0))
+                if count:
+                    words[bit] = log[count - 1][2]
             captured[bus] = words
         return captured
 
@@ -189,7 +204,7 @@ class EventWheelSimulator:
 
     Bit-for-bit equivalent to running the scalar
     :class:`~repro.circuits.simulator.TimingSimulator` (``"event"`` model)
-    once per lane; see the module docstring for the wheel design.
+    once per lane; see the module docstring for the waveform design.
     """
 
     def __init__(
@@ -200,7 +215,7 @@ class EventWheelSimulator:
     ) -> None:
         if arrival_model != "event":
             raise ValueError(
-                f"arrival_model must be 'event' for the time-wheel backend, "
+                f"arrival_model must be 'event' for the batched event backend, "
                 f"got {arrival_model!r} (the levelized models run on the "
                 f"'bigint'/'ndarray' backends)"
             )
@@ -215,7 +230,7 @@ class EventWheelSimulator:
         self._gate_delay = [float(delay_table[gate]) for gate in order]
         if self._gate_delay and min(self._gate_delay) <= 0.0:
             raise ValueError(
-                "the time-wheel engine requires strictly positive gate "
+                "the batched event engine requires strictly positive gate "
                 "delays (a zero-delay gate would reschedule into its own "
                 "bucket)"
             )
@@ -223,24 +238,28 @@ class EventWheelSimulator:
         self._gate_input_rows = [
             tuple(graph.net_row[net] for net in gate.inputs) for gate in order
         ]
+        # Deduplicated input rows (a gate listing one net on several pins
+        # takes that net's commit times once).
+        self._gate_distinct_rows = [
+            tuple(dict.fromkeys(rows)) for rows in self._gate_input_rows
+        ]
         self._gate_output_row = [int(graph.net_row[gate.output]) for gate in order]
-
-        # Deduplicated sink gate indices per net row (a gate listing one net
-        # on several pins is still evaluated once per bucket).
-        sinks: list[list[int]] = [[] for _ in range(graph.num_nets)]
-        for index, rows in enumerate(self._gate_input_rows):
-            for row in dict.fromkeys(rows):
-                sinks[row].append(index)
-        self._sinks = [tuple(gate_indices) for gate_indices in sinks]
 
         self._row_net_name: list[str] = [""] * graph.num_nets
         for net in netlist.nets.values():
             self._row_net_name[graph.net_row[net]] = net.name
 
-        # Rows whose committed changes must be event-logged (output buses).
-        self._log_rows = {
-            int(row) for rows in graph.output_bus_rows.values() for row in rows
-        }
+        # Rows whose waveforms become event logs (output buses).
+        log_rows = {int(row) for rows in graph.output_bus_rows.values() for row in rows}
+        # Per gate, the input rows whose waveform nobody reads afterwards.
+        last_reader: dict[int, int] = {}
+        for index, rows in enumerate(self._gate_distinct_rows):
+            for row in rows:
+                last_reader[row] = index
+        self._gate_releases: list[list[int]] = [[] for _ in order]
+        for row, index in last_reader.items():
+            if row not in log_rows:
+                self._gate_releases[index].append(row)
 
         #: Counters of the most recent propagation (``None`` until the
         #: first ``propagate_batch``); also carried on each evaluation.
@@ -260,98 +279,97 @@ class EventWheelSimulator:
             raise ValueError(
                 f"previous and current batches differ in lanes ({prev_lanes} vs {lanes})"
             )
-        values = prev_values.copy()
-        logs: dict[int, list[tuple[float, np.ndarray, np.ndarray]]] = {
-            row: [] for row in self._log_rows
-        }
+        final_values = prev_values.copy()
         commit_counts = np.zeros(graph.num_nets, dtype=np.int64)
-        popped = suppressed = buckets = 0
+        popped = 0
+        # Net row -> (commit times, changed lane masks, values after each
+        # commit with the previous value as row 0); see the module docstring.
+        waveforms: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        scheduled: list[np.ndarray] = []
 
-        # The wheel: bucket time -> {net row: [pending lane mask, value row]},
-        # with a heap ordering the bucket times.
-        pending: dict[float, dict[int, list[np.ndarray]]] = {}
-        heap: list[float] = []
-        first: dict[int, list[np.ndarray]] = {}
         for rows in graph.input_bus_rows.values():
             for row in rows:
                 row = int(row)
                 diff = curr_inputs[row] ^ prev_values[row]
                 if diff.any():
-                    first[row] = [diff, curr_inputs[row]]
-        if first:
-            pending[0.0] = first
-            heap.append(0.0)
+                    waveforms[row] = (
+                        np.zeros(1),
+                        diff[np.newaxis],
+                        np.stack([prev_values[row], curr_inputs[row]]),
+                    )
+                    final_values[row] = curr_inputs[row]
+                    count = _popcount(diff)
+                    popped += count
+                    commit_counts[row] = count
+        if waveforms:
+            scheduled.append(np.zeros(1))
 
-        sinks = self._sinks
-        funcs = self._gate_func
         input_rows = self._gate_input_rows
-        output_row = self._gate_output_row
-        delays = self._gate_delay
-        log_rows = self._log_rows
-
-        while heap:
-            time_ps = heapq.heappop(heap)
-            bucket = pending.pop(time_ps)
-            buckets += 1
-            gate_masks: dict[int, np.ndarray] = {}
-            for row, (mask, value) in bucket.items():
-                mask_bits = _popcount(mask)
-                popped += mask_bits
-                changed = mask & (value ^ values[row])
-                changed_bits = _popcount(changed)
-                suppressed += mask_bits - changed_bits
-                if changed_bits == 0:
-                    continue
-                values[row] ^= changed
-                commit_counts[row] += changed_bits
-                if row in log_rows:
-                    logs[row].append((time_ps, changed, values[row].copy()))
-                for gate_index in sinks[row]:
-                    accumulated = gate_masks.get(gate_index)
-                    if accumulated is None:
-                        gate_masks[gate_index] = changed.copy()
-                    else:
-                        accumulated |= changed
-            for gate_index, gate_mask in gate_masks.items():
-                new_word = funcs[gate_index](
-                    UINT64_MASK, *(values[row] for row in input_rows[gate_index])
-                )
-                if new_word.base is not None:
-                    # BUF's word function returns its input row by identity,
-                    # i.e. a live view into ``values``; a scheduled slot must
-                    # hold a snapshot of the evaluation, not track later
-                    # commits to the source net.
-                    new_word = new_word.copy()
-                child_time = time_ps + delays[gate_index]
-                target = output_row[gate_index]
-                child = pending.get(child_time)
-                if child is None:
-                    pending[child_time] = {target: [gate_mask, new_word]}
-                    heapq.heappush(heap, child_time)
+        distinct_rows = self._gate_distinct_rows
+        releases = self._gate_releases
+        for index, func in enumerate(self._gate_func):
+            live = [
+                waveforms[row] for row in distinct_rows[index] if row in waveforms
+            ]
+            if live:
+                if len(live) == 1:
+                    times, mask, _ = live[0]
                 else:
-                    slot = child.get(target)
-                    if slot is None:
-                        child[target] = [gate_mask, new_word]
+                    times = np.unique(np.concatenate([wave[0] for wave in live]))
+                    mask = np.zeros((times.size, prev_values.shape[1]), dtype=np.uint64)
+                    for wave_times, wave_changed, _ in live:
+                        mask[np.searchsorted(times, wave_times)] |= wave_changed
+                pins = []
+                for row in input_rows[index]:
+                    wave = waveforms.get(row)
+                    if wave is None:
+                        pins.append(prev_values[row])
                     else:
-                        slot_mask, slot_value = slot
-                        # Lane-wise last write wins, like the scalar wheel's
-                        # one value per (net, time) slot.
-                        slot[1] = slot_value ^ ((slot_value ^ new_word) & gate_mask)
-                        slot_mask |= gate_mask
+                        wave_times, _, wave_values = wave
+                        pins.append(
+                            wave_values[np.searchsorted(wave_times, times, side="right")]
+                        )
+                outputs = func(UINT64_MASK, *pins)
+                times = times + self._gate_delay[index]
+                if times.size > 1:
+                    repeated = times[1:] == times[:-1]
+                    if repeated.any():
+                        # Rounding landed several evaluations in one slot:
+                        # OR their lane masks, keep the latest evaluation.
+                        starts = np.flatnonzero(np.concatenate(([True], ~repeated)))
+                        mask = np.bitwise_or.reduceat(mask, starts, axis=0)
+                        outputs = outputs[np.append(starts[1:], times.size) - 1]
+                        times = times[starts]
+                scheduled.append(times)
+                popped += _popcount(mask)
+                row = self._gate_output_row[index]
+                values = np.concatenate((prev_values[row][np.newaxis], outputs))
+                changed = mask & (values[1:] ^ values[:-1])
+                committed = changed.any(axis=1)
+                if committed.any():
+                    if not committed.all():
+                        times = times[committed]
+                        changed = changed[committed]
+                        values = values[np.concatenate(([True], committed))]
+                    waveforms[row] = (times, changed, values)
+                    final_values[row] = values[-1]
+                    commit_counts[row] = _popcount(changed)
+            for row in releases[index]:
+                waveforms.pop(row, None)
 
+        buckets = np.unique(np.concatenate(scheduled)).size if scheduled else 0
         return self._build_evaluation(
-            prev_values, values, logs, commit_counts, popped, suppressed, buckets, lanes
+            prev_values, final_values, waveforms, commit_counts, popped, buckets, lanes
         )
 
     # ----------------------------------------------------------------- result
     def _build_evaluation(
         self,
         prev_values: np.ndarray,
-        values: np.ndarray,
-        logs: dict[int, list[tuple[float, np.ndarray, np.ndarray]]],
+        final_values: np.ndarray,
+        waveforms: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]],
         commit_counts: np.ndarray,
         popped: int,
-        suppressed: int,
         buckets: int,
         lanes: int,
     ) -> EventTimedEvaluation:
@@ -362,41 +380,49 @@ class EventWheelSimulator:
         event_logs: dict[str, list[list[tuple[float, np.ndarray, np.ndarray]]]] = {}
         worst = np.zeros(lanes)
         for bus, rows in graph.output_bus_rows.items():
-            final_output_words[bus] = values[rows]
+            final_output_words[bus] = final_values[rows]
             previous_output_words[bus] = prev_values[rows]
             bus_arrivals = np.zeros((rows.size, lanes))
             bus_logs: list[list[tuple[float, np.ndarray, np.ndarray]]] = []
             for index, row in enumerate(rows):
-                log = logs[int(row)]
-                bus_logs.append(log)
-                arrival_row = bus_arrivals[index]
-                # Chronological commits: the last assignment per lane wins,
-                # so this reproduces the scalar "last change time" arrival
-                # (glitch-only bits included).
-                for time_ps, mask, _value in log:
-                    arrival_row[lane_array_to_bits(mask, lanes)] = time_ps
+                wave = waveforms.get(int(row))
+                if wave is None:
+                    bus_logs.append([])
+                    continue
+                times, changed, values = wave
+                bus_logs.append(list(zip(times.tolist(), changed, values[1:])))
+                # Commit times ascend, so a lane's latest commit is its
+                # largest committed time: the scalar "last change time"
+                # arrival (glitch-only bits included).
+                bus_arrivals[index] = np.where(
+                    lane_array_to_bits(changed, lanes), times[:, np.newaxis], 0.0
+                ).max(axis=0)
             if bus_arrivals.size:
                 np.maximum(worst, bus_arrivals.max(axis=0), out=worst)
             output_arrivals[bus] = bus_arrivals
             event_logs[bus] = bus_logs
 
-        glitches: dict[str, int] = {}
-        for row in np.flatnonzero(commit_counts):
-            functional = _popcount(values[row] ^ prev_values[row])
-            extra = int(commit_counts[row]) - functional
-            if extra:
-                glitches[self._row_net_name[row]] = extra
+        committed_rows = np.flatnonzero(commit_counts)
+        functional = np.bitwise_count(
+            final_values[committed_rows] ^ prev_values[committed_rows]
+        ).sum(axis=1)
+        extra = commit_counts[committed_rows] - functional
+        glitches = {
+            self._row_net_name[row]: int(count)
+            for row, count in zip(committed_rows, extra)
+            if count
+        }
+        committed = int(commit_counts.sum())
         counters = EventCounters(
             events_popped=popped,
-            events_suppressed=suppressed,
+            events_suppressed=popped - committed,
             wheel_buckets=buckets,
             glitches_per_net=glitches,
         )
         self.last_event_counters = counters
         observability.record_event_counters(counters)
         commits = {
-            self._row_net_name[row]: int(commit_counts[row])
-            for row in np.flatnonzero(commit_counts)
+            self._row_net_name[row]: int(commit_counts[row]) for row in committed_rows
         }
         return EventTimedEvaluation(
             lanes=lanes,
@@ -411,7 +437,7 @@ class EventWheelSimulator:
 
 
 class EventBackend(BatchedSimulationBackend):
-    """Lane-batched time-wheel engine for the glitch-exact event model."""
+    """Lane-batched waveform engine for the glitch-exact event model."""
 
     name = "event"
     arrival_models = ("event",)

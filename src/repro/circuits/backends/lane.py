@@ -852,7 +852,7 @@ class LaneTimingSimulator:
             raise ValueError(
                 f"arrival_model must be one of {BATCH_ARRIVAL_MODELS} "
                 f"(the event-driven model runs on the scalar TimingSimulator "
-                f"or the batched 'event' time-wheel backend)"
+                f"or the batched 'event' backend)"
             )
         self.netlist = netlist
         self.library = library

@@ -13,16 +13,18 @@ Auto-selection
 model and batch width:
 
 * the ``"event"`` arrival model resolves to the scalar backend for narrow
-  batches and to the batched time-wheel backend
+  batches and to the batched waveform-propagation backend
   (:mod:`repro.circuits.backends.event`) once the batch is at least
   :data:`EVENT_BACKEND_MIN_LANES` lanes wide, the measured crossover where
-  lane-word bucket commits beat the per-vector Python wheel (see
+  per-gate lane-word waveforms beat the per-vector Python wheel (see
   ``benchmarks/test_bench_events.py``);
 * the levelized models resolve to the bigint word-packed backend for
   narrow batches and to the NumPy ``uint64``-lane backend once the batch
   is at least :data:`LANE_BACKEND_MIN_LANES` lanes wide, the measured
   crossover where level-vectorised ufunc evaluation beats CPython bigint
-  bit-twiddling (see ``benchmarks/test_bench_backends.py``).
+  bit-twiddling (see ``benchmarks/test_bench_backends.py``).  Both stay
+  registered by name; only single-vector and very narrow batches still go
+  to bigint under ``"auto"``.
 """
 
 from __future__ import annotations
@@ -32,22 +34,36 @@ from repro.circuits.backends.base import SimulationBackend
 from repro.circuits.simulator import ARRIVAL_MODELS
 
 #: Batch width (in lanes) from which ``"auto"`` prefers the ndarray backend
-#: over the bigint backend.  Measured on the paper's circuits (8x8 array
-#: multiplier and 8x22-bit MAC, settle/transition models): the ndarray
-#: backend pulls ahead of bigint words between 256 and 512 lanes (1.6-2.2x
-#: at 512), and the gap keeps widening with batch width — >= 3x on the MAC
-#: at 4096 lanes, ~3.8x at 8192 (``benchmarks/test_bench_backends.py``
-#: re-measures and asserts this).
-LANE_BACKEND_MIN_LANES = 512
+#: over the bigint backend.  Median bigint / ndarray time over interleaved
+#: pairs on a 2-CPU host (8x8 array multiplier and the 8x22-bit MAC at
+#: 50 mV):
+#:
+#: ============  =====  =====  =====  =====  =====  =====
+#: lanes             1      8     16     32     64    128
+#: ============  =====  =====  =====  =====  =====  =====
+#: mult transit   0.41   1.83   2.11   2.31   2.24   2.17
+#: mult settle    1.05   1.12   1.06   1.24   1.21   1.49
+#: MAC transit    0.39   1.58   2.24   2.27   2.22   2.24
+#: MAC settle     1.13   1.10   1.12   1.26   1.28   1.52
+#: ============  =====  =====  =====  =====  =====  =====
+#:
+#: bigint wins only single-vector batches; from 32 lanes ndarray wins both
+#: models by >= 1.2x (below that, settle is within timer noise), and the
+#: gap keeps widening with width — >= 3x on the MAC at 4096 lanes
+#: (``benchmarks/test_bench_backends.py`` re-measures the crossover and
+#: the 8192-lane ratio).
+LANE_BACKEND_MIN_LANES = 32
 
-#: Batch width (in lanes) from which ``"auto"`` prefers the batched
-#: time-wheel event backend over the scalar event loop.  The wheel's
-#: per-bucket cost is nearly lane-independent (a handful of uint64-word
-#: ufunc calls per pending net), so its advantage grows with width.
-#: Measured on the paper's MAC: ~1x at 64 lanes, 1.3x at 128, 2x at 256,
-#: 7x at 1024, 40x at 8192 (``benchmarks/test_bench_events.py``
-#: re-measures and asserts >= 3x at 1024 lanes).
-EVENT_BACKEND_MIN_LANES = 128
+#: Batch width (in lanes) from which ``"auto"`` prefers the batched event
+#: backend over the scalar event loop.  The batched engine's per-gate cost
+#: is nearly lane-independent (a handful of uint64-word ufunc calls per
+#: gate waveform), so its advantage grows with width.  Median scalar /
+#: batched time over interleaved pairs on a 2-CPU host at 50 mV:
+#: 1 lane 0.19-0.24x, 4 lanes 0.59-0.65x, 8 lanes 0.94-1.00x, 16 lanes
+#: 1.85-2.16x, 32 lanes ~3.8x, 128 lanes 10-12x, 1024 lanes 55-60x (array
+#: multiplier / MAC; ``benchmarks/test_bench_events.py`` re-measures and
+#: asserts >= 3x at 1024 lanes and >= 1x here).
+EVENT_BACKEND_MIN_LANES = 16
 
 #: Historical aliases accepted wherever a backend name is expected.
 BACKEND_ALIASES = {

@@ -19,8 +19,8 @@ Three simulators/models are provided:
   ``(net, time)`` slot overwrites the earlier one).  These are the
   canonical semantics of event-driven gate simulation: they never emit the
   zero-width same-timestamp glitch pairs a naive per-commit scheduler
-  produces, and they are exactly the specification the batched time-wheel
-  engine (:mod:`repro.circuits.backends.event`) reproduces lane by lane.
+  produces, and they are exactly the specification the batched event engine
+  (:mod:`repro.circuits.backends.event`) reproduces lane by lane.
   Every propagation also fills :class:`EventCounters` (events popped,
   stale suppressions, wheel buckets, per-net glitches) on the simulator's
   ``last_event_counters`` attribute for observability.
@@ -48,9 +48,9 @@ technique for high-throughput gate-level fault/timing simulation:
   are carried as NumPy ``float64`` arrays of shape ``(W,)`` and combined
   with vectorised ``maximum``/``where`` operations, again one NumPy call per
   gate per batch.  The event-driven model needs per-lane glitch sequences
-  and is batched separately by the time-wheel engine in
-  :mod:`repro.circuits.backends.event`, which shares the scalar engine's
-  delta-cycle semantics bucket by bucket.
+  and is batched separately by the waveform engine in
+  :mod:`repro.circuits.backends.event`, which reproduces the scalar
+  engine's delta-cycle commits lane by lane.
 
 Both batched classes are bit-for-bit equivalent to running their scalar
 counterpart once per lane; ``tests/test_batch_simulator.py`` enforces this
@@ -60,7 +60,7 @@ The engines in this module are consumed through the pluggable backend
 registry of :mod:`repro.circuits.backends` (``scalar`` wraps
 :class:`TimingSimulator`, ``bigint`` wraps :class:`BatchTimingSimulator`,
 the ``ndarray`` uint64-lane engine lives in
-:mod:`repro.circuits.backends.lane`, and the batched ``event`` time-wheel
+:mod:`repro.circuits.backends.lane`, and the batched ``event`` waveform
 engine in :mod:`repro.circuits.backends.event`).
 """
 
@@ -137,22 +137,23 @@ class EventCounters:
     """Observability counters of one event-driven propagation.
 
     Both event engines (the scalar :class:`TimingSimulator` and the batched
-    time-wheel engine in :mod:`repro.circuits.backends.event`) fill one of
+    waveform engine in :mod:`repro.circuits.backends.event`) fill one of
     these per ``propagate``/``propagate_batch`` call, mirroring the
     ``levelized_passes`` / layout-locality counters of the lane backend.
 
     Attributes:
         events_popped: scheduled events taken off the wheel.  In the batched
-            engine one ``(net, time)`` bucket entry counts once per pending
-            lane, so the scalar counters summed over the lanes of a batch
-            equal the batched counters exactly.
+            engine one scheduled ``(net, time)`` slot counts once per lane
+            in its mask, so the scalar counters summed over the lanes of a
+            batch equal the batched counters exactly.
         events_suppressed: popped events discarded as stale because the
             scheduled value already equals the net's current value (the
             glitch-filtering work the wheel avoids committing).
         wheel_buckets: distinct arrival-time buckets processed.  This one is
-            *per propagation*, not per lane: the batched engine walks the
-            union of the per-lane bucket sets, so per-lane scalar counts
-            bound it (``max over lanes <= batched <= sum over lanes``).
+            *per propagation*, not per lane: the batched engine counts the
+            distinct scheduled times, the union of the per-lane bucket sets,
+            so per-lane scalar counts bound it (``max over lanes <= batched
+            <= sum over lanes``).
         glitches_per_net: for every net that committed more changes than its
             functional transition needs, ``commits - functional`` (keyed by
             net name; a net whose final value differs from its previous one
@@ -603,7 +604,7 @@ class BatchTimingSimulator:
     arrays combined with vectorised max/where operations.
 
     Only the levelized arrival models are supported here; the event-driven
-    model tracks per-lane glitch sequences and is batched by the time-wheel
+    model tracks per-lane glitch sequences and is batched by the waveform
     engine in :mod:`repro.circuits.backends.event` instead.
     """
 
@@ -617,7 +618,7 @@ class BatchTimingSimulator:
             raise ValueError(
                 f"arrival_model must be one of {BATCH_ARRIVAL_MODELS} "
                 f"(the event-driven model runs on the scalar TimingSimulator "
-                f"or the batched 'event' time-wheel backend)"
+                f"or the batched 'event' backend)"
             )
         self.netlist = netlist
         self.library = library

@@ -23,7 +23,6 @@ from repro.experiments.fig2_mac_delay import run_fig2
 from repro.experiments.fig4_delay_accuracy import run_fig4a, run_fig4b
 from repro.experiments.fig5_energy import run_fig5
 from repro.experiments.reporting import ExperimentResult, summarize
-from repro.experiments.runner import EXPERIMENTS, run_experiments
 from repro.experiments.settings import ExperimentSettings
 from repro.experiments.table1_accuracy import run_table1
 from repro.experiments.table2_compression import run_table2
@@ -49,9 +48,16 @@ __all__ = [
 ]
 
 
-def __getattr__(name):  # pragma: no cover - convenience re-export
-    # Lazy bridge to the pipeline layer (a module-level import would be
-    # circular: repro.pipeline imports the experiment modules).
+def __getattr__(name):
+    # Lazy bridge to the runner (an eager import would load
+    # repro.experiments.runner before ``python -m repro.experiments.runner``
+    # executes it as __main__, running the module twice) and to the pipeline
+    # layer (a module-level import would be circular: repro.pipeline
+    # imports the experiment modules).
+    if name in ("EXPERIMENTS", "run_experiments"):
+        import repro.experiments.runner
+
+        return getattr(repro.experiments.runner, name)
     if name in ("run_pipeline", "PipelineRun"):
         import repro.pipeline
 

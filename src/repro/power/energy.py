@@ -249,7 +249,7 @@ class EnergyModel:
         scenario maps simulate once and share the activity across every PE).
 
         ``activity_mode="event"`` counts toggles with the batched
-        event-driven time wheel instead, using this model's own delay source
+        event-driven engine instead, using this model's own delay source
         (the scenario if one was given, else the library), so glitches —
         which the zero-delay baseline cannot see and which shift with aging —
         are priced into the dynamic term.  ``workers``/``chunk_size``

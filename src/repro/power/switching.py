@@ -8,14 +8,18 @@ Two activity modes share one sharded, seed-spawned estimation pipeline:
   zero-delay pass of the levelized graph, and the per-net toggle counts
   fall out of one adjacent-lane XOR + popcount reduction.
 * ``"event"`` — glitch-aware: each shard's chain runs through the batched
-  event-driven time-wheel engine
+  event-driven engine
   (:class:`repro.circuits.backends.event.EventWheelSimulator`, lane ``k``
-  simulating the transition ``v_k -> v_{k+1}``), and a toggle is one
-  *committed net change* — functional transitions plus every glitch the
-  per-gate delays of ``delay_source`` produce.  Per gate, event toggles
-  are therefore >= zero-delay toggles on the identical vector chain
-  (every functional change commits at least once); the surplus is exactly
-  the glitch activity the zero-delay baseline cannot see.
+  simulating the transition ``v_k -> v_{k+1}``; every net's commits are
+  propagated gate by gate as lane-word waveforms, identical per lane to
+  the scalar time wheel), and a toggle is one *committed net change* —
+  functional transitions plus every glitch the per-gate delays of
+  ``delay_source`` produce; the counts come straight from
+  :attr:`~repro.circuits.backends.event.EventTimedEvaluation.commit_counts`.
+  Per gate, event toggles are therefore >= zero-delay toggles on the
+  identical vector chain (every functional change commits at least once);
+  the surplus is exactly the glitch activity the zero-delay baseline cannot
+  see.
 
 Sharding contract (same as the PR 2 sweeps): the transition stream is
 split into independent chains of ``transitions_per_shard`` transitions
@@ -205,7 +209,7 @@ def estimate_switching_activity(
             ranges to model quantized traffic.
         mode: ``"zero-delay"`` (functional toggles, the glitch-free
             baseline) or ``"event"`` (committed toggles including glitches,
-            simulated by the batched time-wheel engine).
+            simulated by the batched event engine).
         delay_source: required for ``mode="event"``: the
             :class:`~repro.aging.cell_library.CellLibrary` or
             :class:`~repro.aging.scenarios.AgingScenario` whose per-gate

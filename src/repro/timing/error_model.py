@@ -10,7 +10,7 @@ Distance and MSB bit-flip probability as aging grows).
 
 All four registered backends are reachable from here: with
 ``arrival_model="event"`` the ``"auto"`` selector batches wide Monte-Carlo
-runs through the glitch-exact time-wheel backend
+runs through the glitch-exact batched event backend
 (:mod:`repro.circuits.backends.event`) and falls back to the scalar event
 loop for narrow ones; the levelized settle/transition models pick between
 the bigint and ndarray lane backends by batch width.
@@ -195,7 +195,7 @@ def characterize_timing_errors(
             (pessimistic bound) or ``"transition"`` (optimistic bound).
         backend: a registered simulation-backend name (``"scalar"``,
             ``"bigint"``, ``"ndarray"``, ``"event"`` — the batched
-            time-wheel engine for the ``"event"`` arrival model;
+            waveform engine for the ``"event"`` arrival model;
             ``"batch"``/``"wheel"`` are historical aliases) or ``"auto"``
             to let the registry pick by arrival model and batch width — see
             :func:`repro.circuits.backends.resolve_backend`.  For a given

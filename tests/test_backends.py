@@ -91,11 +91,17 @@ class TestRegistry:
             assert backend.name == "event"
 
     def test_auto_selects_bigint_for_narrow_batches(self):
-        backend, batch_size = resolve_backend("auto", "settle", None)
-        assert backend.name == "bigint"
-        assert batch_size == 256
-        backend, _ = resolve_backend("auto", "transition", LANE_BACKEND_MIN_LANES - 1)
-        assert backend.name == "bigint"
+        # bigint below the measured crossover, ndarray at and above it
+        # (the default 256-lane batch included).
+        for model in BATCH_ARRIVAL_MODELS:
+            for batch_size in (1, LANE_BACKEND_MIN_LANES - 1):
+                backend, _ = resolve_backend("auto", model, batch_size)
+                assert backend.name == "bigint"
+            for batch_size in (LANE_BACKEND_MIN_LANES, None):
+                backend, resolved = resolve_backend("auto", model, batch_size)
+                assert backend.name == "ndarray"
+        assert resolved == 256
+        assert 1 < LANE_BACKEND_MIN_LANES <= 256
 
     def test_auto_selects_ndarray_for_wide_batches(self):
         for model in BATCH_ARRIVAL_MODELS:

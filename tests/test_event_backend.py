@@ -1,10 +1,11 @@
-"""Tests of the batched event-driven (time-wheel) backend.
+"""Tests of the batched event-driven (waveform-propagation) backend.
 
 Four contracts are enforced:
 
-* **bit-identity** — the batched wheel reproduces the scalar event engine
+* **bit-identity** — the batched engine reproduces the scalar event engine
   lane by lane (values, per-bit timelines, captured outputs, arrivals,
-  worst arrival) across aging-scenario families and random netlists;
+  worst arrival) across aging-scenario families, random netlists and a
+  hand-built same-slot collision;
 * **observability** — both event engines fill
   :class:`~repro.circuits.simulator.EventCounters`, and the scalar counters
   summed over a batch's lanes equal the batched counters exactly
@@ -24,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.aging.cell_library import AgingAwareLibrarySet
 from repro.aging.scenarios import (
+    AgingScenario,
     MissionProfile,
     PerCellTypeAging,
     UniformAging,
@@ -83,6 +85,48 @@ def _hazard_netlist():
     pulse = netlist.add_gate("AND2", [a, inverted])
     netlist.add_output_bus("out", [pulse])
     return netlist
+
+
+class _FixedDelays(AgingScenario):
+    """A scenario handing the engines a fixed per-gate delay table."""
+
+    kind = "fixed"
+
+    def __init__(self, delays_ps):
+        self._delays_ps = dict(delays_ps)
+
+    def gate_delays_ps(self, netlist, library=None):
+        return dict(self._delays_ps)
+
+    def gate_delta_vth_mv(self, netlist, library=None):
+        return np.zeros(len(netlist.topological_gates()))
+
+    def key_fields(self):
+        return {"kind": self.kind}
+
+    @property
+    def nominal_delta_vth_mv(self):
+        return 0.0
+
+
+def _collision_circuit():
+    """``out = XOR2(BUF(a), BUF(b))`` whose two evaluations share one slot.
+
+    The buffers take ``1.0`` and ``1.0 + 2**-52`` ps, so the XOR (``1.0``
+    ps) is evaluated at two distinct times whose outputs both round to
+    ``2.0``: the wheel's ``(out, 2.0)`` slot is written twice, and the
+    later evaluation wins lane by lane.
+    """
+    netlist = Netlist("collision")
+    (a,) = netlist.add_input_bus("a", 1)
+    (b,) = netlist.add_input_bus("b", 1)
+    fast = netlist.add_gate("BUF", [a])
+    slow = netlist.add_gate("BUF", [b])
+    out = netlist.add_gate("XOR2", [fast, slow])
+    netlist.add_output_bus("out", [out])
+    netlist.add_output_bus("paths", [fast, slow])
+    delays = {fast.driver: 1.0, slow.driver: 1.0 + 2.0**-52, out.driver: 1.0}
+    return netlist, _FixedDelays(delays)
 
 
 # ------------------------------------------------------------- bit-identity
@@ -151,6 +195,69 @@ class TestWheelBitIdentity:
             assert (
                 float(evaluation.worst_arrival_ps[lane]) == reference.worst_arrival_ps
             )
+
+    def test_same_slot_collision_matches_scalar(self):
+        netlist, scenario = _collision_circuit()
+        slow_arrival = 1.0 + 2.0**-52
+        assert slow_arrival != 1.0 and slow_arrival + 1.0 == 1.0 + 1.0
+        # 80 lanes over two words: every (a, b) previous value crossed with
+        # every flip pattern (only a, only b, both, neither), five times.
+        cases = [
+            (a, b, flip_a, flip_b)
+            for a in (0, 1) for b in (0, 1) for flip_a in (0, 1) for flip_b in (0, 1)
+        ] * 5
+        previous = {"a": [c[0] for c in cases], "b": [c[1] for c in cases]}
+        current = {
+            "a": [c[0] ^ c[2] for c in cases], "b": [c[1] ^ c[3] for c in cases]
+        }
+        lanes = len(cases)
+        evaluation = EventWheelSimulator(netlist, scenario).propagate_batch(
+            previous, current
+        )
+        scalar = TimingSimulator(netlist, scenario, arrival_model="event")
+
+        popped = suppressed = 0
+        glitches: dict[str, int] = {}
+        clocks = (1.5, np.nextafter(2.0, 0.0), 2.0, 3.0)
+        captured = {clock: evaluation.captured_outputs(clock) for clock in clocks}
+        finals = evaluation.final_outputs()
+        for lane in range(lanes):
+            reference = scalar.propagate(
+                _lane_slice(previous, lane), _lane_slice(current, lane)
+            )
+            assert _lane_slice(finals, lane) == reference.final_outputs
+            for clock in clocks:
+                assert _lane_slice(captured[clock], lane) == (
+                    reference.captured_outputs(clock)
+                )
+            for bus, bus_timelines in reference.output_bit_timelines.items():
+                for bit, changes in enumerate(bus_timelines):
+                    assert evaluation.lane_bit_timeline(bus, bit, lane) == changes
+                assert [
+                    float(per_bit[lane]) for per_bit in evaluation.output_arrivals_ps[bus]
+                ] == reference.output_arrivals_ps[bus]
+            assert float(evaluation.worst_arrival_ps[lane]) == (
+                reference.worst_arrival_ps
+            )
+            counters = scalar.last_event_counters
+            popped += counters.events_popped
+            suppressed += counters.events_suppressed
+            for net, count in counters.glitches_per_net.items():
+                glitches[net] = glitches.get(net, 0) + count
+
+        batched = evaluation.counters
+        assert batched.events_popped == popped
+        assert batched.events_suppressed == suppressed
+        assert batched.glitches_per_net == glitches
+        # Buckets 0.0, 1.0, 1.0 + 2**-52 and the merged 2.0.
+        assert batched.wheel_buckets == 4
+        # Where both inputs flip, the later evaluation (XOR unchanged)
+        # overwrites the earlier one in the merged slot: one suppressed
+        # lane-event per such lane, and no output commit.
+        both = sum(1 for c in cases if c[2] and c[3])
+        assert suppressed == both > 0
+        out_log = evaluation.event_logs["out"][0]
+        assert [time_ps for time_ps, _, _ in out_log] == [2.0]
 
     def test_lane_timed_evaluation_rebuilds_the_scalar_result(self):
         rng = np.random.default_rng(3)

@@ -6,10 +6,15 @@ versions are covered by the benchmark harness.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.experiments import (
     ExperimentResult,
     ExperimentSettings,
@@ -279,6 +284,27 @@ class TestRunner:
         results = run_experiments(["fig2", "table2", "fig2"], settings=settings)
         assert [r.experiment_id for r in results] == ["fig2", "table2", "fig2"]
         assert results[0] is results[2]  # repeats resolve to the same object
+
+    def test_module_entry_point_runs_once(self):
+        # ``python -m`` must find the runner not yet imported by its
+        # package; otherwise runpy warns and the module executes twice.
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source_root, env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                "-m", "repro.experiments.runner", "--list",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "fig1a" in completed.stdout
 
     def test_cli_main(self, tmp_path, capsys):
         exit_code = main(["--experiments", "fig4a", "--profile", "fast", "--output", str(tmp_path)])

@@ -85,7 +85,7 @@ class TestUniformLegacyEquivalence:
             if hasattr(legacy, "_gate_delay_ps"):
                 assert legacy._gate_delay_ps == scenario._gate_delay_ps
             elif hasattr(legacy, "_gate_delay"):
-                # The time-wheel engine keeps one float per gate in
+                # The batched event engine keeps one float per gate in
                 # topological order.
                 assert legacy._gate_delay == scenario._gate_delay
             else:  # the lane simulator carries per-level delay vectors
