@@ -77,7 +77,7 @@ def test_bench_batched_error_sweep_speedup(benchmark, bench_workspace, mac_unit)
     def batched():
         return characterize_timing_errors(
             mac_unit, library, period, num_samples=batch_samples, rng=0,
-            arrival_model="settle", backend="batch",
+            arrival_model="settle", backend="bigint",
         )
 
     stats = benchmark.pedantic(batched, rounds=1, iterations=1)

@@ -21,7 +21,6 @@ from repro.circuits.backends.event import (
     EventWheelSimulator,
 )
 from repro.circuits.backends.lane import (
-    GRAPH_LAYOUTS,
     LaneBackend,
     LaneTimedEvaluation,
     LaneTimingSimulator,
@@ -32,7 +31,6 @@ from repro.circuits.backends.lane import (
     levelized_graph_cache_stats,
 )
 from repro.circuits.backends.registry import (
-    BACKEND_ALIASES,
     EVENT_BACKEND_MIN_LANES,
     LANE_BACKEND_MIN_LANES,
     auto_select,
@@ -49,11 +47,9 @@ NDARRAY_BACKEND = register_backend(LaneBackend())
 EVENT_BACKEND = register_backend(EventBackend())
 
 __all__ = [
-    "BACKEND_ALIASES",
     "BIGINT_BACKEND",
     "EVENT_BACKEND",
     "EVENT_BACKEND_MIN_LANES",
-    "GRAPH_LAYOUTS",
     "LANE_BACKEND_MIN_LANES",
     "NDARRAY_BACKEND",
     "SCALAR_BACKEND",

@@ -11,8 +11,8 @@ Gates are scheduled by :class:`LevelizedGraph` in two granularities:
 * **value evaluation** groups the gates of one logic level by cell type, so
   one level of ``N`` same-type gates is evaluated with a handful of ufunc
   calls (gather input rows by fancy indexing, apply the word-level cell
-  function, scatter to output rows) instead of ``N`` Python calls.  The
-  word-level cell functions of
+  function, write the group's output block) instead of ``N`` Python calls.
+  The word-level cell functions of
   :data:`repro.circuits.gates.WORD_CELL_FUNCTIONS` are pure mask/AND/OR/XOR
   expressions, so the very same table serves bigint words and uint64
   arrays.
@@ -22,27 +22,20 @@ Gates are scheduled by :class:`LevelizedGraph` in two granularities:
   last input row, which is a no-op under ``max``/``or`` and keeps the
   whole level on one gather per pin regardless of the cell mix.
 
-Row numbering (``layout``)
---------------------------
+Row numbering
+-------------
 
-Two net numberings share the same schedule machinery:
-
-* ``"creation"`` numbers nets in netlist creation order — the historical
-  layout, kept verbatim as the comparison baseline.  Every level step
-  gathers *and scatters* through fancy index arrays, and each scatter
-  target is freshly allocated.
-* ``"level"`` (the default) numbers the non-driven source nets first (in
-  creation order, so input-bus rows stay contiguous) and then each level's
-  gate outputs as one contiguous block, cell-type groups back to back.
-  Under this numbering every level's output rows are exactly
-  ``arange(start, stop)``, so the kernels compute **directly into a slice
-  view of the arrival/value arrays** (no per-level scatter, no per-level
-  allocation — gathers stream into a reused scratch buffer) and scatters
-  at the bus pack/unpack boundary become slice writes.  Values and
-  arrivals live in the permuted layout end to end; only
-  ``input_bus_rows``/``output_bus_rows`` translate at the boundary, so
-  :class:`LaneTimedEvaluation` and every other consumer see bit-identical
-  results regardless of layout (property-tested).
+Rows are numbered level by level: the non-driven source nets first (in
+creation order, so a bus built in one piece keeps contiguous rows), then
+each level's gate outputs as one contiguous block, cell-type groups back
+to back.  Every level's (and every cell group's) output rows are therefore
+exactly ``arange(start, stop)``, so the kernels compute **directly into a
+slice view of the arrival/value arrays** (no per-level scatter, no
+per-level allocation — gathers stream into a reused scratch buffer).
+Values and arrivals live in this numbering end to end; only
+``input_bus_rows``/``output_bus_rows`` translate at the boundary, so
+:class:`LaneTimedEvaluation` is bit-identical to the scalar engine
+(property-tested).
 
 Arrival propagation
 -------------------
@@ -92,9 +85,6 @@ from repro.utils.bitops import (
     lane_word_count,
 )
 
-#: The two supported net numberings (see the module docstring).
-GRAPH_LAYOUTS = ("level", "creation")
-
 #: Per cell, its truth table for the constant pass: the ``(2**arity, arity)``
 #: input combinations, the ``(arity,)`` pin indices that pair with them, and
 #: the ``(2**arity,)`` bool outputs.
@@ -118,6 +108,12 @@ def _as_slice(rows: np.ndarray) -> "slice | None":
     return None
 
 
+def _output_block(net_row: Mapping[Net, int], gates: Sequence[Gate]) -> slice:
+    """The row block of ``gates``' outputs, which are numbered back to back."""
+    start = net_row[gates[0].output]
+    return slice(start, start + len(gates))
+
+
 @dataclass(frozen=True)
 class ValueGroup:
     """All gates of one cell type within one logic level.
@@ -128,17 +124,13 @@ class ValueGroup:
         input_slices: per input pin, the equivalent slice when the pin's
             rows are contiguous (a view-read instead of a gather), else
             ``None``.
-        output_rows: ``(size,)`` net-row indices of the gate outputs.
-        output_slice: the equivalent slice when the output rows are
-            contiguous (always, under the ``"level"`` layout), else
-            ``None``.
+        output_slice: the contiguous block of the gate-output rows.
     """
 
     cell_name: str
     input_rows: tuple[np.ndarray, ...]
     input_slices: "tuple[slice | None, ...]"
-    output_rows: np.ndarray
-    output_slice: "slice | None"
+    output_slice: slice
 
 
 @dataclass(frozen=True)
@@ -147,18 +139,16 @@ class LevelPlan:
 
     Attributes:
         gates: the member gates in schedule order (the order every
-            per-gate vector — e.g. delays — must follow).  Under the
-            ``"level"`` layout the gates are grouped by cell type so their
-            output rows form one ascending run.
+            per-gate vector — e.g. delays — must follow): grouped by cell
+            type, so their output rows form one ascending run.
         value_groups: per cell type, the gather/scatter plan for value
             evaluation.
         padded_input_rows: ``(max_arity, size)`` input net rows for the
             cell-agnostic arrival step; gates with fewer inputs repeat
             their last input (idempotent under max/or).
-        output_rows: ``(size,)`` output net rows of the whole level.
-        output_slice: the contiguous equivalent of ``output_rows`` (always
-            present under the ``"level"`` layout), enabling in-place
-            slice-view computation instead of gather + scatter.
+        output_slice: the contiguous block of the level's output rows,
+            enabling in-place slice-view computation instead of gather +
+            scatter.
         structural_outputs: ``(size,)`` bool, True for outputs forced to a
             structural constant (they never transition and must not
             contribute arrival time).
@@ -166,7 +156,7 @@ class LevelPlan:
             advance by one row per gate — ``(dst_start, dst_stop, src0,
             src1)`` offsets, ``dst`` relative to the level's output block.
             Within a segment the two-pin max is a pure slice-view ufunc
-            (no gather copy, no scratch), which is the level layout's
+            (no gather copy, no scratch), which is the row numbering's
             whole point: it reads each input row once and writes each
             output row once.  Covers the entire level (a single gate is a
             length-1 segment); pins beyond the second fall back to
@@ -176,8 +166,7 @@ class LevelPlan:
     gates: tuple[Gate, ...]
     value_groups: tuple[ValueGroup, ...]
     padded_input_rows: np.ndarray
-    output_rows: np.ndarray
-    output_slice: "slice | None"
+    output_slice: slice
     structural_outputs: np.ndarray
     join_segments: tuple[tuple[int, int, int, int], ...]
 
@@ -189,18 +178,12 @@ class LevelizedGraph:
     logic level (and, for value evaluation, by cell type within the
     level).  Levels are emitted in order, so by the time a level runs,
     every input row it gathers has been written — the vectorised
-    equivalent of the topological gate order.
-
-    ``layout`` selects the net-row numbering: ``"level"`` (default) packs
-    each level's outputs into a contiguous block so the hot kernels write
-    straight into slice views; ``"creation"`` is the historical
-    creation-order numbering, kept as the measured baseline.
+    equivalent of the topological gate order.  Each level's outputs occupy
+    one contiguous block of rows (see the module docstring), so the hot
+    kernels write straight into slice views.
     """
 
-    def __init__(self, netlist: Netlist, layout: str = "level") -> None:
-        if layout not in GRAPH_LAYOUTS:
-            raise ValueError(f"layout must be one of {GRAPH_LAYOUTS}, got {layout!r}")
-        self.layout = layout
+    def __init__(self, netlist: Netlist) -> None:
         # Deliberately no reference to the Netlist itself: the graph is the
         # *value* of a WeakKeyDictionary keyed by the netlist, and a strong
         # value->key reference would make cache entries immortal.  Net and
@@ -228,10 +211,9 @@ class LevelizedGraph:
         for gate in order:
             by_level.setdefault(depth[gate], []).append(gate)
 
-        # Per-level gate order and cell grouping.  The "level" layout walks
-        # cell groups back to back so each group's (and each level's) output
-        # rows can be numbered as one ascending run; the "creation" layout
-        # keeps the historical appearance order.
+        # Per-level gate order and cell grouping: cell groups back to back,
+        # so each group's (and each level's) output rows are numbered as one
+        # ascending run.
         level_groups: list[list[tuple[str, list[Gate]]]] = []
         level_gates: list[list[Gate]] = []
         for _, gates in sorted(by_level.items()):
@@ -240,30 +222,23 @@ class LevelizedGraph:
                 by_cell.setdefault(gate.cell_name, []).append(gate)
             groups = list(by_cell.items())
             level_groups.append(groups)
-            if layout == "level":
-                level_gates.append([g for _, members in groups for g in members])
-            else:
-                level_gates.append(gates)
+            level_gates.append([g for _, members in groups for g in members])
 
-        if layout == "level":
-            self.net_row: dict[object, int] = {}
-            row = 0
-            for net in nets:  # sources first, in creation order
-                if net.driver is None:
-                    self.net_row[net] = row
-                    row += 1
-            self.num_source_rows = row
-            for gates in level_gates:
-                for gate in gates:
-                    self.net_row[gate.output] = row
-                    row += 1
-            assert row == self.num_nets, "every net is a source or one gate's output"
-        else:
-            self.net_row = {net: row for row, net in enumerate(nets)}
-            self.num_source_rows = self.num_nets  # no contiguity guarantee
+        self.net_row: dict[object, int] = {}
+        row = 0
+        for net in nets:  # sources first, in creation order
+            if net.driver is None:
+                self.net_row[net] = row
+                row += 1
+        self.num_source_rows = row
+        for gates in level_gates:
+            for gate in gates:
+                self.net_row[gate.output] = row
+                row += 1
+        assert row == self.num_nets, "every net is a source or one gate's output"
 
-        #: Creation-order net -> row: the layout permutation (identity for
-        #: the creation layout).  A bijection over ``range(num_nets)``.
+        #: Creation-order net -> row: the numbering as a permutation, a
+        #: bijection over ``range(num_nets)``.
         self.row_permutation = np.array(
             [self.net_row[net] for net in nets], dtype=np.intp
         )
@@ -280,10 +255,7 @@ class LevelizedGraph:
                         for pin in range(len(members[0].inputs))
                     )),
                     input_slices=tuple(_as_slice(rows) for rows in input_rows),
-                    output_rows=(output_rows := np.array(
-                        [self.net_row[gate.output] for gate in members], dtype=np.intp
-                    )),
-                    output_slice=_as_slice(output_rows),
+                    output_slice=_output_block(self.net_row, members),
                 )
                 for cell_name, members in groups
             )
@@ -292,18 +264,18 @@ class LevelizedGraph:
 
         # The constant pass's schedule: per cell group in level order, its
         # truth table, the (arity, size) stacked input rows and the output
-        # index (a slice view under the "level" layout).
+        # block.
         self._constant_groups = tuple(
             (
                 *_TRUTH_TABLES[group.cell_name],
                 np.stack(group.input_rows),
-                group.output_rows if group.output_slice is None else group.output_slice,
+                group.output_slice,
             )
             for value_groups in level_value_groups
             for group in value_groups
         )
         self._driven_rows = np.zeros(self.num_nets, dtype=bool)
-        self._driven_rows[[self.net_row[gate.output] for gate in order]] = True
+        self._driven_rows[self.num_source_rows :] = True
         self._constant_rows = tuple(
             np.array(
                 [self.net_row[net] for net in nets if net.constant_value == value],
@@ -322,9 +294,7 @@ class LevelizedGraph:
                 ],
                 dtype=np.intp,
             )
-            output_rows = np.array(
-                [self.net_row[gate.output] for gate in gates], dtype=np.intp
-            )
+            output_slice = _output_block(self.net_row, gates)
             rows0 = padded[0]
             rows1 = padded[1] if self.max_arity >= 2 else padded[0]
             segments: list[tuple[int, int, int, int]] = []
@@ -344,9 +314,8 @@ class LevelizedGraph:
                     gates=tuple(gates),
                     value_groups=value_groups,
                     padded_input_rows=padded,
-                    output_rows=output_rows,
-                    output_slice=_as_slice(output_rows),
-                    structural_outputs=self.structural_rows[output_rows],
+                    output_slice=output_slice,
+                    structural_outputs=self.structural_rows[output_slice],
                     join_segments=tuple(segments),
                 )
             )
@@ -386,8 +355,6 @@ class LevelizedGraph:
 
         Returns fractions in ``[0, 1]``:
 
-        * ``"contiguous_output_levels"`` — levels whose output rows form
-          one ascending run (always 1.0 under the ``"level"`` layout);
         * ``"contiguous_input_buses"`` — input buses packable by slice;
         * ``"sequential_read_fraction"`` — gather index steps that advance
           by exactly one row (reads the hardware prefetcher can stream).
@@ -399,13 +366,8 @@ class LevelizedGraph:
                 if rows.size > 1:
                     steps += rows.size - 1
                     unit_steps += int(np.count_nonzero(np.diff(rows) == 1))
-        num_levels = max(len(self.levels), 1)
         num_buses = max(len(self.input_bus_slices), 1)
         return {
-            "contiguous_output_levels": sum(
-                plan.output_slice is not None for plan in self.levels
-            )
-            / num_levels,
             "contiguous_input_buses": sum(
                 bus_slice is not None for bus_slice in self.input_bus_slices.values()
             )
@@ -514,10 +476,7 @@ class LevelizedGraph:
                         for rows, row_slice in zip(group.input_rows, group.input_slices)
                     ),
                 )
-                if group.output_slice is not None:
-                    values[group.output_slice] = result
-                else:
-                    values[group.output_rows] = result
+                values[group.output_slice] = result
         return values
 
     # ------------------------------------------------------------- constants
@@ -591,78 +550,56 @@ class LevelizedGraph:
         reads as 0.0 (case analysis); a ``(nets, 1)`` mask broadcasts one
         shared constant set over the whole batch.
 
-        Under the ``"level"`` layout each level computes directly into the
-        slice view of its output block (gathers stream through one reused
-        scratch buffer, no per-level allocation or scatter); the
-        ``"creation"`` layout keeps the historical gather/scatter kernel.
-        Both run the same float operations in the same order, so results
-        are bit-identical across layouts.
+        Each level computes directly into the slice view of its output
+        block; gathers stream through one reused scratch buffer, with no
+        per-level allocation or scatter.
         """
         self.max_plus_passes += 1
         observability.add("lane.max_plus_passes")
         if excluded is not None:
             live = ~excluded
-        if self.layout == "level":
-            arrivals = np.empty((self.num_nets, batch))
-            arrivals[: self.num_source_rows] = 0.0
-            scratch = np.empty((self.max_level_size, batch))
-            for level, delays in zip(self.levels, level_delays):
-                in_rows = level.padded_input_rows
-                out = arrivals[level.output_slice]
-                np.take(arrivals, in_rows[0], axis=0, out=out, mode="clip")
-                if excluded is None:
-                    for rows in in_rows[1:]:
-                        gathered = scratch[: rows.size]
-                        np.take(arrivals, rows, axis=0, out=gathered, mode="clip")
-                        np.maximum(out, gathered, out=out)
-                else:
-                    out *= live[in_rows[0]]
-                    for rows in in_rows[1:]:
-                        gathered = scratch[: rows.size]
-                        np.take(arrivals, rows, axis=0, out=gathered, mode="clip")
-                        gathered *= live[rows]
-                        np.maximum(out, gathered, out=out)
-                out += delays[:, None] if delays.ndim == 1 else delays
-            return arrivals
-        arrivals = np.zeros((self.num_nets, batch))
+        arrivals = np.empty((self.num_nets, batch))
+        arrivals[: self.num_source_rows] = 0.0
+        scratch = np.empty((self.max_level_size, batch))
         for level, delays in zip(self.levels, level_delays):
             in_rows = level.padded_input_rows
+            out = arrivals[level.output_slice]
+            np.take(arrivals, in_rows[0], axis=0, out=out, mode="clip")
             if excluded is None:
-                latest = arrivals[in_rows[0]]  # fancy indexing copies
                 for rows in in_rows[1:]:
-                    np.maximum(latest, arrivals[rows], out=latest)
+                    gathered = scratch[: rows.size]
+                    np.take(arrivals, rows, axis=0, out=gathered, mode="clip")
+                    np.maximum(out, gathered, out=out)
             else:
-                latest = arrivals[in_rows[0]] * live[in_rows[0]]
+                out *= live[in_rows[0]]
                 for rows in in_rows[1:]:
-                    np.maximum(latest, arrivals[rows] * live[rows], out=latest)
-            latest += delays[:, None] if delays.ndim == 1 else delays
-            arrivals[level.output_rows] = latest
+                    gathered = scratch[: rows.size]
+                    np.take(arrivals, rows, axis=0, out=gathered, mode="clip")
+                    gathered *= live[rows]
+                    np.maximum(out, gathered, out=out)
+            out += delays[:, None] if delays.ndim == 1 else delays
         return arrivals
 
 
-#: One schedule per (netlist, layout): every simulator / STA corner pass
-#: over the same netlist shares the grouping (keyed weakly so netlists stay
+#: One schedule per netlist: every simulator / STA corner pass over the
+#: same netlist shares the grouping (keyed weakly so netlists stay
 #: collectable).
-_GRAPH_CACHE: "weakref.WeakKeyDictionary[Netlist, dict[str, LevelizedGraph]]" = (
+_GRAPH_CACHE: "weakref.WeakKeyDictionary[Netlist, LevelizedGraph]" = (
     weakref.WeakKeyDictionary()
 )
 _GRAPH_CACHE_STATS = {"hits": 0, "misses": 0}
 
 
-def levelized_graph(netlist: Netlist, layout: str = "level") -> LevelizedGraph:
+def levelized_graph(netlist: Netlist) -> LevelizedGraph:
     """The (cached) levelized gather/scatter schedule of ``netlist``."""
-    per_netlist = _GRAPH_CACHE.get(netlist)
-    if per_netlist is None:
-        per_netlist = {}
-        _GRAPH_CACHE[netlist] = per_netlist
-    graph = per_netlist.get(layout)
+    graph = _GRAPH_CACHE.get(netlist)
     if graph is None:
         _GRAPH_CACHE_STATS["misses"] += 1
         observability.add("lane.graph_cache.misses")
-        graph = LevelizedGraph(netlist, layout=layout)
-        per_netlist[layout] = graph
+        graph = LevelizedGraph(netlist)
+        _GRAPH_CACHE[netlist] = graph
         if observability.is_enabled():
-            # Layout-locality fractions are properties of the schedule, so
+            # Locality fractions are properties of the schedule, so
             # gauge them once per construction; max keeps merges commutative
             # (all constructions of one netlist report identical values).
             for metric, value in graph.gather_locality().items():
@@ -683,7 +620,6 @@ def corner_case_delays(
     netlist: Netlist,
     gate_delay_ps: "Mapping[Gate, float] | np.ndarray",
     corner_cases: "Sequence[Mapping[str, int] | None]",
-    layout: str = "level",
 ) -> list[float]:
     """Critical-path delays of many case-analysis corners in one pass.
 
@@ -712,7 +648,7 @@ def corner_case_delays(
     """
     if not corner_cases:
         return []
-    graph = levelized_graph(netlist, layout)
+    graph = levelized_graph(netlist)
     corners = len(corner_cases)
     first = corner_cases[0]
     columns = [first] if all(case is first for case in corner_cases) else corner_cases
@@ -831,14 +767,11 @@ class LaneTimingSimulator:
     dense per-lane arrays with one arity-padded max-plus (or or-reduce)
     step per level.
 
-    Under the default ``"level"`` layout the per-level arrival and
-    perturbation results are computed straight into slice views of the
-    state arrays, the big float buffers are reused across
-    :meth:`propagate_batch` calls (no repeated allocation / page-fault
-    churn at wide batches), and only the contiguous source block is
-    re-zeroed per call.  ``layout="creation"`` runs the historical
-    gather/scatter kernel on creation-ordered rows — the baseline the
-    layout benchmark measures against.
+    The per-level arrival and perturbation results are computed straight
+    into slice views of the state arrays, the big float buffers are reused
+    across :meth:`propagate_batch` calls (no repeated allocation /
+    page-fault churn at wide batches), and only the contiguous source
+    block is re-zeroed per call.
     """
 
     def __init__(
@@ -846,7 +779,6 @@ class LaneTimingSimulator:
         netlist: Netlist,
         library,
         arrival_model: str = "settle",
-        layout: str = "level",
     ) -> None:
         if arrival_model not in BATCH_ARRIVAL_MODELS:
             raise ValueError(
@@ -857,14 +789,13 @@ class LaneTimingSimulator:
         self.netlist = netlist
         self.library = library
         self.arrival_model = arrival_model
-        self.graph = levelized_graph(netlist, layout)
+        self.graph = levelized_graph(netlist)
         # The scenario funnel covers every gate of the netlist, which is a
         # superset of the levelized schedule's gates.
         self._level_delays = self.graph.level_delays(
             resolve_gate_delays(netlist, library)
         )
-        # Reusable per-lane-count state ("level" layout only): the arrival
-        # array, the gather scratch, and per-level slice views into the
+        # Reusable per-lane-count state: the arrival array, the gather scratch, and per-level slice views into the
         # arrival buffer (the join-segment kernel's operands, bound once
         # per lane count instead of re-sliced every call).  The evaluation
         # result holds no views into these, so the same pages serve every
@@ -928,18 +859,11 @@ class LaneTimingSimulator:
         for rows in graph.input_bus_rows.values():
             perturbed[rows] = curr_values[rows] ^ prev_values[rows]
 
-        if graph.layout == "level":
-            arrivals = self._propagate_level_layout(
-                prev_values, curr_values, perturbed, live, lanes, settle
-            )
-        else:
-            arrivals = self._propagate_creation_layout(
-                prev_values, curr_values, perturbed, live, lanes, settle
-            )
+        arrivals = self._propagate(prev_values, curr_values, perturbed, live, lanes, settle)
         return self._build_evaluation(prev_values, curr_values, arrivals, lanes)
 
-    # ----------------------------------------------------- arrival traversals
-    def _propagate_level_layout(
+    # ------------------------------------------------------ arrival traversal
+    def _propagate(
         self,
         prev_values: np.ndarray,
         curr_values: np.ndarray,
@@ -948,7 +872,7 @@ class LaneTimingSimulator:
         lanes: int,
         settle: bool,
     ) -> np.ndarray:
-        """Level-layout traversal: packed-domain pass, then float max-plus.
+        """Packed-domain pass, then float max-plus traversal.
 
         Phase 1 runs the cheap packed uint64 work (value evaluation,
         perturbation / activity masks) over the full width.  Phase 2 runs
@@ -956,11 +880,7 @@ class LaneTimingSimulator:
         model each level is a handful of **join-segment** slice-view
         ``maximum`` calls — both operands read straight from their home
         rows, the result lands straight in the output block, so each input
-        row is read once and each output row written once (the
-        creation-order kernel reads/writes every row ~2-3x through gather
-        copies and a scatter).  All float/bit operations are elementwise
-        and run in the same order as the creation-layout kernel, so results
-        are bit-identical across layouts.
+        row is read once and each output row written once.
         """
         graph = self.graph
         arrivals, scratch, level_views = self._lane_buffers(lanes)
@@ -970,18 +890,10 @@ class LaneTimingSimulator:
         # ``active`` is None when every live lane is active (the common case
         # once a few levels of random vectors fan in) — phase 2 then skips
         # the unpack-and-mask entirely, like the bigint fast path.
+        graph.evaluate(curr_values)
         level_active: list[np.ndarray | None] = []
         live_row = live[None, :]
         for level in levels:
-            for group in level.value_groups:
-                func = WORD_CELL_FUNCTIONS[group.cell_name]
-                curr_values[group.output_slice] = func(
-                    UINT64_MASK,
-                    *(
-                        curr_values[rows] if row_slice is None else curr_values[row_slice]
-                        for rows, row_slice in zip(group.input_rows, group.input_slices)
-                    ),
-                )
             in_rows = level.padded_input_rows
             out_slice = level.output_slice
 
@@ -1037,54 +949,6 @@ class LaneTimingSimulator:
             out += delays[:, None]
             if active is not None:
                 out *= lane_array_to_bits(active, lanes)
-        return arrivals
-
-    def _propagate_creation_layout(
-        self,
-        prev_values: np.ndarray,
-        curr_values: np.ndarray,
-        perturbed: np.ndarray,
-        live: np.ndarray,
-        lanes: int,
-        settle: bool,
-    ) -> np.ndarray:
-        """The historical gather/scatter traversal on creation-ordered rows."""
-        graph = self.graph
-        arrivals = np.zeros((graph.num_nets, lanes))
-        for level, delays in zip(graph.levels, self._level_delays):
-            for group in level.value_groups:
-                func = WORD_CELL_FUNCTIONS[group.cell_name]
-                curr_values[group.output_rows] = func(
-                    UINT64_MASK, *(curr_values[rows] for rows in group.input_rows)
-                )
-            in_rows = level.padded_input_rows
-            out_rows = level.output_rows
-
-            # Fancy-indexed gathers allocate fresh arrays, so the reductions
-            # can accumulate into the first gather in place.
-            pert = perturbed[in_rows[0]]
-            for rows in in_rows[1:]:
-                np.bitwise_or(pert, perturbed[rows], out=pert)
-            pert[level.structural_outputs] = 0
-            perturbed[out_rows] = pert
-
-            if settle:
-                base = arrivals[in_rows[0]]
-                for rows in in_rows[1:]:
-                    np.maximum(base, arrivals[rows], out=base)
-                active = pert
-            else:
-                in_changed = lane_array_to_bits(
-                    curr_values[in_rows] ^ prev_values[in_rows], lanes
-                )
-                base = arrivals[in_rows[0]] * in_changed[0]
-                for pin in range(1, len(in_rows)):
-                    np.maximum(base, arrivals[in_rows[pin]] * in_changed[pin], out=base)
-                active = pert & (curr_values[out_rows] ^ prev_values[out_rows])
-            base += delays[:, None]
-            if not np.array_equal(active, np.broadcast_to(live, active.shape)):
-                base *= lane_array_to_bits(active, lanes)
-            arrivals[out_rows] = base
         return arrivals
 
     # ----------------------------------------------------------------- result

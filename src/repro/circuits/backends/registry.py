@@ -65,14 +65,6 @@ LANE_BACKEND_MIN_LANES = 32
 #: asserts >= 3x at 1024 lanes and >= 1x here).
 EVENT_BACKEND_MIN_LANES = 16
 
-#: Historical aliases accepted wherever a backend name is expected.
-BACKEND_ALIASES = {
-    "batch": "bigint",
-    "lane": "ndarray",
-    "numpy": "ndarray",
-    "wheel": "event",
-}
-
 _REGISTRY: dict[str, SimulationBackend] = {}
 
 
@@ -93,10 +85,9 @@ def backend_names(include_auto: bool = True) -> tuple[str, ...]:
 
 
 def get_backend(name: str) -> SimulationBackend:
-    """Look up a registered backend by name (aliases resolved)."""
-    resolved = BACKEND_ALIASES.get(name, name)
+    """Look up a registered backend by name."""
     try:
-        return _REGISTRY[resolved]
+        return _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown simulation engine/backend {name!r}; registered backends: "

@@ -139,7 +139,7 @@ class EventCounters:
     Both event engines (the scalar :class:`TimingSimulator` and the batched
     waveform engine in :mod:`repro.circuits.backends.event`) fill one of
     these per ``propagate``/``propagate_batch`` call, mirroring the
-    ``levelized_passes`` / layout-locality counters of the lane backend.
+    ``levelized_passes`` / gather-locality counters of the lane backend.
 
     Attributes:
         events_popped: scheduled events taken off the wheel.  In the batched

@@ -27,7 +27,7 @@ from pathlib import Path
 from collections.abc import Callable, Sequence
 
 from repro.aging.scenarios import SCENARIO_KINDS
-from repro.circuits.backends import BACKEND_ALIASES, backend_names
+from repro.circuits.backends import backend_names
 from repro.experiments.ablation_precision_scaling import run_precision_scaling_ablation
 from repro.experiments.ablation_surrogate import run_surrogate_ablation
 from repro.experiments.fig1a_multiplier_errors import run_fig1a
@@ -434,9 +434,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        # Registered names plus the documented historical aliases, which
-        # are accepted wherever a backend name is (e.g. "batch" = bigint).
-        choices=backend_names() + tuple(sorted(BACKEND_ALIASES)),
+        choices=backend_names(),
         default="auto",
         help="simulation backend for the circuit sweeps (auto picks by arrival "
         "model and --lanes batch width); results are bit-identical for any value",

@@ -114,12 +114,13 @@ class ExperimentSettings:
     error_arrival_model: str = "transition"
 
     # Simulation-backend selection.  ``sim_backend`` names a registered
-    # backend ("scalar", "bigint", "ndarray") or "auto" to pick by arrival
-    # model and batch width: bigint word-packing for narrow batches, the
-    # NumPy uint64-lane backend once ``sim_batch_size`` (the lane count per
-    # packed batch) reaches the measured crossover — see
-    # repro.circuits.backends.LANE_BACKEND_MIN_LANES.  Backend choice never
-    # changes results, only throughput.
+    # backend ("scalar", "bigint", "ndarray", "event") or "auto" to pick by
+    # arrival model and batch width: bigint word-packing for narrow batches,
+    # the NumPy uint64-lane backend once ``sim_batch_size`` (the lane count
+    # per packed batch) reaches the measured crossover — see
+    # repro.circuits.backends.LANE_BACKEND_MIN_LANES — and for the "event"
+    # model the batched waveform engine from EVENT_BACKEND_MIN_LANES lanes.
+    # Backend choice never changes results, only throughput.
     sim_backend: str = "auto"
     sim_batch_size: int = 256
 

@@ -1,7 +1,7 @@
 """Unified observability: mergeable metrics, span tracing, and exporters.
 
 The repo's telemetry used to be fragmented — ``EventCounters`` on the event
-engines, ``levelized_passes`` on the STA engines, layout-locality fractions
+engines, ``levelized_passes`` on the STA engines, gather-locality fractions
 on the lane backend, per-task ``duration_s`` inside the pipeline scheduler —
 with no common schema and no way to aggregate across worker processes.
 This package unifies all of it behind three pieces:

@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 import repro.observability as observability
+from repro.circuits.backends import backend_names
 from repro.experiments.reporting import _jsonify
 from repro.experiments.settings import ExperimentSettings
 from repro.parallel import WorkerPool
@@ -471,6 +472,13 @@ class AgingAnalysisService:
         unknown = sorted(set(overrides) - set(base.__dataclass_fields__))
         if unknown:
             raise ProtocolError(f"unknown settings fields {unknown}")
+        # The backend is not part of any cache key, so an unknown name would
+        # be answered from a warm cache and only fail on a cold one.
+        backend = overrides.get("sim_backend", base.sim_backend)
+        if backend not in backend_names():
+            raise ProtocolError(
+                f"unknown sim_backend {backend!r}; expected one of {backend_names()}"
+            )
         coerced: dict[str, Any] = {}
         for name, value in overrides.items():
             # JSON has no tuples; tuple-valued fields (aging_levels_mv,

@@ -31,7 +31,6 @@ the pre-scenario implementation.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Mapping, Sequence
 
@@ -114,23 +113,6 @@ def _resolve_output_window(
     return width
 
 
-def _resolve_backend_name(backend: str, engine: str | None) -> str:
-    """Fold the deprecated ``engine=`` spelling into ``backend=``."""
-    if engine is None:
-        return backend
-    warnings.warn(
-        "the 'engine' parameter is deprecated; use 'backend' (same accepted "
-        "names: registered backends or 'auto')",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if backend != "auto" and backend != engine:
-        raise ValueError(
-            f"pass either backend={backend!r} or the deprecated engine={engine!r}, not both"
-        )
-    return engine
-
-
 def _draw_input_vectors(
     unit: ArithmeticUnit,
     input_sampler: InputSampler | None,
@@ -169,7 +151,6 @@ def characterize_timing_errors(
     arrival_model: str = "event",
     backend: str = "auto",
     batch_size: int | None = None,
-    engine: str | None = None,
 ) -> TimingErrorStatistics:
     """Characterise the timing errors of ``unit`` under an aging delay source.
 
@@ -195,23 +176,19 @@ def characterize_timing_errors(
             (pessimistic bound) or ``"transition"`` (optimistic bound).
         backend: a registered simulation-backend name (``"scalar"``,
             ``"bigint"``, ``"ndarray"``, ``"event"`` — the batched
-            waveform engine for the ``"event"`` arrival model;
-            ``"batch"``/``"wheel"`` are historical aliases) or ``"auto"``
-            to let the registry pick by arrival model and batch width — see
+            waveform engine for the ``"event"`` arrival model) or
+            ``"auto"`` to let the registry pick by arrival model and batch width — see
             :func:`repro.circuits.backends.resolve_backend`.  For a given
             arrival model every backend produces bit-for-bit identical
             statistics.
         batch_size: vector pairs (lanes) per packed batch for the batched
             backends (default :data:`DEFAULT_BATCH_SIZE`); also what the
             auto-selection heuristic keys on.
-        engine: deprecated alias for ``backend`` (emits a
-            ``DeprecationWarning``).
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     if clock_period_ps <= 0:
         raise ValueError("clock_period_ps must be positive")
-    backend = _resolve_backend_name(backend, engine)
     resolved, batch_size = resolve_backend(
         backend, arrival_model, batch_size, default_batch_size=DEFAULT_BATCH_SIZE
     )
@@ -394,7 +371,6 @@ def sweep_timing_errors(
     chunk_size: int | None = None,
     samples_per_shard: int | None = None,
     scenarios: "Sequence[AgingScenario] | None" = None,
-    engine: str | None = None,
 ) -> list[TimingErrorStatistics]:
     """Characterise ``unit`` over an aging-scenario axis, fresh clock throughout.
 
@@ -416,9 +392,8 @@ def sweep_timing_errors(
 
     ``arrival_model``/``backend``/``batch_size`` select the simulation
     backend through the registry exactly as in
-    :func:`characterize_timing_errors` (``engine`` is the deprecated alias);
-    the resolved backend name is what ships to worker processes, so the
-    choice survives pickling.
+    :func:`characterize_timing_errors`; the resolved backend name is what
+    ships to worker processes, so the choice survives pickling.
 
     The Monte-Carlo work is sharded by scenario *and* by sample batch within
     a scenario (``samples_per_shard`` samples per work item, default
@@ -443,7 +418,6 @@ def sweep_timing_errors(
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    backend = _resolve_backend_name(backend, engine)
     resolved, batch_size = resolve_backend(
         backend, arrival_model, batch_size, default_batch_size=DEFAULT_BATCH_SIZE
     )

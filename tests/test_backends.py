@@ -2,8 +2,8 @@
 
 Three invariants are enforced:
 
-* **registry** — the four built-in backends resolve by name (and alias),
-  validation lives in one place, and ``"auto"`` selects by arrival model
+* **registry** — the four built-in backends resolve by name (one name
+  each), validation lives in one place, and ``"auto"`` selects by arrival model
   and batch width;
 * **equivalence** — scalar, bigint and ndarray backends produce bit-identical
   captured outputs, violation masks and Monte-Carlo error counters across
@@ -72,10 +72,8 @@ class TestRegistry:
             assert backend.name == name
 
     def test_aliases(self):
-        assert get_backend("batch") is get_backend("bigint")
-        assert get_backend("lane") is get_backend("numpy")
-        assert get_backend("lane") is get_backend("ndarray")
-        assert get_backend("wheel") is get_backend("event")
+        with pytest.raises(ValueError, match="registered backends: .*'bigint'"):
+            get_backend("batch")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="engine"):
@@ -474,11 +472,11 @@ class TestCornerStaPass:
 
 # ------------------------------------------------------- level-ordered layout
 class TestLevelOrderedLayout:
-    """The level-ordered net numbering against the creation-order baseline."""
+    """The level-ordered net numbering against the bigint and scalar engines."""
 
     def test_row_permutation_is_a_bijection(self):
         for netlist in (_MULT5.netlist, _MAC.netlist):
-            graph = levelized_graph(netlist, "level")
+            graph = levelized_graph(netlist)
             assert np.array_equal(
                 np.sort(graph.row_permutation), np.arange(graph.num_nets)
             )
@@ -489,7 +487,7 @@ class TestLevelOrderedLayout:
     @given(netlist=random_netlists())
     @settings(max_examples=30, deadline=None)
     def test_row_permutation_is_a_bijection_on_random_netlists(self, netlist):
-        graph = LevelizedGraph(netlist, "level")
+        graph = LevelizedGraph(netlist)
         assert np.array_equal(np.sort(graph.row_permutation), np.arange(graph.num_nets))
 
     def test_bus_packing_round_trips_through_the_permutation(self):
@@ -498,16 +496,19 @@ class TestLevelOrderedLayout:
         rng = np.random.default_rng(5)
         lanes = 70
         inputs = _lane_inputs(_MAC.netlist, rng, lanes)
-        level = levelized_graph(_MAC.netlist, "level")
-        creation = levelized_graph(_MAC.netlist, "creation")
-        packed_level, lanes_out = level.pack_inputs(inputs)
-        packed_creation, _ = creation.pack_inputs(inputs)
+        graph = levelized_graph(_MAC.netlist)
+        packed, lanes_out = graph.pack_inputs(inputs)
         assert lanes_out == lanes
-        # The permuted layout holds the same rows, just renumbered.
-        assert np.array_equal(packed_level[level.row_permutation], packed_creation)
+        # Each input-bus net's row holds that bus bit of every lane.
+        for bus, nets in _MAC.netlist.input_buses.items():
+            for bit, net in enumerate(nets):
+                row_bits = lane_array_to_bits(packed[graph.net_row[net]][None], lanes)
+                assert row_bits[0].tolist() == [
+                    bool((value >> bit) & 1) for value in inputs[bus]
+                ]
         # And each bus unpacks to exactly the ints that were packed.
-        for bus, rows in level.input_bus_rows.items():
-            bits = lane_array_to_bits(packed_level[rows], lanes)
+        for bus, rows in graph.input_bus_rows.items():
+            bits = lane_array_to_bits(packed[rows], lanes)
             recovered = [
                 int(sum(1 << bit for bit in range(bits.shape[0]) if bits[bit, lane]))
                 for lane in range(lanes)
@@ -537,49 +538,49 @@ class TestLevelOrderedLayout:
         previous = _lane_inputs(_MAC.netlist, rng, lanes)
         current = _lane_inputs(_MAC.netlist, rng, lanes)
         for scenario in scenarios:
-            evals = {
-                layout: LaneTimingSimulator(
-                    _MAC.netlist, scenario, model, layout=layout
-                ).propagate_batch(previous, current)
-                for layout in ("level", "creation")
-            }
-            bigint = BatchTimingSimulator(_MAC.netlist, scenario, model).propagate_batch(
+            lane = LaneTimingSimulator(_MAC.netlist, scenario, model).propagate_batch(
                 previous, current
             )
-            reference = evals["creation"]
+            reference = BatchTimingSimulator(_MAC.netlist, scenario, model).propagate_batch(
+                previous, current
+            )
             clock = float(np.quantile(reference.worst_arrival_ps, 0.5)) or 10.0
-            for other in (evals["level"], bigint):
-                assert np.array_equal(
-                    other.worst_arrival_ps, reference.worst_arrival_ps
-                )
-                assert other.final_outputs() == reference.final_outputs()
-                assert other.captured_outputs(clock) == reference.captured_outputs(clock)
-                for bus, arrivals in reference.output_arrivals_ps.items():
-                    assert np.array_equal(other.output_arrivals_ps[bus], arrivals)
-            # Spot-check a few lanes against the scalar simulator too, so the
-            # chain creation == level == bigint == scalar closes per family.
+            assert np.array_equal(lane.worst_arrival_ps, reference.worst_arrival_ps)
+            assert lane.final_outputs() == reference.final_outputs()
+            assert lane.captured_outputs(clock) == reference.captured_outputs(clock)
+            for bus, arrivals in reference.output_arrivals_ps.items():
+                assert np.array_equal(lane.output_arrivals_ps[bus], arrivals)
+            # Every lane against the scalar simulator too, so the chain
+            # ndarray == bigint == scalar closes per family.
             scalar_sim = TimingSimulator(_MAC.netlist, scenario, arrival_model=model)
-            finals = reference.final_outputs()
-            for lane in (0, lanes // 2, lanes - 1):
+            finals = lane.final_outputs()
+            captured = lane.captured_outputs(clock)
+            for index in range(lanes):
                 scalar_eval = scalar_sim.propagate(
-                    _lane_slice(previous, lane), _lane_slice(current, lane)
+                    _lane_slice(previous, index), _lane_slice(current, index)
                 )
-                assert _lane_slice(finals, lane) == scalar_eval.final_outputs
-                assert (
-                    reference.worst_arrival_ps[lane] == scalar_eval.worst_arrival_ps
-                )
+                assert _lane_slice(finals, index) == scalar_eval.final_outputs
+                assert _lane_slice(captured, index) == scalar_eval.captured_outputs(clock)
+                assert lane.worst_arrival_ps[index] == scalar_eval.worst_arrival_ps
 
     def test_gather_locality_improves_under_level_layout(self):
-        level = levelized_graph(_MAC.netlist, "level").gather_locality()
-        creation = levelized_graph(_MAC.netlist, "creation").gather_locality()
-        assert level["contiguous_output_levels"] == 1.0
+        graph = levelized_graph(_MAC.netlist)
+        level = graph.gather_locality()
         assert level["contiguous_input_buses"] == 1.0
-        assert (
-            level["sequential_read_fraction"] > creation["sequential_read_fraction"]
+        # The same gathers with rows numbered in net creation order.
+        creation_of_row = np.argsort(graph.row_permutation)
+        steps = [
+            np.diff(creation_of_row[rows])
+            for plan in graph.levels
+            for rows in plan.padded_input_rows
+        ]
+        creation_fraction = sum(int(np.count_nonzero(d == 1)) for d in steps) / sum(
+            d.size for d in steps
         )
+        assert level["sequential_read_fraction"] > creation_fraction
 
     def test_max_plus_pass_counter_counts_whole_batches(self):
-        graph = levelized_graph(_MAC.netlist, "level")
+        graph = levelized_graph(_MAC.netlist)
         library = _LIBRARIES.library(20.0)
         delays = {
             gate: library.delay_ps(gate.cell_name, fanout=gate.output.fanout)
@@ -605,14 +606,6 @@ class TestLevelizedGraphCache:
         assert again is first
         assert after["hits"] == warm["hits"] + 1
         assert after["misses"] == warm["misses"]
-
-    def test_layouts_cached_independently(self):
-        netlist = build_multiplier(3, "array").netlist
-        level = levelized_graph(netlist, "level")
-        creation = levelized_graph(netlist, "creation")
-        assert level is not creation
-        assert levelized_graph(netlist, "level") is level
-        assert levelized_graph(netlist, "creation") is creation
 
     def test_simulators_share_the_memoised_graph(self):
         netlist = build_multiplier(3, "array").netlist

@@ -1,8 +1,9 @@
-"""Equivalence and unit tests of the bit-parallel batched simulation engine.
+"""Equivalence and unit tests of the bit-parallel batched simulation engines.
 
-The batched engine must be bit-for-bit equivalent to running the scalar
-simulators once per lane — on the arithmetic circuits the experiments use,
-and on randomized netlists, vectors, batch sizes and ΔVth levels.
+The batched engines (bigint words and ndarray lanes) must be bit-for-bit
+equivalent to running the scalar simulators once per lane — on the
+arithmetic circuits the experiments use, and on randomized netlists,
+vectors, batch sizes and ΔVth levels.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aging.cell_library import AgingAwareLibrarySet, fresh_library
+from repro.circuits.backends import LaneTimingSimulator
 from repro.circuits.gates import (
     CELL_FUNCTIONS,
     CELL_INPUT_COUNTS,
@@ -38,6 +40,9 @@ from repro.timing.sta import StaticTimingAnalyzer
 _MULT5 = build_multiplier(5, "array")
 _MAC = build_mac(multiplier_width=5, accumulator_width=12)
 _LIBRARIES = AgingAwareLibrarySet.generate((0.0, 20.0, 50.0))
+
+#: The batched two-vector timing engines held to the scalar reference.
+TIMING_ENGINES = (BatchTimingSimulator, LaneTimingSimulator)
 
 
 # ----------------------------------------------------------------- helpers
@@ -164,6 +169,8 @@ class TestBatchLogicSimulator:
 
 # ------------------------------------------------------- timing equivalence
 class TestBatchTimingSimulator:
+    """Timing properties every batched engine of :data:`TIMING_ENGINES` keeps."""
+
     @pytest.mark.parametrize("model", BATCH_ARRIVAL_MODELS)
     @pytest.mark.parametrize("level", [0.0, 50.0])
     def test_matches_scalar_on_mac(self, model, level):
@@ -172,25 +179,28 @@ class TestBatchTimingSimulator:
         lanes = 65
         previous = _lane_inputs(_MAC.netlist, rng, lanes)
         current = _lane_inputs(_MAC.netlist, rng, lanes)
-        batch_sim = BatchTimingSimulator(_MAC.netlist, library, model)
         scalar_sim = TimingSimulator(_MAC.netlist, library, arrival_model=model)
-        evaluation = batch_sim.propagate_batch(previous, current)
-        finals = evaluation.final_outputs()
-        previous_outputs = evaluation.previous_outputs()
-        clock = float(np.quantile(evaluation.worst_arrival_ps, 0.5)) or 10.0
-        captured = evaluation.captured_outputs(clock)
-        for lane in range(lanes):
-            reference = scalar_sim.propagate(
-                _lane_slice(previous, lane), _lane_slice(current, lane)
+        references = [
+            scalar_sim.propagate(_lane_slice(previous, lane), _lane_slice(current, lane))
+            for lane in range(lanes)
+        ]
+        for engine in TIMING_ENGINES:
+            evaluation = engine(_MAC.netlist, library, model).propagate_batch(
+                previous, current
             )
-            assert _lane_slice(finals, lane) == reference.final_outputs
-            assert _lane_slice(previous_outputs, lane) == reference.previous_outputs
-            assert _lane_slice(captured, lane) == reference.captured_outputs(clock)
-            assert evaluation.worst_arrival_ps[lane] == pytest.approx(
-                reference.worst_arrival_ps, abs=1e-9
-            )
-            for bus, arrivals in evaluation.output_arrivals_ps.items():
-                assert np.allclose(arrivals[:, lane], reference.output_arrivals_ps[bus])
+            finals = evaluation.final_outputs()
+            previous_outputs = evaluation.previous_outputs()
+            clock = float(np.quantile(evaluation.worst_arrival_ps, 0.5)) or 10.0
+            captured = evaluation.captured_outputs(clock)
+            for lane, reference in enumerate(references):
+                assert _lane_slice(finals, lane) == reference.final_outputs
+                assert _lane_slice(previous_outputs, lane) == reference.previous_outputs
+                assert _lane_slice(captured, lane) == reference.captured_outputs(clock)
+                assert evaluation.worst_arrival_ps[lane] == pytest.approx(
+                    reference.worst_arrival_ps, abs=1e-9
+                )
+                for bus, arrivals in evaluation.output_arrivals_ps.items():
+                    assert np.allclose(arrivals[:, lane], reference.output_arrivals_ps[bus])
 
     @given(
         netlist=random_netlists(),
@@ -205,53 +215,57 @@ class TestBatchTimingSimulator:
         library = _LIBRARIES.library(level)
         previous = _lane_inputs(netlist, rng, lanes)
         current = _lane_inputs(netlist, rng, lanes)
-        evaluation = BatchTimingSimulator(netlist, library, model).propagate_batch(
-            previous, current
-        )
         scalar_sim = TimingSimulator(netlist, library, arrival_model=model)
-        finals = evaluation.final_outputs()
-        clock = max(float(evaluation.worst_arrival_ps.max()) / 2, 1e-3)
-        captured = evaluation.captured_outputs(clock)
-        for lane in range(lanes):
-            reference = scalar_sim.propagate(
-                _lane_slice(previous, lane), _lane_slice(current, lane)
-            )
-            assert _lane_slice(finals, lane) == reference.final_outputs
-            assert _lane_slice(captured, lane) == reference.captured_outputs(clock)
-            assert evaluation.worst_arrival_ps[lane] == pytest.approx(
-                reference.worst_arrival_ps, abs=1e-9
-            )
+        references = [
+            scalar_sim.propagate(_lane_slice(previous, lane), _lane_slice(current, lane))
+            for lane in range(lanes)
+        ]
+        for engine in TIMING_ENGINES:
+            evaluation = engine(netlist, library, model).propagate_batch(previous, current)
+            finals = evaluation.final_outputs()
+            clock = max(float(evaluation.worst_arrival_ps.max()) / 2, 1e-3)
+            captured = evaluation.captured_outputs(clock)
+            for lane, reference in enumerate(references):
+                assert _lane_slice(finals, lane) == reference.final_outputs
+                assert _lane_slice(captured, lane) == reference.captured_outputs(clock)
+                assert evaluation.worst_arrival_ps[lane] == pytest.approx(
+                    reference.worst_arrival_ps, abs=1e-9
+                )
 
     def test_no_transition_means_no_activity(self, fresh_cells):
-        simulator = BatchTimingSimulator(_MULT5.netlist, fresh_cells)
         inputs = {"a": [5, 6], "b": [5, 6]}
-        evaluation = simulator.propagate_batch(inputs, inputs)
-        assert (evaluation.worst_arrival_ps == 0.0).all()
-        assert not evaluation.has_timing_violation(1.0).any()
+        for engine in TIMING_ENGINES:
+            evaluation = engine(_MULT5.netlist, fresh_cells).propagate_batch(inputs, inputs)
+            assert (evaluation.worst_arrival_ps == 0.0).all()
+            assert not evaluation.has_timing_violation(1.0).any()
 
     def test_settle_never_exceeds_sta_critical_path(self, fresh_cells):
         critical = StaticTimingAnalyzer(_MAC, fresh_cells).critical_path_delay()
         rng = np.random.default_rng(3)
-        simulator = BatchTimingSimulator(_MAC.netlist, fresh_cells, "settle")
-        evaluation = simulator.propagate_batch(
-            _lane_inputs(_MAC.netlist, rng, 120), _lane_inputs(_MAC.netlist, rng, 120)
-        )
-        assert (evaluation.worst_arrival_ps <= critical + 1e-9).all()
+        previous = _lane_inputs(_MAC.netlist, rng, 120)
+        current = _lane_inputs(_MAC.netlist, rng, 120)
+        for engine in TIMING_ENGINES:
+            simulator = engine(_MAC.netlist, fresh_cells, "settle")
+            evaluation = simulator.propagate_batch(previous, current)
+            assert (evaluation.worst_arrival_ps <= critical + 1e-9).all()
 
     def test_event_model_rejected(self, fresh_cells):
-        with pytest.raises(ValueError, match="arrival_model"):
-            BatchTimingSimulator(_MULT5.netlist, fresh_cells, "event")
+        for engine in TIMING_ENGINES:
+            with pytest.raises(ValueError, match="arrival_model"):
+                engine(_MULT5.netlist, fresh_cells, "event")
 
     def test_lane_count_mismatch_rejected(self, fresh_cells):
-        simulator = BatchTimingSimulator(_MULT5.netlist, fresh_cells)
-        with pytest.raises(ValueError, match="lanes"):
-            simulator.propagate_batch({"a": [1, 2], "b": [3, 4]}, {"a": [1], "b": [3]})
+        for engine in TIMING_ENGINES:
+            simulator = engine(_MULT5.netlist, fresh_cells)
+            with pytest.raises(ValueError, match="lanes"):
+                simulator.propagate_batch({"a": [1, 2], "b": [3, 4]}, {"a": [1], "b": [3]})
 
     def test_invalid_clock_period_rejected(self, fresh_cells):
-        simulator = BatchTimingSimulator(_MULT5.netlist, fresh_cells)
-        evaluation = simulator.propagate_batch({"a": [0], "b": [0]}, {"a": [3], "b": [3]})
-        with pytest.raises(ValueError):
-            evaluation.captured_outputs(0.0)
+        for engine in TIMING_ENGINES:
+            simulator = engine(_MULT5.netlist, fresh_cells)
+            evaluation = simulator.propagate_batch({"a": [0], "b": [0]}, {"a": [3], "b": [3]})
+            with pytest.raises(ValueError):
+                evaluation.captured_outputs(0.0)
 
 
 # --------------------------------------------------- error-model equivalence
@@ -272,7 +286,7 @@ class TestErrorModelEngines:
         )
         # A batch size smaller than the sample count exercises chunking.
         batch = characterize_timing_errors(
-            unit, library, period, backend="batch", batch_size=64, **kwargs
+            unit, library, period, backend="bigint", batch_size=64, **kwargs
         )
         assert scalar == batch
         assert batch.error_rate > 0.0
@@ -301,7 +315,7 @@ class TestErrorModelEngines:
             )
         with pytest.raises(ValueError, match="batched engine"):
             characterize_timing_errors(
-                unit, library, 100.0, num_samples=4, arrival_model="event", backend="batch"
+                unit, library, 100.0, num_samples=4, arrival_model="event", backend="bigint"
             )
         with pytest.raises(ValueError, match="batch_size"):
             characterize_timing_errors(

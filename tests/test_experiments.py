@@ -324,6 +324,7 @@ class TestRunner:
             ["--lanes", "-64"],
             ["--batch-size", "0"],
             ["--backend", "gpu"],
+            ["--backend", "wheel"],
         ],
     )
     def test_cli_rejects_invalid_parallel_and_backend_args(self, argv, capsys):

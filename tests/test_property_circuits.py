@@ -129,14 +129,13 @@ class TestCaseConstantProperties:
         netlist, corners = case
         assert set(netlist.cell_histogram()) == set(CELL_FUNCTIONS)
         assignments = [case_assignments(netlist, corner) for corner in corners]
-        for layout in ("level", "creation"):
-            graph = levelized_graph(netlist, layout)
-            mask = graph.constant_mask(assignments)
-            for column, corner in enumerate(assignments):
-                expected = np.zeros(graph.num_nets, dtype=bool)
-                for net in propagate_constants(netlist, corner):
-                    expected[graph.net_row[net]] = True
-                assert np.array_equal(mask[:, column], expected)
+        graph = levelized_graph(netlist)
+        mask = graph.constant_mask(assignments)
+        for column, corner in enumerate(assignments):
+            expected = np.zeros(graph.num_nets, dtype=bool)
+            for net in propagate_constants(netlist, corner):
+                expected[graph.net_row[net]] = True
+            assert np.array_equal(mask[:, column], expected)
 
     @given(case=all_cell_netlists())
     @settings(max_examples=30, deadline=None)

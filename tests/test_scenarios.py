@@ -129,51 +129,6 @@ class TestUniformLegacyEquivalence:
 
 
 # =====================================================================
-# The deprecated engine= alias
-# =====================================================================
-class TestEngineAlias:
-    def test_engine_warns_and_matches_backend(self, multiplier6, library_set):
-        kwargs = dict(
-            levels_mv=(0.0, 50.0),
-            num_samples=40,
-            rng=0,
-            effective_output_width=12,
-            arrival_model="transition",
-        )
-        via_backend = sweep_timing_errors(multiplier6, library_set, backend="bigint", **kwargs)
-        with pytest.warns(DeprecationWarning, match="engine"):
-            via_engine = sweep_timing_errors(multiplier6, library_set, engine="bigint", **kwargs)
-        assert via_backend == via_engine
-
-    def test_characterize_engine_alias(self, multiplier6, library_set):
-        period = StaticTimingAnalyzer(multiplier6, library_set.fresh).critical_path_delay()
-        with pytest.warns(DeprecationWarning):
-            stats = characterize_timing_errors(
-                multiplier6,
-                library_set.library(50.0),
-                period,
-                num_samples=30,
-                rng=0,
-                effective_output_width=12,
-                arrival_model="settle",
-                engine="bigint",
-            )
-        assert stats.num_samples == 30
-
-    def test_conflicting_engine_and_backend_rejected(self, multiplier6, library_set):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="not both"):
-                characterize_timing_errors(
-                    multiplier6,
-                    library_set.fresh,
-                    100.0,
-                    num_samples=4,
-                    backend="scalar",
-                    engine="bigint",
-                )
-
-
-# =====================================================================
 # Scenario semantics
 # =====================================================================
 class TestMissionProfile:

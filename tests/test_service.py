@@ -623,6 +623,9 @@ class TestService:
                 with pytest.raises(ServiceError) as excinfo:
                     client.query(["fig2"], {"not_a_field": 1})
                 assert excinfo.value.code == BAD_REQUEST
+                with pytest.raises(ServiceError) as excinfo:
+                    client.query(["fig2"], {"sim_backend": "wheel"})
+                assert excinfo.value.code == BAD_REQUEST
                 # The connection is still usable afterwards.
                 assert client.ping()["event"] == "pong"
         finally:
