@@ -28,7 +28,7 @@ from repro.core.padding import Padding
 from repro.core.timing_analysis import CompressionTiming, CompressionTimingAnalyzer
 from repro.nn.evaluate import QuantizedEvaluation, quantize_and_evaluate
 from repro.nn.model import Model
-from repro.nn.quantized import record_calibration
+from repro.nn.quantized import CalibrationRecording, record_calibration
 from repro.quantization.base import QuantizationMethod
 from repro.quantization.registry import available_methods
 
@@ -110,13 +110,16 @@ class AgingAwareQuantizer:
         y_test: np.ndarray,
         accuracy_loss_threshold_percent: float | None = None,
         fp32_accuracy: float | None = None,
+        calibration_recording: CalibrationRecording | None = None,
     ) -> tuple[str, QuantizedEvaluation, dict[str, QuantizedEvaluation], bool]:
         """Search the method library at the compression's bit-widths.
 
         The FP32 calibration forward pass depends only on the model and the
-        calibration data, so it runs once here and every method quantizes
-        from the shared :func:`~repro.nn.quantized.record_calibration`
-        (bit-for-bit equal to calibrating per method).
+        calibration data, so it runs at most once here and every method
+        quantizes from the shared :func:`~repro.nn.quantized.record_calibration`
+        (bit-for-bit equal to calibrating per method).  Callers that quantize
+        the same model at several compressions pass ``calibration_recording``
+        (recorded from ``calibration_data``) to skip even that pass.
 
         Returns ``(selected_key, selected_evaluation, per_method, satisfied)``.
         """
@@ -127,7 +130,8 @@ class AgingAwareQuantizer:
         if fp32_accuracy is None:
             fp32_accuracy = model.accuracy(x_test, y_test)
 
-        recording = record_calibration(model, calibration_data)
+        if calibration_recording is None:
+            calibration_recording = record_calibration(model, calibration_data)
         per_method: dict[str, QuantizedEvaluation] = {}
         for method in self.methods:
             evaluation = quantize_and_evaluate(
@@ -140,7 +144,7 @@ class AgingAwareQuantizer:
                 x_test=x_test,
                 y_test=y_test,
                 fp32_accuracy=fp32_accuracy,
-                calibration_recording=recording,
+                calibration_recording=calibration_recording,
             )
             per_method[method.key] = evaluation
             if (

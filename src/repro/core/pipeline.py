@@ -27,6 +27,7 @@ from repro.core.guardband import GuardbandAnalysis, analyze_guardband
 from repro.core.padding import Padding, compressed_input_sampler
 from repro.core.timing_analysis import CompressionTiming
 from repro.nn.model import Model
+from repro.nn.quantized import record_calibration
 from repro.power.energy import EnergyModel, EnergyReport
 from repro.quantization.base import QuantizationMethod
 
@@ -154,9 +155,14 @@ class DeviceToSystemPipeline:
         levels_mv: tuple[float, ...] | None = None,
         accuracy_loss_threshold_percent: float | None = None,
     ) -> list[AgingAwareQuantizationResult]:
-        """Run Algorithm 1 for one network over the (aged) scenario levels."""
+        """Run Algorithm 1 for one network over the (aged) scenario levels.
+
+        The FP32 calibration recording depends on neither the level nor the
+        method, so it is recorded once here and shared by every level.
+        """
         levels = levels_mv if levels_mv is not None else self.timeline.aged_levels_mv()
         fp32_accuracy = model.accuracy(x_test, y_test)
+        recording = record_calibration(model, calibration_data)
         results = []
         for level in levels:
             plan = self.plan_level(level)
@@ -168,6 +174,7 @@ class DeviceToSystemPipeline:
                 y_test,
                 accuracy_loss_threshold_percent=accuracy_loss_threshold_percent,
                 fp32_accuracy=fp32_accuracy,
+                calibration_recording=recording,
             )
             results.append(
                 AgingAwareQuantizationResult(

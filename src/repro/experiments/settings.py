@@ -24,6 +24,7 @@ from repro.aging.scenarios import (
     UniformAging,
     VariationAging,
 )
+from repro.circuits.backends import backend_names
 from repro.nn.zoo import FIG1B_NETWORKS, TABLE1_NETWORKS
 
 
@@ -104,7 +105,8 @@ class ExperimentSettings:
     # Fig. 1a multiplier error characterisation.  The batched simulation
     # backends (repro.circuits.backends) make large sample counts cheap:
     # "settle"/"transition" run on the levelized engines, "event" on the
-    # batched time wheel (the scalar event loop for narrow batches).
+    # batched per-gate waveform engine (the scalar event loop for narrow
+    # batches).
     # "transition" (optimistic bound) gives exactly zero mean error
     # distance, MSB flips and errors from 0 to 40 mV at the fast profile;
     # at 50 mV the error rate is 0.002 and MSB flips are still 0, so it
@@ -120,7 +122,10 @@ class ExperimentSettings:
     # per packed batch) reaches the measured crossover — see
     # repro.circuits.backends.LANE_BACKEND_MIN_LANES — and for the "event"
     # model the batched waveform engine from EVENT_BACKEND_MIN_LANES lanes.
-    # Backend choice never changes results, only throughput.
+    # Backend choice never changes results, only throughput, so the backend
+    # is in no cache key: an unknown name is rejected here, where every
+    # entry point (runner, library, service) builds its settings, rather
+    # than answered from a warm cache and failing only on a cold one.
     sim_backend: str = "auto"
     sim_batch_size: int = 256
 
@@ -142,6 +147,12 @@ class ExperimentSettings:
     ablation_networks: tuple[str, ...] = ("resnet50", "squeezenet")
     ablation_max_compression: int = 6
     ablation_methods: tuple[str, ...] = ("M2", "M4")
+
+    def __post_init__(self) -> None:
+        if self.sim_backend not in backend_names():
+            raise ValueError(
+                f"unknown sim_backend {self.sim_backend!r}; expected one of {backend_names()}"
+            )
 
     @classmethod
     def fast(cls, **overrides) -> "ExperimentSettings":

@@ -107,11 +107,12 @@ class MsbBitFlipInjector:
             )
             num_events = self.max_events_per_call
 
-        flat_indices = self._generator.integers(0, total_products, size=num_events)
-        i, remainder = np.divmod(flat_indices, inner * cols)  # remainder = k * cols + j
-        k, j = np.divmod(remainder, cols)
-        activation_codes = q_activations.ravel()[i * inner + k]
-        weight_codes = q_weights.ravel()[remainder]
+        # flat = (i * inner + k) * cols + j for product (i, k, j).
+        flat = self._generator.integers(0, total_products, size=num_events)
+        activation_index, j = divmod(flat, cols)
+        i = activation_index // inner
+        activation_codes = q_activations.ravel()[activation_index]
+        weight_codes = q_weights.ravel()[flat - i * inner * cols]
         products = activation_codes.astype(np.int64) * weight_codes.astype(np.int64)
         bits = self._generator.choice(np.array(self.msb_bits), size=num_events)
         bit_values = (products >> bits) & 1

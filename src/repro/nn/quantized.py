@@ -25,6 +25,15 @@ parameters are per-tensor and quantization is elementwise, so this equals
 quantizing the unfolded FP32 columns, without quantizing every input value
 once per kernel tap.  In the calibration phase ``layer_input`` passes the
 FP32 input through and ``linear`` receives FP32 operands.
+
+Codes are held in floating point so the integer GEMM runs on BLAS.  Every
+product and partial sum is a non-negative integer no larger than the full
+sum, so a layer whose largest possible accumulator is below ``2**24`` gets
+exact results from a float32 GEMM in any summation order; each layer picks
+float32 where that bound holds (:attr:`LayerQuantization.code_dtype`) and
+float64 (exact below ``2**53``) elsewhere.  The same GEMM yields the
+activation row sums of the zero-point expansion through an all-ones column
+appended to the weight codes, so the column matrix is read once.
 """
 
 from __future__ import annotations
@@ -56,11 +65,20 @@ class LayerQuantization:
             (``s_a * s_w``).
 
     The remaining attributes are derived once, for the run phase:
-    ``activation_pad`` (the code of real 0.0, which pads unfolded codes),
-    ``weight_codes`` (the contiguous (K, N) float64 GEMM operand),
-    ``weight_zero`` (the per-channel decode zero points ``z_w``) and the
-    constant zero-point terms ``zero_col_sums`` (``z_a * sum_k q_w``) and
-    ``zero_product`` (``K * z_a * z_w``).
+
+    * ``activation_pad``: the code of real 0.0, which pads unfolded codes.
+    * ``code_dtype``: float32 when ``activation.max_level`` times the
+      largest column sum of ``gemm_operand`` is below ``2**24`` (every
+      partial sum of the GEMM is then an exact float32 integer), else
+      float64.  Activation codes and both operands below use it.
+    * ``gemm_operand``: the (K, N + 1) GEMM operand ``[q_w | 1]``, the
+      weight codes with an all-ones column whose product is each row's
+      activation code sum (the ones column counts toward the bound).
+    * ``weight_codes``: the contiguous (K, N) weight codes, which the fault
+      injector gathers hit products from.
+    * ``weight_zero``: the per-channel decode zero points ``z_w``.
+    * ``zero_col_sums`` and ``zero_product``: the constant zero-point terms
+      ``z_a * sum_k q_w`` and ``K * z_a * z_w``.
     """
 
     activation: QuantParams
@@ -70,6 +88,8 @@ class LayerQuantization:
     quantized_bias: np.ndarray
     bias_scale: np.ndarray
     activation_pad: float = field(init=False)
+    code_dtype: type = field(init=False)
+    gemm_operand: np.ndarray = field(init=False, repr=False)
     weight_codes: np.ndarray = field(init=False, repr=False)
     weight_zero: np.ndarray = field(init=False, repr=False)
     zero_col_sums: np.ndarray = field(init=False, repr=False)
@@ -79,11 +99,17 @@ class LayerQuantization:
         channels, inner = self.quantized_weights.shape
         activation_zero = float(np.asarray(self.activation.zero_point).reshape(-1)[0])
         self.activation_pad = float(self.activation.quantize(0.0))
-        self.weight_codes = np.ascontiguousarray(self.quantized_weights.T, dtype=np.float64)
+        operand = np.ones((inner, channels + 1))
+        operand[:, :channels] = self.quantized_weights.T
+        column_sums = operand.sum(axis=0)
+        bound = self.activation.max_level * column_sums.max()
+        self.code_dtype = np.float32 if bound < 2**24 else np.float64
+        self.gemm_operand = operand.astype(self.code_dtype)
+        self.weight_codes = np.ascontiguousarray(self.gemm_operand[:, :channels])
         self.weight_zero = np.broadcast_to(
             np.asarray(self.weight_decode.zero_point, dtype=np.float64), (channels,)
         )
-        self.zero_col_sums = activation_zero * self.weight_codes.sum(axis=0)
+        self.zero_col_sums = activation_zero * column_sums[:channels]
         self.zero_product = inner * activation_zero * self.weight_zero
 
 
@@ -227,13 +253,14 @@ class QuantizationContext:
         """The operand ``layer`` builds its :meth:`linear` input from, and its pad value.
 
         During calibration this is ``x`` itself, padded with 0.0.  In the run
-        phase it is the float64 activation codes of ``x`` (one quantization
-        of the whole input), padded with the code of 0.0.
+        phase it is the activation codes of ``x`` (one quantization of the
+        whole input) in the layer's ``code_dtype``, padded with the code of
+        0.0.
         """
         if self._calibrating:
             return x, 0.0
         params = self._params(layer)
-        return params.activation.quantize(x).astype(np.float64), params.activation_pad
+        return params.activation.quantize(x).astype(params.code_dtype), params.activation_pad
 
     def linear(
         self,
@@ -283,14 +310,16 @@ class QuantizationContext:
         )
 
     def _integer_linear(self, q_activations: np.ndarray, params: LayerQuantization) -> np.ndarray:
-        # Integer codes are held in float64 for exact, BLAS-accelerated matmul.
-        raw = q_activations @ params.weight_codes  # the unsigned MAC products, accumulated
+        # Integer codes in ``code_dtype`` give an exact BLAS matmul (see
+        # LayerQuantization); the epilogue runs in float64.  The last column
+        # is each row's code sum, the rest the accumulated MAC products.
+        accumulated = (q_activations @ params.gemm_operand).astype(np.float64, copy=False)
+        raw, row_sums = accumulated[:, :-1], accumulated[:, -1:]
         if self.fault_injector is not None:
             deltas = self.fault_injector.accumulation_deltas(q_activations, params.weight_codes)
             if deltas is not None:
                 raw += deltas
 
-        row_sums = q_activations.sum(axis=1, keepdims=True)  # (M, 1)
         # Strictly left to right: decode zero points may be non-integer (bias
         # correction), so reassociating the terms would change the result.
         accumulator = raw - row_sums * params.weight_zero

@@ -43,7 +43,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 import repro.observability as observability
-from repro.circuits.backends import backend_names
 from repro.experiments.reporting import _jsonify
 from repro.experiments.settings import ExperimentSettings
 from repro.parallel import WorkerPool
@@ -472,13 +471,6 @@ class AgingAnalysisService:
         unknown = sorted(set(overrides) - set(base.__dataclass_fields__))
         if unknown:
             raise ProtocolError(f"unknown settings fields {unknown}")
-        # The backend is not part of any cache key, so an unknown name would
-        # be answered from a warm cache and only fail on a cold one.
-        backend = overrides.get("sim_backend", base.sim_backend)
-        if backend not in backend_names():
-            raise ProtocolError(
-                f"unknown sim_backend {backend!r}; expected one of {backend_names()}"
-            )
         coerced: dict[str, Any] = {}
         for name, value in overrides.items():
             # JSON has no tuples; tuple-valued fields (aging_levels_mv,
@@ -487,7 +479,10 @@ class AgingAnalysisService:
             if isinstance(value, list) and isinstance(getattr(base, name), tuple):
                 value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
             coerced[name] = value
-        return base.with_overrides(**coerced)
+        try:
+            return base.with_overrides(**coerced)
+        except ValueError as error:  # e.g. an unknown sim_backend
+            raise ProtocolError(str(error)) from None
 
     # ----------------------------------------------------------------- stats
     def _stats_event(self) -> dict[str, Any]:

@@ -7,12 +7,15 @@ stay fast while covering every decision the algorithm makes.
 
 import pytest
 
+import repro.core.algorithm as algorithm_module
+import repro.core.pipeline as pipeline_module
 from repro.aging.bti import AgingTimeline
 from repro.core.algorithm import AgingAwareQuantizer
 from repro.core.compression import CompressionChoice
 from repro.core.guardband import analyze_guardband, baseline_delay_trajectory, compensated_delay_trajectory
 from repro.core.pipeline import DeviceToSystemPipeline
 from repro.core.timing_analysis import CompressionTimingAnalyzer
+from repro.nn.quantized import record_calibration
 from repro.quantization.registry import available_methods
 
 
@@ -218,6 +221,31 @@ class TestPipeline:
         for result in results:
             assert result.timing.meets_timing
             assert result.selected_method in ("M2", "M4")
+
+    def test_evaluate_network_records_calibration_once(
+        self, pipeline, tiny_model, tiny_calibration, tiny_dataset, monkeypatch
+    ):
+        x_test, y_test = tiny_dataset.x_test, tiny_dataset.y_test
+        calls = []
+
+        def counting_record_calibration(*args, **kwargs):
+            calls.append(args)
+            return record_calibration(*args, **kwargs)
+
+        for module in (algorithm_module, pipeline_module):
+            monkeypatch.setattr(module, "record_calibration", counting_record_calibration)
+        results = pipeline.evaluate_network(tiny_model, tiny_calibration, x_test, y_test)
+        assert len(results) == 2 and len(calls) == 1
+        # The shared recording reproduces a per-level calibration exactly.
+        for result in results:
+            selected, _, per_method, _ = pipeline.quantizer.quantize_model(
+                tiny_model, result.timing.choice, tiny_calibration, x_test, y_test
+            )
+            assert selected == result.selected_method
+            assert {key: e.quantized_accuracy for key, e in per_method.items()} == {
+                key: e.quantized_accuracy for key, e in result.per_method.items()
+            }
+        assert len(calls) == 1 + len(results)
 
     def test_energy_study_shows_savings_when_aged(self, pipeline):
         study = pipeline.energy_study(num_transitions=120, rng=0)

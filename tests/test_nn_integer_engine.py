@@ -3,11 +3,13 @@
 The run phase quantizes each layer's input once and unfolds the activation
 codes.  The reference below keeps the earlier formulation: unfold the FP32
 input (zero padding), quantize the duplicated columns, re-derive the weight
-codes and their sums on every call and scatter fault deltas with
+codes and their sums on every call in float64 and scatter fault deltas with
 ``np.add.at``.  Both must produce bit-identical
 logits — and bit-identical outputs of every integer layer, since later
 layers re-quantize and could hide a difference — for every method, bit
-width, network shape and fault rate.
+width, network shape and fault rate, and whichever code dtype
+(float32 under the per-layer exactness bound, float64 above it) each
+layer runs its GEMM in.
 """
 
 import numpy as np
@@ -16,8 +18,16 @@ import pytest
 import repro.nn.layers as nn_layers
 from repro.nn.faults import MsbBitFlipInjector
 from repro.nn.functional import conv_output_size
-from repro.nn.quantized import QuantizationContext, QuantizedModel, record_calibration
+from repro.nn.layers import Conv2D, Dense, Flatten, ReLU
+from repro.nn.model import Model
+from repro.nn.quantized import (
+    LayerQuantization,
+    QuantizationContext,
+    QuantizedModel,
+    record_calibration,
+)
 from repro.nn.zoo import build_model
+from repro.quantization.base import QuantParams
 from repro.quantization.registry import METHOD_KEYS, get_method
 from repro.utils.rng import make_rng
 
@@ -176,3 +186,64 @@ def test_bincount_deltas_match_add_at_scatter(shapes):
     deltas = injector.accumulation_deltas(q_a, q_w)
     expected = reference_deltas(make_rng(4), 1.0, q_a, q_w)
     assert deltas is not None and np.array_equal(deltas, expected)
+
+
+# ------------------------------------------------------------ code dtype guard
+def identity_layer(activation_bits, weight_codes, weight_zero=0.0):
+    """A layer over explicit (N, K) weight codes, unit scales, no bias."""
+    weight_codes = np.asarray(weight_codes, dtype=np.int64)
+    channels = weight_codes.shape[0]
+    activation = QuantParams(scale=1.0, zero_point=0.0, num_bits=activation_bits)
+    weights = QuantParams(
+        scale=np.ones(channels), zero_point=np.full(channels, weight_zero),
+        num_bits=16, channel_axis=0,
+    )
+    return LayerQuantization(
+        activation, weights, weights, weight_codes, np.zeros(channels), np.ones(channels)
+    )
+
+
+def test_bound_of_exactly_2_pow_24_picks_float64():
+    # 1-bit activations (max level 1), one column summing to 256 * 65536.
+    codes = np.concatenate([np.full(256, 65535), np.ones(256)])[None, :]
+    assert identity_layer(1, codes).code_dtype is np.float64
+    # The all-ones column counts: zero weights, but 255 * 65794 >= 2**24.
+    assert identity_layer(8, np.zeros((1, 65794))).code_dtype is np.float64
+
+
+def test_bound_one_below_2_pow_24_picks_float32_and_stays_exact():
+    codes = np.concatenate([np.full(256, 65535), np.ones(255), [0]])[None, :]
+    assert identity_layer(1, codes).code_dtype is np.float32
+    # 255 * 65793 == 2**24 - 1, set by the all-ones column alone.
+    layer = identity_layer(8, np.zeros((1, 65793)), weight_zero=1.0)
+    assert layer.code_dtype is np.float32
+    context = QuantizationContext(get_method("M2"), 8, 8)
+    # Every activation at the top code: the row sum is the bound itself, and
+    # with z_w = 1 the output is exactly minus that row sum.
+    q_activations = np.full((2, 65793), 255, dtype=layer.code_dtype)
+    output = context._integer_linear(q_activations, layer)
+    assert np.array_equal(output, np.full((2, 1), -(2.0**24 - 1)))
+
+
+@pytest.mark.parametrize("probability", FLIP_PROBABILITIES)
+@pytest.mark.parametrize("key", ("M2", "M4"))
+def test_wide_dense_runs_float64_and_matches_reference(key, probability, monkeypatch):
+    rng = np.random.default_rng(7)
+    calibration = rng.normal(size=(16, 3, 16, 16))
+    # Inputs beyond the calibrated range saturate many codes, so the dense
+    # accumulators pass 2**24, where a float32 GEMM would round.
+    inputs = 4.0 * rng.normal(size=(4, 3, 16, 16))
+    model = Model(
+        [Conv2D(3, 8, rng=1), ReLU(), Flatten(), Dense(8 * 16 * 16, 10, rng=2)], num_classes=10
+    )
+    quantized = QuantizedModel.build(model, get_method(key), 8, 8, calibration_data=calibration)
+    dtypes = {name: params.code_dtype for name, params in quantized.context.layer_params.items()}
+    assert dtypes == {"0_conv2d": np.float32, "3_dense": np.float64}
+
+    quantized.set_fault_injector(MsbBitFlipInjector(probability, msb_bits=MSB_BITS, rng=FAULT_SEED))
+    logits = quantized.forward(inputs)
+    reference = ReferenceContext(quantized.context.layer_params, probability, FAULT_SEED)
+    with monkeypatch.context() as patch:
+        patch.setattr(nn_layers, "im2col", reference_im2col)
+        expected = model.forward_quantized(inputs, reference)
+    assert np.array_equal(logits, expected)

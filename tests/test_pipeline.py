@@ -338,6 +338,32 @@ class TestSchedulerHardware:
         assert canonical(warm.results["fig1a"]) == canonical(cold.results["fig1a"])
         assert "sim_backend" not in cold.results["fig1a"].metadata
 
+    def test_unknown_backend_rejected_before_any_cache_lookup(
+        self, hw_settings, tmp_path, monkeypatch
+    ):
+        """The backend is in no cache key, so a warm cache would answer a bad
+        name; the settings reject it before the pipeline looks anything up."""
+        run_pipeline(["fig2"], hw_settings, cache_dir=tmp_path)
+        lookups = []
+        for method in ("contains", "load"):
+            original = getattr(ArtifactCache, method)
+
+            def counted(self, *args, _original=original, **kwargs):
+                lookups.append(args)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(ArtifactCache, method, counted)
+        warm = run_pipeline(["fig2"], hw_settings, cache_dir=tmp_path)
+        assert warm.executed == () and lookups
+        lookups.clear()
+        with pytest.raises(ValueError, match="unknown sim_backend 'gpu'"):
+            run_pipeline(
+                ["fig2"], hw_settings.with_overrides(sim_backend="gpu"), cache_dir=tmp_path
+            )
+        with pytest.raises(ValueError, match="unknown sim_backend"):
+            ExperimentSettings.fast(sim_backend="wheel")
+        assert lookups == []
+
     def test_completed_outputs_survive_a_mid_run_crash(self, hw_settings, tmp_path, monkeypatch):
         """Each requested JSON is written as soon as its task finishes."""
         import repro.pipeline.registry as registry_module
