@@ -260,7 +260,7 @@ class QuantizationContext:
         if self._calibrating:
             return x, 0.0
         params = self._params(layer)
-        return params.activation.quantize(x).astype(params.code_dtype), params.activation_pad
+        return params.activation.quantize(x, params.code_dtype), params.activation_pad
 
     def linear(
         self,

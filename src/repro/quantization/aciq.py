@@ -79,13 +79,8 @@ class ACIQQuantizer(QuantizationMethod):
         return self._bias_correction
 
     # ------------------------------------------------------------------ ranges
-    def _multiplier(self, num_bits: int, prior: str) -> float:
-        if prior == "laplace":
-            return laplace_clip_multiplier(num_bits)
-        return gaussian_clip_multiplier(num_bits)
-
-    def _select_prior(self, values: np.ndarray) -> str:
-        """Pick the prior whose tail behaviour matches the sample.
+    def _laplace_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Per row of ``rows`` (R, K): whether the Laplace prior fits it.
 
         ACIQ fits the tensor to a known distribution before applying the
         analytic threshold.  We use the excess kurtosis as the fit criterion:
@@ -94,28 +89,32 @@ class ACIQQuantizer(QuantizationMethod):
         light-tailed samples fall back to the Gaussian one.
         """
         if self.prior != "auto":
-            return self.prior
-        centred = values - values.mean()
-        variance = float(np.mean(centred**2))
+            return np.full(len(rows), self.prior == "laplace")
+        centred = rows - rows.mean(axis=1, keepdims=True)
+        variance = np.mean(centred**2, axis=1)
         denominator = variance * variance
-        if denominator <= 0.0 or not np.isfinite(denominator):
-            # Constant (or numerically constant) tensors carry no tail
-            # information; the Gaussian threshold is the milder choice.
-            return "gauss"
-        kurtosis = float(np.mean(centred**4)) / denominator
-        return "laplace" if kurtosis >= 4.5 else "gauss"
+        # Constant (or numerically constant) rows carry no tail information;
+        # the Gaussian threshold is the milder choice.
+        informative = ~(denominator <= 0.0) & np.isfinite(denominator)
+        kurtosis = np.mean(centred**4, axis=1) / np.where(informative, denominator, 1.0)
+        return informative & (kurtosis >= 4.5)
 
-    def _clip_threshold(self, values: np.ndarray, num_bits: int) -> float:
-        """Two-sided clipping threshold (distance from the mean)."""
-        values = np.asarray(values, dtype=np.float64)
-        prior = self._select_prior(values)
-        mean = float(values.mean())
-        if prior == "laplace":
-            scale = float(np.abs(values - mean).mean())
-        else:
-            scale = float(values.std())
-        threshold = self._multiplier(num_bits, prior) * scale
-        return max(threshold, 1e-8)
+    def _clip_threshold(self, rows: np.ndarray, num_bits: int) -> np.ndarray:
+        """Two-sided clipping threshold (distance from the mean) of each row.
+
+        ``rows`` is (R, K): the output channels of a weight tensor, or one
+        row holding a whole tensor.  Each row gets its own prior and its
+        Laplace scale (mean absolute deviation) or Gaussian one (standard
+        deviation), reduced along the row.
+        """
+        rows = np.asarray(rows, dtype=np.float64)
+        laplace = self._laplace_rows(rows)
+        mean = rows.mean(axis=1, keepdims=True)
+        scale = np.where(laplace, np.abs(rows - mean).mean(axis=1), rows.std(axis=1))
+        multiplier = np.where(
+            laplace, laplace_clip_multiplier(num_bits), gaussian_clip_multiplier(num_bits)
+        )
+        return np.maximum(multiplier * scale, 1e-8)
 
     def _one_sided_threshold(self, values: np.ndarray, num_bits: int) -> float:
         """Upper clipping threshold for non-negative (post-ReLU) tensors.
@@ -128,9 +127,13 @@ class ACIQQuantizer(QuantizationMethod):
         positive = values[values > 0]
         if positive.size == 0:
             return 1e-8
-        prior = self._select_prior(positive)
-        scale = float(positive.mean()) if prior == "laplace" else float(positive.std() + positive.mean())
-        threshold = self._multiplier(num_bits, prior) * max(scale, 1e-12)
+        if self._laplace_rows(positive.reshape(1, -1))[0]:
+            scale = float(positive.mean())
+            multiplier = laplace_clip_multiplier(num_bits)
+        else:
+            scale = float(positive.std() + positive.mean())
+            multiplier = gaussian_clip_multiplier(num_bits)
+        threshold = multiplier * max(scale, 1e-12)
         return max(threshold, 1e-8)
 
     def weight_params(
@@ -143,13 +146,11 @@ class ACIQQuantizer(QuantizationMethod):
         weights = np.asarray(weights, dtype=np.float64)
         if per_channel and weights.ndim > 1:
             moved = np.moveaxis(weights, channel_axis, 0).reshape(weights.shape[channel_axis], -1)
-            thresholds = np.array(
-                [self._clip_threshold(row, num_bits) for row in moved]
-            )
+            thresholds = self._clip_threshold(moved, num_bits)
             max_abs = np.abs(moved).max(axis=1)
             clip = np.minimum(thresholds, np.where(max_abs <= 0, 1e-8, max_abs))
             return QuantParams.symmetric(clip, num_bits, channel_axis=channel_axis)
-        threshold = self._clip_threshold(weights, num_bits)
+        threshold = float(self._clip_threshold(weights.reshape(1, -1), num_bits)[0])
         clip = min(threshold, float(np.abs(weights).max()) or 1e-8)
         return QuantParams.symmetric(clip, num_bits)
 
@@ -161,7 +162,7 @@ class ACIQQuantizer(QuantizationMethod):
             # Post-ReLU activations: one-sided distribution, clip the upper tail.
             upper = min(maximum, self._one_sided_threshold(samples, num_bits))
             return QuantParams.from_range(0.0, max(upper, 1e-8), num_bits)
-        threshold = self._clip_threshold(samples, num_bits)
+        threshold = float(self._clip_threshold(samples.reshape(1, -1), num_bits)[0])
         mean = float(samples.mean())
         upper = min(maximum, mean + threshold)
         lower = max(minimum, mean - threshold)

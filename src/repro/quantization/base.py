@@ -119,13 +119,25 @@ class QuantParams:
         return array.reshape(shape)
 
     # ------------------------------------------------------------------- codec
-    def quantize(self, values: np.ndarray) -> np.ndarray:
-        """Map real values onto the unsigned integer grid (with saturation)."""
+    def quantize(self, values: np.ndarray, dtype: "type | np.dtype" = np.int64) -> np.ndarray:
+        """Map real values onto the unsigned integer grid (with saturation).
+
+        The codes come back as ``dtype``: int64 by default, or a float type
+        for a caller that computes on the codes in floating point.  They are
+        rounded and saturated in place in one float64 buffer and cast once.
+        """
         values = np.asarray(values, dtype=np.float64)
         scale = self._broadcast(values, self.scale)
         zero_point = self._broadcast(values, self.zero_point)
-        q = np.round(values / scale + zero_point)
-        return np.clip(q, 0, self.max_level).astype(np.int64)
+        q = np.asarray(values / scale)
+        q += zero_point
+        np.round(q, out=q)
+        np.clip(q, 0, self.max_level, out=q)
+        if np.issubdtype(dtype, np.floating):
+            # Rounding can leave -0.0; a float code of zero is +0.0, as
+            # when it passes through an integer.
+            q += 0.0
+        return q.astype(dtype)
 
     def dequantize(self, quantized: np.ndarray) -> np.ndarray:
         """Map unsigned integers back to real values."""

@@ -5,18 +5,38 @@ smooth and roughly quadratic around the optimum, and that minimising the
 ``p``-norm of the tensor-level quantization error with an appropriately
 chosen ``p`` tracks the loss minimum closely.  The original method seeds a
 joint optimisation of all clipping scales from per-tensor p-norm optima;
-this implementation performs the per-tensor stage (Lp-metric clipping search
-via golden-section minimisation), which is the part that matters for the
-per-layer (α, β) compression study, and keeps the p-exponent dependence on
-the target bit-width.
+this implementation performs the per-tensor stage, which is the part that
+matters for the per-layer (α, β) compression study, and keeps the
+p-exponent dependence on the target bit-width.
+
+The Lp-metric clipping search runs over all rows of a tensor at once (every
+output channel of a weight tensor, or the one row of an activation sample):
+a coarse grid of candidate clips, then Brent's bounded method (golden-section
+plus parabolic steps) around each row's best candidate, run in lock step over
+the rows.  The refinement is a port of scipy.optimize's bounded scalar
+minimiser with its constants, tolerance and evaluation cap, and
+:func:`lp_errors` does the codec's arithmetic op for op, so every row's clip
+equals a one-row-at-a-time ``minimize_scalar(method="bounded")`` search bit
+for bit.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.optimize import minimize_scalar
+import math
+from collections.abc import Callable
 
+import numpy as np
+
+import repro.observability as observability
 from repro.quantization.base import QuantParams, QuantizationMethod
+
+#: Constants of scipy.optimize's bounded scalar minimiser.
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+
+#: Objective evaluations per row after which the refinement gives up and the
+#: row keeps its best grid candidate (scipy's ``maxiter`` default).
+MAX_EVALUATIONS = 500
 
 
 def lp_exponent_for_bits(num_bits: int) -> float:
@@ -27,6 +47,136 @@ def lp_exponent_for_bits(num_bits: int) -> float:
     (p ≈ 2 at 2 bits up to p ≈ 4 at 8 bits).
     """
     return float(np.clip(2.0 + (num_bits - 2) * (2.0 / 6.0), 2.0, 4.0))
+
+
+def lp_errors(
+    rows: np.ndarray, clips: np.ndarray, num_bits: int, p: float, one_sided: bool
+) -> np.ndarray:
+    """Mean ``|Q(x) - x| ** p`` of each row of ``rows`` (R, K) at its clip (R,).
+
+    ``Q`` is the round trip through ``QuantParams.from_range(0, clip)`` when
+    ``one_sided``, else through ``QuantParams.symmetric(clip)``.  The codec's
+    operations run in place on one (R, K) buffer in the codec's order, and
+    the mean reduces the contiguous last axis, so each row's error equals
+    the same computation on that row alone.  Rows with ``clip <= 0`` get
+    ``inf``.
+    """
+    clips = np.asarray(clips, dtype=np.float64)
+    invalid = clips <= 0
+    clips = np.where(invalid, 1.0, clips)
+    if one_sided:
+        params = QuantParams.from_range(0.0, clips, num_bits)
+    else:
+        params = QuantParams.symmetric(clips, num_bits)
+    scale = params.scale[:, None]
+    zero_point = params.zero_point[:, None]
+    error = rows / scale
+    error += zero_point
+    np.round(error, out=error)
+    np.clip(error, 0, params.max_level, out=error)
+    error -= zero_point
+    error *= scale
+    error -= rows
+    np.abs(error, out=error)
+    error **= p
+    errors = error.mean(axis=1)
+    errors[invalid] = np.inf
+    return errors
+
+
+def _bounded_minimise(
+    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    low: np.ndarray,
+    high: np.ndarray,
+    xatol: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Minimise independent scalar problems on ``[low, high]``, in lock step.
+
+    A port of scipy 1.17's ``_minimize_scalar_bounded`` (Brent's method:
+    golden-section steps, replaced by parabolic ones where the parabola
+    through the last three points is trustworthy) over arrays of problems.
+    ``objective(index, x)`` evaluates the problems ``index`` at ``x``.  Every
+    problem still searching takes one step per pass, so all of them share
+    the evaluation count and stop at the same cap.
+
+    Returns each problem's best point, whether its search converged (not
+    capped at :data:`MAX_EVALUATIONS`, no NaN), and the number of passes.
+    """
+    a = low.copy()
+    b = high.copy()
+    xf = a + _GOLDEN_MEAN * (b - a)
+    nfc = xf.copy()
+    fulc = xf.copy()
+    rat = np.zeros_like(xf)
+    e = np.zeros_like(xf)
+    fx = objective(np.arange(len(xf)), xf)
+    fnfc = fx.copy()
+    ffulc = fx.copy()
+    fu = np.full_like(xf, np.inf)
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    active = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
+    capped = np.zeros_like(active)
+    evaluations = 1
+    passes = 0
+    # Every step is computed for every problem and kept only where the
+    # problem is still searching, so the finished ones may divide by zero.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while active.any():
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            parabolic = (
+                (np.abs(e) > tol1)
+                & (np.abs(p) < np.abs(0.5 * q * e))
+                & (p > q * (a - xf))
+                & (p < q * (b - xf))
+            )
+            parabola = (p + 0.0) / q
+            x = xf + parabola
+            towards_middle = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+            parabola = np.where(((x - a) < tol2) | ((b - x) < tol2), towards_middle, parabola)
+            golden = np.where(xf >= xm, a - xf, b - xf)
+            e = np.where(active, np.where(parabolic, rat, golden), e)
+            rat = np.where(active, np.where(parabolic, parabola, _GOLDEN_MEAN * golden), rat)
+
+            x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+            index = np.flatnonzero(active)
+            fu[index] = objective(index, x[index])
+            evaluations += 1
+            passes += 1
+
+            better = active & (fu <= fx)
+            worse = active & ~(fu <= fx)
+            shift = worse & ((fu <= fnfc) | (nfc == xf))
+            replace = worse & ~shift & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+            a, b = (
+                np.where(better & (x >= xf), xf, np.where(worse & (x < xf), x, a)),
+                np.where(better & ~(x >= xf), xf, np.where(worse & ~(x < xf), x, b)),
+            )
+            fulc, ffulc = (
+                np.where(better | shift, nfc, np.where(replace, x, fulc)),
+                np.where(better | shift, fnfc, np.where(replace, fu, ffulc)),
+            )
+            nfc, fnfc = (
+                np.where(better, xf, np.where(shift, x, nfc)),
+                np.where(better, fx, np.where(shift, fu, fnfc)),
+            )
+            xf, fx = np.where(better, x, xf), np.where(better, fu, fx)
+
+            xm = 0.5 * (a + b)
+            tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+            tol2 = 2.0 * tol1
+            if evaluations >= MAX_EVALUATIONS:
+                capped = active
+                break
+            active = active & (np.abs(xf - xm) > (tol2 - 0.5 * (b - a)))
+    converged = ~capped & ~(np.isnan(xf) | np.isnan(fx) | np.isnan(fu))
+    return xf, converged, passes
 
 
 class LAPQQuantizer(QuantizationMethod):
@@ -47,37 +197,59 @@ class LAPQQuantizer(QuantizationMethod):
         self.num_candidates = num_candidates
 
     # ------------------------------------------------------------------ search
-    def _lp_error(self, values: np.ndarray, clip: float, num_bits: int, p: float, one_sided: bool) -> float:
-        if clip <= 0:
-            return float("inf")
-        if one_sided:
-            params = QuantParams.from_range(0.0, clip, num_bits)
-        else:
-            params = QuantParams.symmetric(clip, num_bits)
-        error = np.abs(params.quantize_dequantize(values) - values)
-        return float(np.mean(error**p))
-
-    def _optimise_clip(self, values: np.ndarray, num_bits: int, one_sided: bool) -> float:
-        values = np.asarray(values, dtype=np.float64)
-        p = lp_exponent_for_bits(num_bits)
-        max_abs = float(np.abs(values).max())
-        if max_abs <= 0:
-            return 1e-8
-        candidates = np.linspace(0.2 * max_abs, max_abs, self.num_candidates)
-        errors = [self._lp_error(values, c, num_bits, p, one_sided) for c in candidates]
-        best = int(np.argmin(errors))
-        low = candidates[max(best - 1, 0)]
-        high = candidates[min(best + 1, len(candidates) - 1)]
-        if high <= low:
-            return float(candidates[best])
-        result = minimize_scalar(
-            lambda c: self._lp_error(values, c, num_bits, p, one_sided),
-            bounds=(low, high),
-            method="bounded",
-            options={"xatol": max_abs * 1e-3},
+    def _candidates(self, max_abs: np.ndarray) -> np.ndarray:
+        """Each row's ``np.linspace(0.2 * max_abs, max_abs, num_candidates)``."""
+        start = 0.2 * max_abs
+        delta = max_abs - start
+        div = self.num_candidates - 1
+        step = delta / div
+        ramp = np.arange(self.num_candidates, dtype=np.float64)
+        # linspace scales the ramp by delta / div, or by 1 / div then delta
+        # where that step underflows to zero (denormal ranges).
+        grid = np.where(
+            (step == 0)[:, None], ramp / div * delta[:, None], ramp * step[:, None]
         )
-        best_clip = float(result.x) if result.success else float(candidates[best])
-        return max(best_clip, 1e-8)
+        grid += start[:, None]
+        grid[:, -1] = max_abs
+        return grid
+
+    def _optimise_clips(self, rows: np.ndarray, num_bits: int, one_sided: bool) -> np.ndarray:
+        """The Lp-optimal clip of every row of ``rows`` (R, K)."""
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        if not np.isfinite(rows).all():
+            raise ValueError("cannot choose a clipping range for NaN or infinite values")
+        p = lp_exponent_for_bits(num_bits)
+        max_abs = np.abs(rows).max(axis=1)
+        clips = np.full(len(rows), 1e-8)
+        live = np.flatnonzero(max_abs > 0)
+        observability.add("quantization.lapq.rows", len(rows))
+        if live.size < len(rows):
+            rows, max_abs = rows[live], max_abs[live]
+
+        candidates = self._candidates(max_abs)
+        errors = np.stack(
+            [lp_errors(rows, column, num_bits, p, one_sided) for column in candidates.T],
+            axis=1,
+        )
+        best = np.argmin(errors, axis=1)
+        row = np.arange(len(rows))
+        chosen = candidates[row, best]
+        low = candidates[row, np.maximum(best - 1, 0)]
+        high = candidates[row, np.minimum(best + 1, self.num_candidates - 1)]
+        search = np.flatnonzero(~(high <= low))
+
+        def objective(index: np.ndarray, x: np.ndarray) -> np.ndarray:
+            index = search[index]
+            subset = rows[index] if index.size < len(rows) else rows
+            return lp_errors(subset, x, num_bits, p, one_sided)
+
+        refined, converged, passes = _bounded_minimise(
+            objective, low[search], high[search], max_abs[search] * 1e-3
+        )
+        observability.add("quantization.lapq.refine_steps", passes)
+        chosen[search] = np.maximum(np.where(converged, refined, chosen[search]), 1e-8)
+        clips[live] = chosen
+        return clips
 
     # ----------------------------------------------------------------- weights
     def weight_params(
@@ -90,18 +262,16 @@ class LAPQQuantizer(QuantizationMethod):
         weights = np.asarray(weights, dtype=np.float64)
         if per_channel and weights.ndim > 1:
             moved = np.moveaxis(weights, channel_axis, 0).reshape(weights.shape[channel_axis], -1)
-            clips = np.array(
-                [self._optimise_clip(row, num_bits, one_sided=False) for row in moved]
-            )
+            clips = self._optimise_clips(moved, num_bits, one_sided=False)
             return QuantParams.symmetric(clips, num_bits, channel_axis=channel_axis)
-        clip = self._optimise_clip(weights, num_bits, one_sided=False)
+        clip = self._optimise_clips(weights.reshape(1, -1), num_bits, one_sided=False)[0]
         return QuantParams.symmetric(clip, num_bits)
 
     # ------------------------------------------------------------- activations
     def activation_params(self, samples: np.ndarray, num_bits: int) -> QuantParams:
         samples = np.asarray(samples, dtype=np.float64)
-        if float(samples.min()) >= 0.0:
-            clip = self._optimise_clip(samples, num_bits, one_sided=True)
+        one_sided = bool(samples.min() >= 0.0)
+        clip = self._optimise_clips(samples.reshape(1, -1), num_bits, one_sided)[0]
+        if one_sided:
             return QuantParams.from_range(0.0, clip, num_bits)
-        clip = self._optimise_clip(samples, num_bits, one_sided=False)
         return QuantParams.symmetric(clip, num_bits)

@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
-from repro.quantization.aciq import ACIQQuantizer, corrected_weight_params, laplace_clip_multiplier
+import repro.observability as observability
+import repro.quantization.lapq as lapq
+from repro.quantization.aciq import (
+    ACIQQuantizer,
+    corrected_weight_params,
+    gaussian_clip_multiplier,
+    laplace_clip_multiplier,
+)
 from repro.quantization.asymmetric import AsymmetricMinMaxQuantizer
 from repro.quantization.base import QuantParams, TensorStatistics
 from repro.quantization.lapq import LAPQQuantizer, lp_exponent_for_bits
@@ -44,6 +52,15 @@ class TestQuantParams:
         params = QuantParams.symmetric(np.array([0.1, 10.0]), 8, channel_axis=0)
         restored = params.dequantize(params.quantize(weights))
         assert np.allclose(restored, weights, atol=0.1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_codes_equal_integer_codes_bytewise(self, dtype):
+        values = np.random.default_rng(6).normal(0.0, 1.0, size=(4, 257))
+        values[0, :8] = [-0.0, 0.0, -1e-9, 1e-9, -1e3, 1e3, -0.004, 0.004]
+        for params in (QuantParams.from_range(0.0, 2.0, 8), QuantParams.symmetric(2.0, 5)):
+            codes = params.quantize(values, dtype)
+            assert codes.dtype == dtype
+            assert codes.tobytes() == params.quantize(values).astype(dtype).tobytes()
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -167,3 +184,252 @@ class TestLAPQ:
     def test_invalid_candidates(self):
         with pytest.raises(ValueError):
             LAPQQuantizer(num_candidates=1)
+
+
+# ----------------------------------------------------------- per-row oracles
+# The calibration searches as they ran one row at a time before they were
+# batched over the rows of a tensor: scipy's bounded minimiser over a
+# QuantParams Lp error (LAPQ), and a per-row prior choice and scale (ACIQ).
+# The batched methods must reproduce them bit for bit.
+
+
+def _oracle_lp_error(values, clip, num_bits, p, one_sided):
+    if clip <= 0:
+        return float("inf")
+    if one_sided:
+        params = QuantParams.from_range(0.0, clip, num_bits)
+    else:
+        params = QuantParams.symmetric(clip, num_bits)
+    error = np.abs(params.quantize_dequantize(values) - values)
+    return float(np.mean(error**p))
+
+
+def _oracle_lapq_clip(values, num_bits, one_sided, num_candidates=12, maxiter=500):
+    """(clip, index of the best grid candidate or None) of one tensor."""
+    values = np.asarray(values, dtype=np.float64)
+    p = lp_exponent_for_bits(num_bits)
+    max_abs = float(np.abs(values).max())
+    if max_abs <= 0:
+        return 1e-8, None
+    candidates = np.linspace(0.2 * max_abs, max_abs, num_candidates)
+    errors = [_oracle_lp_error(values, c, num_bits, p, one_sided) for c in candidates]
+    best = int(np.argmin(errors))
+    low = candidates[max(best - 1, 0)]
+    high = candidates[min(best + 1, len(candidates) - 1)]
+    if high <= low:
+        return float(candidates[best]), best
+    result = minimize_scalar(
+        lambda c: _oracle_lp_error(values, c, num_bits, p, one_sided),
+        bounds=(low, high),
+        method="bounded",
+        options={"xatol": max_abs * 1e-3, "maxiter": maxiter},
+    )
+    best_clip = float(result.x) if result.success else float(candidates[best])
+    return max(best_clip, 1e-8), best
+
+
+def _oracle_lapq_weight_params(weights, num_bits, num_candidates=12, per_channel=True, maxiter=500):
+    if per_channel and weights.ndim > 1:
+        clips = np.array(
+            [
+                _oracle_lapq_clip(row, num_bits, False, num_candidates, maxiter)[0]
+                for row in weights.reshape(weights.shape[0], -1)
+            ]
+        )
+        return QuantParams.symmetric(clips, num_bits, channel_axis=0)
+    clip = _oracle_lapq_clip(weights, num_bits, False, num_candidates, maxiter)[0]
+    return QuantParams.symmetric(clip, num_bits)
+
+
+def _oracle_lapq_activation_params(samples, num_bits, num_candidates=12):
+    if float(samples.min()) >= 0.0:
+        clip = _oracle_lapq_clip(samples, num_bits, True, num_candidates)[0]
+        return QuantParams.from_range(0.0, clip, num_bits)
+    clip = _oracle_lapq_clip(samples, num_bits, False, num_candidates)[0]
+    return QuantParams.symmetric(clip, num_bits)
+
+
+def _oracle_aciq_prior(values, prior):
+    if prior != "auto":
+        return prior
+    centred = values - values.mean()
+    variance = float(np.mean(centred**2))
+    denominator = variance * variance
+    if denominator <= 0.0 or not np.isfinite(denominator):
+        return "gauss"
+    kurtosis = float(np.mean(centred**4)) / denominator
+    return "laplace" if kurtosis >= 4.5 else "gauss"
+
+
+def _oracle_aciq_multiplier(num_bits, prior):
+    if prior == "laplace":
+        return laplace_clip_multiplier(num_bits)
+    return gaussian_clip_multiplier(num_bits)
+
+
+def _oracle_aciq_threshold(values, num_bits, prior):
+    values = np.asarray(values, dtype=np.float64)
+    prior = _oracle_aciq_prior(values, prior)
+    mean = float(values.mean())
+    if prior == "laplace":
+        scale = float(np.abs(values - mean).mean())
+    else:
+        scale = float(values.std())
+    return max(_oracle_aciq_multiplier(num_bits, prior) * scale, 1e-8)
+
+
+def _oracle_aciq_one_sided_threshold(values, num_bits, prior):
+    positive = values[values > 0]
+    if positive.size == 0:
+        return 1e-8
+    prior = _oracle_aciq_prior(positive, prior)
+    scale = float(positive.mean()) if prior == "laplace" else float(positive.std() + positive.mean())
+    return max(_oracle_aciq_multiplier(num_bits, prior) * max(scale, 1e-12), 1e-8)
+
+
+def _oracle_aciq_weight_params(weights, num_bits, prior, per_channel=True):
+    if per_channel and weights.ndim > 1:
+        moved = weights.reshape(weights.shape[0], -1)
+        thresholds = np.array([_oracle_aciq_threshold(row, num_bits, prior) for row in moved])
+        max_abs = np.abs(moved).max(axis=1)
+        clip = np.minimum(thresholds, np.where(max_abs <= 0, 1e-8, max_abs))
+        return QuantParams.symmetric(clip, num_bits, channel_axis=0)
+    threshold = _oracle_aciq_threshold(weights, num_bits, prior)
+    clip = min(threshold, float(np.abs(weights).max()) or 1e-8)
+    return QuantParams.symmetric(clip, num_bits)
+
+
+def _oracle_aciq_activation_params(samples, num_bits, prior):
+    minimum = float(samples.min())
+    maximum = float(samples.max())
+    if minimum >= 0.0:
+        upper = min(maximum, _oracle_aciq_one_sided_threshold(samples, num_bits, prior))
+        return QuantParams.from_range(0.0, max(upper, 1e-8), num_bits)
+    threshold = _oracle_aciq_threshold(samples, num_bits, prior)
+    mean = float(samples.mean())
+    upper = min(maximum, mean + threshold)
+    lower = max(minimum, mean - threshold)
+    return QuantParams.from_range(lower, upper, num_bits)
+
+
+def _assert_same_params(got, expected):
+    assert got.scale.shape == expected.scale.shape
+    assert got.scale.tobytes() == expected.scale.tobytes()
+    assert got.zero_point.tobytes() == expected.zero_point.tobytes()
+    assert (got.num_bits, got.channel_axis) == (expected.num_bits, expected.channel_axis)
+
+
+def _weight_tensors():
+    rng = np.random.default_rng(7)
+    outliers = rng.normal(0.0, 0.05, size=(12, 40))
+    outliers[rng.random(outliers.shape) < 0.03] *= 60.0
+    mixed = rng.normal(0.0, 0.3, size=(6, 20))
+    mixed[0] = 0.0
+    mixed[1] = 0.25
+    mixed[2] = -1.5
+    # At 2 bits row 0's Lp optimum is the smallest grid candidate and row
+    # 1's the largest (test_grid_optimum_at_either_end_is_covered).
+    signs = np.where(rng.random(63) < 0.5, -1.0, 1.0)
+    grid_ends = np.stack([np.r_[1.0, 0.2 * signs], np.r_[1.0, signs]])
+    return {
+        "gaussian": rng.normal(0.0, 0.2, size=(16, 3, 3, 3)),
+        "laplace": rng.laplace(0.0, 0.1, size=(10, 30)),
+        "outliers": outliers,
+        "zero_and_constant": mixed,
+        "length_one": rng.normal(0.0, 1.0, size=(9, 1)),
+        "grid_ends": grid_ends,
+    }
+
+
+def _activation_samples():
+    rng = np.random.default_rng(8)
+    return {
+        "relu": np.maximum(rng.normal(0.0, 1.0, size=3000), 0.0),
+        "signed": rng.laplace(0.0, 0.5, size=3000),
+        "all_zero": np.zeros(500),
+    }
+
+
+_WEIGHTS = _weight_tensors()
+_SAMPLES = _activation_samples()
+_BITS = list(range(2, 9))
+
+
+class TestBatchedCalibrationMatchesPerRowOracle:
+    @pytest.mark.parametrize("num_candidates", [12, 2])
+    @pytest.mark.parametrize("name", sorted(_WEIGHTS))
+    @pytest.mark.parametrize("num_bits", _BITS)
+    def test_lapq_weight_params(self, num_bits, name, num_candidates):
+        weights = _WEIGHTS[name]
+        method = LAPQQuantizer(num_candidates=num_candidates)
+        for per_channel in (True, False):
+            _assert_same_params(
+                method.weight_params(weights, num_bits, per_channel=per_channel),
+                _oracle_lapq_weight_params(weights, num_bits, num_candidates, per_channel),
+            )
+
+    def test_grid_optimum_at_either_end_is_covered(self):
+        bests = [_oracle_lapq_clip(row, 2, False)[1] for row in _WEIGHTS["grid_ends"]]
+        assert bests == [0, 11]
+
+    @pytest.mark.parametrize("num_candidates", [12, 2])
+    @pytest.mark.parametrize("name", sorted(_SAMPLES))
+    @pytest.mark.parametrize("num_bits", _BITS)
+    def test_lapq_activation_params(self, num_bits, name, num_candidates):
+        samples = _SAMPLES[name]
+        _assert_same_params(
+            LAPQQuantizer(num_candidates=num_candidates).activation_params(samples, num_bits),
+            _oracle_lapq_activation_params(samples, num_bits, num_candidates),
+        )
+
+    def test_evaluation_cap_falls_back_to_best_candidate(self, monkeypatch):
+        monkeypatch.setattr(lapq, "MAX_EVALUATIONS", 3)
+        weights = _WEIGHTS["outliers"]
+        capped = LAPQQuantizer().weight_params(weights, 4)
+        _assert_same_params(capped, _oracle_lapq_weight_params(weights, 4, maxiter=3))
+        # Every refined row hit the cap, so every clip is a grid candidate.
+        half_levels = (1 << 3) - 1
+        for clip, max_abs in zip(capped.scale * half_levels, np.abs(weights).max(axis=1)):
+            assert np.isclose(np.linspace(0.2 * max_abs, max_abs, 12), clip, rtol=1e-15).any()
+        monkeypatch.undo()
+        refined = LAPQQuantizer().weight_params(weights, 4)
+        assert refined.scale.tobytes() != capped.scale.tobytes()
+
+    @pytest.mark.parametrize("prior", ["laplace", "gauss", "auto"])
+    @pytest.mark.parametrize("num_bits", _BITS)
+    def test_aciq_weight_and_activation_params(self, num_bits, prior):
+        for bias_correction in (True, False):
+            method = ACIQQuantizer(bias_correction=bias_correction, prior=prior)
+            for weights in _WEIGHTS.values():
+                for per_channel in (True, False):
+                    _assert_same_params(
+                        method.weight_params(weights, num_bits, per_channel=per_channel),
+                        _oracle_aciq_weight_params(weights, num_bits, prior, per_channel),
+                    )
+            for samples in _SAMPLES.values():
+                _assert_same_params(
+                    method.activation_params(samples, num_bits),
+                    _oracle_aciq_activation_params(samples, num_bits, prior),
+                )
+
+    def test_non_finite_values_are_rejected(self):
+        weights = _WEIGHTS["gaussian"].copy()
+        weights[3, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError):
+            LAPQQuantizer().weight_params(weights, 4)
+
+
+class TestLAPQTelemetry:
+    def test_rows_and_refine_steps_are_recorded(self):
+        with observability.collecting() as recorded:
+            LAPQQuantizer().weight_params(_WEIGHTS["gaussian"], 4)
+            LAPQQuantizer().activation_params(_SAMPLES["relu"], 4)
+        assert recorded.metrics.counter("quantization.lapq.rows") == 16 + 1
+        assert recorded.metrics.counter("quantization.lapq.refine_steps") > 0
+
+    def test_clips_identical_with_observability_on_and_off(self):
+        weights = _WEIGHTS["outliers"]
+        plain = LAPQQuantizer().weight_params(weights, 5)
+        with observability.collecting():
+            traced = LAPQQuantizer().weight_params(weights, 5)
+        assert plain.scale.tobytes() == traced.scale.tobytes()
