@@ -11,7 +11,7 @@ for unlisted cells).  :class:`VariationAging` draws a seeded Gaussian ΔVth
 per gate, **deterministic by topological gate index**: resolution performs
 one vectorised draw over the topologically ordered gate list, so the same
 scenario resolves bit-identically after pickling into any sweep worker, for
-any worker count or chunk size (property-tested).
+any worker count (property-tested).
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ class VariationAging(AgingScenario):
     defined.  The Gaussian draw is a single vectorised sample over the
     topologically ordered gate list seeded only by ``seed``, so resolution
     is a pure function of (fields, netlist structure): it pickles into sweep
-    workers and resolves bit-identically for any worker count, chunk size or
-    scheduling order.
+    workers and resolves bit-identically for any worker count or scheduling
+    order.
 
     Attributes:
         nominal_mv: mean ΔVth (mV) of the per-gate distribution.

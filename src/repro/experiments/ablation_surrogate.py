@@ -84,7 +84,6 @@ def run_surrogate_ablation(
             fp32_accuracy=fp32_accuracy,
             calibration_recording=recording,
             workers=settings.workers,
-            chunk_size=settings.chunk_size,
         )
         for method_index, method_key in enumerate(settings.ablation_methods):
             method_evaluations = evaluations[

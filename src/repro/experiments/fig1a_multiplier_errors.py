@@ -62,7 +62,6 @@ def run_fig1a(
         backend=settings.sim_backend,
         batch_size=settings.sim_batch_size,
         workers=settings.workers,
-        chunk_size=settings.chunk_size,
     )
     rows = [
         [

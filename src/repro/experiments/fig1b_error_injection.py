@@ -48,7 +48,6 @@ def run_fig1b(
             repetitions=settings.fault_repetitions,
             seed=settings.seed,
             workers=settings.workers,
-            chunk_size=settings.chunk_size,
         )
         fault_free = sweep[0.0][0]
         baselines[network] = fault_free

@@ -88,7 +88,7 @@ def run_experiments(
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type: an integer >= 1 (``--chunk-size``, ``--lanes``)."""
+    """Argparse type: an integer >= 1 (``--lanes``)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
@@ -367,12 +367,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "value",
     )
     parser.add_argument(
-        "--chunk-size",
-        type=_positive_int,
-        default=None,
-        help="work items per parallel dispatch chunk (default: auto)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the pipeline artifact cache (recompute everything and "
@@ -479,7 +473,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     overrides = dict(
         seed=arguments.seed,
         workers=arguments.workers,
-        chunk_size=arguments.chunk_size,
         sim_backend=arguments.backend,
         pipeline_cache=not arguments.no_cache,
     )

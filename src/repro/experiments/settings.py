@@ -52,12 +52,11 @@ class ExperimentSettings:
     # pipeline overlap up to N whole tasks (experiments, model training) in
     # worker processes, and ``-1`` uses every usable CPU.  When only a
     # single task chain executes, the same knob fans the task's *inner*
-    # sweeps out over N processes instead (the PR 2 behaviour);
-    # ``chunk_size`` batches sweep work items per dispatch.  The seed
-    # contracts make results bit-identical for any workers/chunk_size
-    # combination, so these are pure throughput knobs.
+    # sweeps out over N processes instead (the PR 2 behaviour), in
+    # automatically sized chunks.  The seed contracts make results
+    # bit-identical for any workers count, so this is a pure throughput
+    # knob.
     workers: int = 0
-    chunk_size: "int | None" = None
 
     # Synthetic dataset.
     num_classes: int = 10

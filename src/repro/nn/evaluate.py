@@ -3,7 +3,7 @@
 The sweep entry points (:func:`sweep_fault_injection`,
 :func:`sweep_quantization_grid`) shard their grids by tile across worker
 processes via :class:`repro.parallel.ParallelExecutor`; results are merged
-in grid order and are bit-identical for any worker count or chunk size.
+in grid order and are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -199,7 +199,6 @@ def sweep_fault_injection(
     weight_bits: int = 8,
     seed: int = 0,
     workers: int = 0,
-    chunk_size: int | None = None,
 ) -> dict[float, tuple[float, float]]:
     """Fault-injection accuracy over a whole sweep of flip probabilities.
 
@@ -237,7 +236,7 @@ def sweep_fault_injection(
         y_test=y_test,
         seed=seed,
     )
-    executor = ParallelExecutor(workers=workers, chunk_size=chunk_size)
+    executor = ParallelExecutor(workers=workers)
     accuracies = executor.map(_fault_cell_task, cells, payload=context)
 
     per_probability: dict[float, list[float]] = {}
@@ -294,7 +293,6 @@ def sweep_quantization_grid(
     calibration_recording: CalibrationRecording | None = None,
     per_channel: bool = True,
     workers: int = 0,
-    chunk_size: int | None = None,
 ) -> list[QuantizedEvaluation]:
     """Evaluate a grid of quantization configurations of one model.
 
@@ -303,9 +301,10 @@ def sweep_quantization_grid(
             bias_bits)``; evaluations come back in the same order.
         fp32_accuracy: FP32 reference accuracy; measured once up front when
             omitted so workers never repeat the FP32 pass.
-        workers / chunk_size: executor knobs (see
+        workers: worker processes (see
             :class:`repro.parallel.ParallelExecutor`).  Quantization is
-            deterministic, so any sharding returns identical evaluations.
+            deterministic, so any worker count returns identical
+            evaluations.
 
     This is the engine behind the (method, α, β) case-analysis grids of the
     surrogate ablation: each tile quantizes independently from the shared
@@ -322,5 +321,5 @@ def sweep_quantization_grid(
         calibration_recording=calibration_recording,
         per_channel=per_channel,
     )
-    executor = ParallelExecutor(workers=workers, chunk_size=chunk_size)
+    executor = ParallelExecutor(workers=workers)
     return executor.map(_quantization_tile_task, tiles, payload=context)

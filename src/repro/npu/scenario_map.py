@@ -8,11 +8,11 @@ VariationAging` scenario from a seed that is a pure function of
 margin, energy and projected BTI lifetime across the whole array.
 
 Evaluation order never matters: PE records are pure functions of the PE item
-and the shared payload, so the map is bit-identical for any
-:class:`~repro.parallel.executor.ParallelExecutor` worker count or chunk
-size (property-tested).  Logic values are aging-independent, so the
-switching activity powering the energy estimate is simulated **once** in the
-parent and shared by every PE — only the leakage derating differs per PE.
+and the shared payload, so the batched corner-column path is bit-identical
+to the per-PE scalar reference the tests compare it with.  Logic values are
+aging-independent, so the switching activity powering the energy estimate
+is simulated **once** in the parent and shared by every PE — only the
+leakage derating differs per PE.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.aging.scenarios.heterogeneous import VariationAging
 from repro.circuits.backends import corner_case_delays
 from repro.circuits.mac import ArithmeticUnit, build_mac
 from repro.npu.systolic import SystolicArray
-from repro.parallel.executor import ParallelExecutor
 from repro.power.energy import EnergyModel, scenario_energy_reports
 from repro.power.switching import SwitchingActivity, estimate_switching_activity
 from repro.timing.sta import StaticTimingAnalyzer
@@ -105,7 +104,7 @@ class PERecord:
 
 
 def _evaluate_pe(item: "tuple[int, int, float, float, int]", payload: Any) -> PERecord:
-    """Worker task: analyse one PE.  Pure function of (item, payload)."""
+    """Scalar reference: analyse one PE.  Pure function of (item, payload)."""
     row, col, nominal_mv, sigma_mv, seed = item
     mac: ArithmeticUnit = payload["mac"]
     library: CellLibrary = payload["library"]
@@ -272,8 +271,6 @@ def array_scenario_map(
     bti: BTIModel | None = None,
     num_transitions: int = 200,
     rng: int = 0,
-    workers: int | None = 0,
-    chunk_size: int | None = None,
     batched: bool = True,
 ) -> ArrayScenarioMap:
     """Map per-PE :class:`VariationAging` draws over a systolic array.
@@ -286,11 +283,9 @@ def array_scenario_map(
     With ``batched=True`` (the default) the whole array evaluates as corner
     columns: one ``(nets, PEs)`` max-plus pass for timing and one vectorised
     leakage reduction for energy — a 64×64 array is a single levelized
-    traversal instead of 4096 scalar STA runs.  ``batched=False`` keeps the
-    per-PE scalar path, parallelised over PEs via
-    :class:`~repro.parallel.executor.ParallelExecutor` (``workers``/
-    ``chunk_size`` apply only there).  Both paths are bit-identical to each
-    other and invariant to worker count and chunking.
+    traversal instead of 4096 scalar STA runs.  ``batched=False`` runs the
+    per-PE scalar reference serially, one STA per PE; both paths are
+    bit-identical to each other.
     """
     if nominal_mv < 0:
         raise ValueError("nominal_mv must be non-negative")
@@ -321,8 +316,7 @@ def array_scenario_map(
     if batched:
         records = _evaluate_array_batched(items, payload)
     else:
-        executor = ParallelExecutor(workers=workers, chunk_size=chunk_size)
-        records = executor.map(_evaluate_pe, items, payload)
+        records = [_evaluate_pe(item, payload) for item in items]
     return ArrayScenarioMap(
         array=array,
         clock_period_ps=clock,

@@ -25,12 +25,13 @@ every instrumentation point is one module-level function call that checks
 one boolean and returns a shared null object.  Enabling it never changes
 results — instrumented code records *about* its work, never *into* it; the
 property suite asserts experiment outputs byte-identical with observability
-on vs. off for any workers/chunk-size combination.
+on vs. off for any workers count.
 
 Worker processes do not inherit a live connection to the parent's registry.
-Instead the :class:`~repro.parallel.executor.ParallelExecutor` wraps worker
-execution in :func:`collecting`, which installs a fresh enabled registry +
-tracer for the duration of a chunk/item, and ships the resulting
+Instead the executor's one worker entry point
+(:func:`repro.parallel.executor._run_items`) wraps each dispatched batch of
+items in :func:`collecting`, which installs a fresh enabled registry +
+tracer for its duration, and ships the resulting
 :class:`ObservabilitySnapshot` back with the results; the parent merges it
 via :func:`merge_snapshot`.
 """

@@ -8,20 +8,22 @@ parallel.  This package provides the shared machinery the sweep front-ends
 :func:`repro.nn.evaluate.sweep_fault_injection`,
 :func:`repro.nn.evaluate.sweep_quantization_grid`) run on:
 
-* :class:`~repro.parallel.executor.ParallelExecutor` — a chunked
-  process-pool ``map`` with a once-per-worker shared payload, ordered result
-  merging and a graceful serial fallback (``workers=0`` or platforms that
-  cannot start worker processes), plus an incremental
-  :class:`~repro.parallel.executor.ExecutorSession` (submit/wait-any) that
-  the dependency-aware experiment scheduler (:mod:`repro.pipeline`)
-  dispatches ready tasks on, and a long-lived
-  :class:`~repro.parallel.executor.WorkerPool` that keeps worker processes
-  alive across many sessions (the shape :mod:`repro.service` needs to
-  answer queries without paying pool startup per query),
+* :class:`~repro.parallel.executor.ExecutorSession` — the one dispatch
+  path: an incremental submit/wait-any session with a once-per-worker
+  shared payload and a graceful serial fallback (``workers=0`` or
+  platforms that cannot start worker processes).  Every worker runs one
+  entry point, and one factory builds every process pool.
+  :meth:`ParallelExecutor.map <repro.parallel.executor.ParallelExecutor.map>`
+  is a session on its own pool that submits automatically sized chunks and
+  merges results in item order; the dependency-aware experiment scheduler
+  (:mod:`repro.pipeline`) dispatches ready tasks on a session; and a
+  long-lived :class:`~repro.parallel.executor.WorkerPool` keeps worker
+  processes alive across many sessions (the shape :mod:`repro.service`
+  needs to answer queries without paying pool startup per query),
 * :mod:`repro.parallel.seeding` — spawn-safe deterministic RNG built on
   :meth:`numpy.random.SeedSequence.spawn`: one independent child stream per
   work item, keyed only by the item's position in the sweep, so results are
-  bit-identical for any worker count, chunk size or scheduling order.
+  bit-identical for any worker count or scheduling order.
 """
 
 from repro.parallel.executor import (

@@ -1,25 +1,36 @@
-"""Chunked process-pool executor with ordered result merging.
+"""Process-pool executor with one dispatch path and ordered result merging.
 
 The executor runs a picklable task function over a list of picklable work
 items, optionally sharing a larger *payload* (netlists, cell-library sets,
-trained models...) that is shipped to each worker process exactly once via
-the pool initializer instead of once per item.  Results always come back in
-work-item order, whatever order the workers complete in, so sweep front-ends
-can merge statistics deterministically.
+trained models...) that is shipped to each worker process once instead of
+once per item.  Everything dispatches through :class:`ExecutorSession`:
+
+* :meth:`ParallelExecutor.map` opens a session on its own pool, submits the
+  items in automatically sized chunks and collects them in work-item order,
+  whatever order the workers complete in, so sweep front-ends merge
+  statistics deterministically;
+* :meth:`ParallelExecutor.session` hands the same session to callers that
+  submit items one at a time (the pipeline scheduler);
+* :meth:`WorkerPool.session` runs a session on a long-lived shared pool.
+
+Every worker runs :func:`_run_items`.  Owned pools deliver the task and
+payload through the pool initializer; shared pools send one pre-pickled
+``(token, blob)`` state with each submission, decoded once per worker.
 
 Falls back to in-process serial execution — same items, same order, same
 results — when ``workers=0``, when there is nothing to parallelise, or on
 platforms that cannot start worker processes at all.  Under spawn-family
 start methods a task/payload that cannot be pickled (e.g. a closure input
-sampler) also falls back serially, with a ``RuntimeWarning``; under fork the
-workers share it by inheritance and run in parallel anyway.  Either way the
-results are identical.
+sampler) also falls back serially, with a ``RuntimeWarning``; under fork an
+owned pool's workers share it by inheritance and run in parallel anyway.
+Either way the results are identical.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
 import os
 import pickle
 import threading
@@ -27,22 +38,32 @@ import warnings
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from multiprocessing import get_context
 from typing import Any
 
 import repro.observability as observability
 
 TaskFunction = Callable[[Any, Any], Any]
 
-#: Chunks submitted per worker when ``chunk_size`` is not given; a few chunks
-#: per worker keeps the pool busy when shard runtimes are uneven without
-#: paying per-item dispatch overhead.
+#: Chunks :meth:`ParallelExecutor.map` submits per worker; a few chunks per
+#: worker keeps the pool busy when shard runtimes are uneven without paying
+#: per-item dispatch overhead.
 _CHUNKS_PER_WORKER = 4
 
-# Per-process state installed by the pool initializer: the task function and
-# the shared payload, delivered once per worker instead of once per item.
+# Per-process state installed by an owned pool's initializer: the task
+# function and the shared payload, delivered once per worker.  Under fork
+# they are inherited by memory, so closures work without pickling.
 _WORKER_TASK: TaskFunction | None = None
 _WORKER_PAYLOAD: Any = None
+
+# Worker-side state for *shared* pools (WorkerPool): sessions come and go
+# while the worker processes live on, so each session's (task, payload) pair
+# travels with every submission as a pre-pickled blob tagged with a session
+# token, and the worker memoises the decoded pair by token — the decode cost
+# is paid once per (worker, session), not once per item.  The cache is
+# bounded so a long-lived service cycling through many sessions cannot grow
+# worker memory without limit.
+_POOL_SESSIONS: "OrderedDict[int, tuple[TaskFunction, Any]]" = OrderedDict()
+_POOL_SESSION_CACHE_SIZE = 4
 
 
 def usable_cpu_count() -> int:
@@ -68,48 +89,6 @@ def _initialize_worker(task: TaskFunction, payload: Any) -> None:
     _WORKER_PAYLOAD = payload
 
 
-def _run_chunk(chunk: list[Any]) -> list[Any]:
-    assert _WORKER_TASK is not None, "worker used before initialization"
-    return [_WORKER_TASK(item, _WORKER_PAYLOAD) for item in chunk]
-
-
-def _run_item(item: Any) -> Any:
-    assert _WORKER_TASK is not None, "worker used before initialization"
-    return _WORKER_TASK(item, _WORKER_PAYLOAD)
-
-
-def _run_chunk_observed(chunk: list[Any]) -> tuple[list[Any], Any]:
-    """Observed variant of :func:`_run_chunk`: also ship telemetry back.
-
-    ``collecting()`` installs a fresh enabled registry/tracer for the chunk
-    (isolating it from any state inherited over ``fork``), so the returned
-    snapshot holds exactly this chunk's metrics and spans; the parent merges
-    it.  Results are byte-identical to the unobserved path — the wrapper
-    only records *about* the work.
-    """
-    with observability.collecting() as snapshot:
-        results = _run_chunk(chunk)
-    return results, snapshot
-
-
-def _run_item_observed(item: Any) -> tuple[Any, Any]:
-    """Observed variant of :func:`_run_item` (see :func:`_run_chunk_observed`)."""
-    with observability.collecting() as snapshot:
-        result = _run_item(item)
-    return result, snapshot
-
-
-# Worker-side state for *shared* pools (WorkerPool): sessions come and go
-# while the worker processes live on, so each session's (task, payload) pair
-# travels per item as a pre-pickled blob tagged with a session token, and the
-# worker memoises the decoded pair by token — the decode cost is paid once
-# per (worker, session), not once per item.  The cache is bounded so a
-# long-lived service cycling through many sessions cannot grow worker memory
-# without limit.
-_POOL_SESSIONS: "OrderedDict[int, tuple[TaskFunction, Any]]" = OrderedDict()
-_POOL_SESSION_CACHE_SIZE = 4
-
-
 def _pooled_session_state(token: int, blob: bytes) -> tuple[TaskFunction, Any]:
     state = _POOL_SESSIONS.get(token)
     if state is None:
@@ -122,14 +101,65 @@ def _pooled_session_state(token: int, blob: bytes) -> tuple[TaskFunction, Any]:
     return state
 
 
-def _run_pooled_item(token: int, blob: bytes, item: Any, observed: bool) -> Any:
-    """Run one shared-pool work item (see :class:`WorkerPool`)."""
-    task, payload = _pooled_session_state(token, blob)
-    if observed:
-        with observability.collecting() as snapshot:
-            result = task(item, payload)
-        return result, snapshot
-    return task(item, payload)
+def _run_items(state: "tuple[int, bytes] | None", items: list[Any], observed: bool) -> Any:
+    """The worker-side entry point of every pool: run ``items`` in order.
+
+    ``state`` is ``None`` on an owned pool (the initializer installed the
+    task and payload) and ``(token, blob)`` on a shared pool.  When
+    ``observed``, ``collecting()`` installs a fresh enabled registry/tracer
+    for the batch (isolating it from any state inherited over ``fork``) and
+    the snapshot is returned with the results for the parent to merge.
+    Results are byte-identical either way — the wrapper only records
+    *about* the work.
+    """
+    if state is None:
+        assert _WORKER_TASK is not None, "worker used before initialization"
+        task, payload = _WORKER_TASK, _WORKER_PAYLOAD
+    else:
+        task, payload = _pooled_session_state(*state)
+    if not observed:
+        return [task(item, payload) for item in items]
+    with observability.collecting() as snapshot:
+        results = [task(item, payload) for item in items]
+    return results, snapshot
+
+
+def _start_method(start_method: str | None) -> str:
+    if start_method is not None:
+        return start_method
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+
+
+def _process_pool(
+    workers: int, start_method: str, initargs: "tuple[TaskFunction, Any] | None" = None
+) -> ProcessPoolExecutor | None:
+    """Build a worker pool, or return ``None`` (with a warning) to run serially.
+
+    ``initargs`` installs an owned session's task and payload in every
+    worker; a shared :class:`WorkerPool` passes none.
+    """
+    try:
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context(start_method),
+            initializer=_initialize_worker if initargs is not None else None,
+            initargs=initargs or (),
+        )
+    except (OSError, ValueError, NotImplementedError) as error:  # pragma: no cover
+        warnings.warn(
+            f"could not start worker processes ({error}); "
+            "falling back to serial execution",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+        return None
+
+
+def _pickled(task: TaskFunction, payload: Any) -> bytes | None:
+    try:
+        return pickle.dumps((task, payload), protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return None
 
 
 class ParallelExecutor:
@@ -138,67 +168,49 @@ class ParallelExecutor:
     Attributes:
         workers: number of worker processes; ``0`` runs serially in-process
             and ``-1`` uses every usable CPU.
-        chunk_size: work items per dispatched chunk.  Chunking only batches
-            IPC — it never changes results, which are determined by the work
-            items alone.  Defaults to ``len(items) / (workers * 4)``.
         start_method: multiprocessing start method; defaults to ``"fork"``
             where available (cheap on Linux) and ``"spawn"`` elsewhere.
             Deterministic sweeps do not depend on the choice.
     """
 
-    def __init__(
-        self,
-        workers: int | None = 0,
-        chunk_size: int | None = None,
-        start_method: str | None = None,
-    ) -> None:
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+    def __init__(self, workers: int | None = 0, start_method: str | None = None) -> None:
         self.workers = resolve_workers(workers)
-        self.chunk_size = chunk_size
         self.start_method = start_method
 
-    # ------------------------------------------------------------------ map
     def map(self, task: TaskFunction, items: Sequence[Any], payload: Any = None) -> list[Any]:
-        """Apply ``task(item, payload)`` to every item, results in item order."""
+        """Apply ``task(item, payload)`` to every item, results in item order.
+
+        Items go out in chunks of ``ceil(len(items) / (workers * 4))``.
+        Chunking only batches IPC — results are determined by the work
+        items alone.
+        """
         items = list(items)
         if not items:
             return []
         workers = min(self.workers, len(items))
-        if workers <= 0:
-            return self._map_serial(task, items, payload)
-        # Captured once per map call: when the parent is recording telemetry,
-        # chunks run through the observed wrapper and ship their snapshots
-        # back for merging.  Serial paths record into this registry directly.
-        observed = observability.is_enabled()
-        pool = self._start_pool(task, payload, workers)
-        if pool is None:
-            return self._map_serial(task, items, payload)
-        try:
+        session = ExecutorSession(
+            task, payload, workers=workers, start_method=self.start_method
+        )
+        with session:
+            if not session.parallel:
+                return session._collect(session._submit(items))
+            size = math.ceil(len(items) / (workers * _CHUNKS_PER_WORKER))
+            chunks = [items[start : start + size] for start in range(0, len(items), size)]
             with observability.span(
-                "parallel:map", category="parallel", items=len(items), workers=workers
-            ) as span_args:
-                if observed:
-                    span_args["payload_bytes"] = self._record_payload_bytes(payload)
-                chunks = self._chunk(items, workers)
-                span_args["chunks"] = len(chunks)
-                run_chunk = _run_chunk_observed if observed else _run_chunk
-                futures = [pool.submit(run_chunk, chunk) for chunk in chunks]
-                results: list[Any] = []
-                # Futures are consumed in submission order, which restores
-                # work-item order no matter which worker finished first.
-                for future in futures:
-                    if observed:
-                        chunk_results, chunk_snapshot = future.result()
-                        observability.merge_snapshot(chunk_snapshot)
-                        results.extend(chunk_results)
-                    else:
-                        results.extend(future.result())
-            return results
-        finally:
-            pool.shutdown(wait=True)
+                "parallel:map",
+                category="parallel",
+                items=len(items),
+                workers=workers,
+                chunks=len(chunks),
+            ):
+                tickets = [session._submit(chunk) for chunk in chunks]
+                # Collecting in submission order restores work-item order
+                # (results and worker telemetry alike), whichever worker
+                # finished first.
+                return [
+                    result for ticket in tickets for result in session._collect(ticket)
+                ]
 
-    # -------------------------------------------------------------- session
     def session(self, task: TaskFunction, payload: Any = None) -> "ExecutorSession":
         """Open an incremental submit/collect session for ``task``.
 
@@ -209,88 +221,7 @@ class ParallelExecutor:
         to each worker exactly once, and the same serial/pickling fallbacks
         apply.  Use as a context manager so the worker pool is torn down.
         """
-        return ExecutorSession(self, task, payload)
-
-    # -------------------------------------------------------------- helpers
-    def _start_pool(
-        self, task: TaskFunction, payload: Any, workers: int
-    ) -> ProcessPoolExecutor | None:
-        """Build the worker pool, or return ``None`` to run serially.
-
-        One fallback policy for :meth:`map` and sessions alike, with a
-        ``RuntimeWarning`` naming the reason.  Forked workers inherit the
-        task and payload by memory, so only the spawn family actually
-        pickles the initargs — pre-checking under fork would serialize a
-        possibly-large payload just to throw it away (and would needlessly
-        reject closures that fork can share).
-        """
-        start_method = self._start_method()
-        if start_method != "fork" and not self._is_picklable(task, payload):
-            warnings.warn(
-                "task or payload is not picklable; "
-                "falling back to serial execution",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        try:
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=get_context(start_method),
-                initializer=_initialize_worker,
-                initargs=(task, payload),
-            )
-        except (OSError, ValueError, NotImplementedError) as error:  # pragma: no cover
-            warnings.warn(
-                f"could not start worker processes ({error}); "
-                "falling back to serial execution",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-
-    @staticmethod
-    def _map_serial(task: TaskFunction, items: list[Any], payload: Any) -> list[Any]:
-        return [task(item, payload) for item in items]
-
-    @staticmethod
-    def _record_payload_bytes(payload: Any) -> "int | None":
-        """Gauge the pickled payload size (observability-enabled paths only).
-
-        Under ``fork`` the payload is never actually pickled, so this is the
-        only place its wire size is measured; unpicklable payloads (shared
-        by inheritance) record nothing.
-        """
-        if payload is None:
-            return None
-        try:
-            size = len(pickle.dumps(payload))
-        except Exception:
-            return None
-        observability.gauge("executor.payload_bytes", size)
-        return size
-
-    def _start_method(self) -> str:
-        if self.start_method is not None:
-            return self.start_method
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        return "fork" if "fork" in methods else "spawn"
-
-    def _chunk(self, items: list[Any], workers: int) -> list[list[Any]]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, math.ceil(len(items) / (workers * _CHUNKS_PER_WORKER)))
-        return [items[start : start + size] for start in range(0, len(items), size)]
-
-    @staticmethod
-    def _is_picklable(task: TaskFunction, payload: Any) -> bool:
-        try:
-            pickle.dumps((task, payload))
-            return True
-        except Exception:
-            return False
+        return ExecutorSession(task, payload, workers=self.workers, start_method=self.start_method)
 
 
 class WorkerPool:
@@ -301,18 +232,17 @@ class WorkerPool:
     pool *initializer* — the right shape for one-shot sweeps, but a query
     server that answers thousands of pipeline runs cannot pay pool startup
     per query.  A ``WorkerPool`` keeps the worker processes alive across
-    sessions: each :meth:`session` ships its ``(task, payload)`` pair per
-    item as a pre-pickled blob tagged with a session token, and workers
-    memoise the decoded pair by token (see :func:`_run_pooled_item`).
+    sessions: each :meth:`session` ships its ``(task, payload)`` pair with
+    every item as a pre-pickled blob tagged with a session token, and
+    workers memoise the decoded pair by token (see :func:`_run_items`).
 
     Consequences of outliving any single session:
 
     * the task and payload must be picklable even under ``fork`` (a running
       pool cannot inherit new parent state); unpicklable sessions fall back
       to serial execution with a ``RuntimeWarning``, results identical;
-    * session close never shuts the pool down — it cancels the session's
-      unstarted items and drains the running ones, so a failing query
-      leaves the pool immediately usable for the next one;
+    * session close never shuts the pool down, so a failing query leaves
+      the pool immediately usable for the next one;
     * :meth:`close` is idempotent and must be called (or the pool used as a
       context manager) when the owner shuts down.
 
@@ -341,25 +271,7 @@ class WorkerPool:
                 raise RuntimeError("WorkerPool is closed")
             if not self._started:
                 self._started = True
-                if self.workers > 0:
-                    method = self.start_method
-                    if method is None:
-                        import multiprocessing
-
-                        methods = multiprocessing.get_all_start_methods()
-                        method = "fork" if "fork" in methods else "spawn"
-                    try:
-                        self._pool = ProcessPoolExecutor(
-                            max_workers=self.workers, mp_context=get_context(method)
-                        )
-                    except (OSError, ValueError, NotImplementedError) as error:  # pragma: no cover
-                        warnings.warn(
-                            f"could not start worker pool ({error}); "
-                            "sessions will run serially",
-                            RuntimeWarning,
-                            stacklevel=3,
-                        )
-                        self._pool = None
+                self._pool = _process_pool(self.workers, _start_method(self.start_method))
             return self._pool
 
     def next_token(self) -> int:
@@ -371,7 +283,7 @@ class WorkerPool:
         Same submit/wait_any contract as :meth:`ParallelExecutor.session`;
         closing the session leaves the pool running for the next one.
         """
-        return ExecutorSession(None, task, payload, pool=self)
+        return ExecutorSession(task, payload, shared=self)
 
     def close(self) -> None:
         """Shut the worker processes down (idempotent, exception-safe)."""
@@ -391,7 +303,7 @@ class WorkerPool:
 
 
 class ExecutorSession:
-    """Incremental submit/collect companion to :meth:`ParallelExecutor.map`.
+    """Incremental submit/collect session: the one dispatch path.
 
     ``submit`` hands one work item to the pool and returns a ticket;
     ``wait_any`` blocks until *some* outstanding item finishes and returns
@@ -400,61 +312,60 @@ class ExecutorSession:
     ``submit`` time — same items, same results, just no overlap — so
     callers never need a separate code path.
 
-    A session is backed either by its *own* pool (built by
-    :meth:`ParallelExecutor.session`, torn down on close) or by a shared
-    :class:`WorkerPool` (left running on close).  Results are whatever the
-    items determine: the session adds no ordering guarantees beyond the
-    tickets, which is exactly right for schedulers whose tasks are
-    deterministic functions of their inputs.
+    A session is backed either by its *own* pool of ``workers`` processes
+    (torn down on close) or by a ``shared`` :class:`WorkerPool` (left
+    running on close).  Results are whatever the items determine: the
+    session adds no ordering guarantees beyond the tickets, which is exactly
+    right for schedulers whose tasks are deterministic functions of their
+    inputs.
     """
 
     def __init__(
         self,
-        executor: "ParallelExecutor | None",
         task: TaskFunction,
         payload: Any = None,
         *,
-        pool: "WorkerPool | None" = None,
+        workers: int = 0,
+        start_method: str | None = None,
+        shared: "WorkerPool | None" = None,
     ) -> None:
         self._task = task
         self._payload = payload
         self._pool: ProcessPoolExecutor | None = None
-        self._shared = pool is not None
-        self._token: int | None = None
-        self._blob: bytes | None = None
+        self._owned = shared is None
+        self._state: "tuple[int, bytes] | None" = None
         self._futures: dict[int, Future] = {}
-        self._completed: list[tuple[int, Any]] = []
-        self._next_ticket = 0
-        # Captured at session start: dispatched items run through the
-        # observed wrapper and ship their telemetry snapshots back (merged
-        # in wait_any); serially executed items record into the parent's
-        # registry directly, so no wrapping is needed.
+        self._completed: dict[int, list[Any]] = {}
+        self._tickets = itertools.count()
+        # Captured at session start: dispatched items run observed and ship
+        # their telemetry snapshots back (merged on collection); serially
+        # executed items record into the parent's registry directly.
         self._observed = observability.is_enabled()
-        if pool is not None:
-            # Shared pool: workers cannot receive new state through an
-            # initializer, so the (task, payload) pair must pickle even
-            # under fork — it ships per item, memoised worker-side.
-            if pool.workers > 0:
-                if ParallelExecutor._is_picklable(task, payload):
-                    self._pool = pool._handle()
-                    if self._pool is not None:
-                        self._token = pool.next_token()
-                        self._blob = pickle.dumps(
-                            (task, payload), protocol=pickle.HIGHEST_PROTOCOL
-                        )
-                        if self._observed:
-                            ParallelExecutor._record_payload_bytes(payload)
-                else:
-                    warnings.warn(
-                        "task or payload is not picklable; "
-                        "falling back to serial execution",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-        elif executor is not None and executor.workers > 0:
-            self._pool = executor._start_pool(task, payload, executor.workers)
-            if self._observed and self._pool is not None:
-                ParallelExecutor._record_payload_bytes(payload)
+        if shared is not None:
+            workers, start_method = shared.workers, shared.start_method
+        if workers <= 0:
+            return
+        start_method = _start_method(start_method)
+        # A shared pool cannot inherit new parent state and spawn-family
+        # workers unpickle their initargs, so both need the pair to pickle;
+        # forked owned workers inherit it by memory, and pickle it here only
+        # to gauge its size for telemetry.
+        must_pickle = shared is not None or start_method != "fork"
+        blob = _pickled(task, payload) if must_pickle or self._observed else None
+        if blob is None and must_pickle:
+            warnings.warn(
+                "task or payload is not picklable; falling back to serial execution",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return
+        if shared is not None:
+            self._pool = shared._handle()
+            self._state = (shared.next_token(), blob)
+        else:
+            self._pool = _process_pool(workers, start_method, (task, payload))
+        if self._pool is not None and blob is not None:
+            observability.gauge("executor.payload_bytes", len(blob))
 
     @property
     def parallel(self) -> bool:
@@ -463,19 +374,29 @@ class ExecutorSession:
 
     def submit(self, item: Any) -> int:
         """Queue one work item; returns a ticket for :meth:`wait_any`."""
-        ticket = self._next_ticket
-        self._next_ticket += 1
+        return self._submit([item])
+
+    def _submit(self, items: list[Any]) -> int:
+        ticket = next(self._tickets)
         if self._pool is None:
-            # Serial fallback: run now, collect via wait_any like any other.
-            self._completed.append((ticket, self._task(item, self._payload)))
-        elif self._shared:
-            self._futures[ticket] = self._pool.submit(
-                _run_pooled_item, self._token, self._blob, item, self._observed
-            )
+            # Serial fallback: run now, collect like any other ticket.
+            self._completed[ticket] = [self._task(item, self._payload) for item in items]
         else:
-            run_item = _run_item_observed if self._observed else _run_item
-            self._futures[ticket] = self._pool.submit(run_item, item)
+            self._futures[ticket] = self._pool.submit(
+                _run_items, self._state, items, self._observed
+            )
         return ticket
+
+    def _collect(self, ticket: int) -> list[Any]:
+        """Block for one ticket's results (merging its worker telemetry)."""
+        if ticket in self._completed:
+            return self._completed.pop(ticket)
+        output = self._futures.pop(ticket).result()
+        if not self._observed:
+            return output
+        results, snapshot = output
+        observability.merge_snapshot(snapshot)
+        return results
 
     def wait_any(self) -> tuple[int, Any]:
         """Block until any outstanding item completes; returns (ticket, result).
@@ -484,20 +405,14 @@ class ExecutorSession:
         the task's exception if the item failed.
         """
         if self._completed:
-            return self._completed.pop(0)
-        if not self._futures:
+            ticket = next(iter(self._completed))
+        elif self._futures:
+            done, _ = wait(self._futures.values(), return_when=FIRST_COMPLETED)
+            ticket = next(t for t, future in self._futures.items() if future in done)
+        else:
             raise RuntimeError("wait_any called with no outstanding work items")
-        done, _ = wait(self._futures.values(), return_when=FIRST_COMPLETED)
-        finished = done.pop()
-        for ticket, future in self._futures.items():
-            if future is finished:
-                del self._futures[ticket]
-                if self._observed:
-                    result, item_snapshot = future.result()
-                    observability.merge_snapshot(item_snapshot)
-                    return ticket, result
-                return ticket, future.result()
-        raise AssertionError("completed future not found in session")  # pragma: no cover
+        (result,) = self._collect(ticket)
+        return ticket, result
 
     @property
     def outstanding(self) -> int:
@@ -505,15 +420,14 @@ class ExecutorSession:
         return len(self._futures) + len(self._completed)
 
     def close(self) -> None:
-        """Release the session's pool resources (idempotent, exception-safe).
+        """Drain the session and release its pool (idempotent, exception-safe).
 
-        Owned pools are shut down; shared :class:`WorkerPool` handles are
-        only *drained* — unstarted items are cancelled and running ones
-        awaited — so a query that fails mid-flight leaves the pool usable
-        for the next session.  The pool handle is detached before any
-        blocking call, so a second ``close`` (e.g. ``__exit__`` after an
-        explicit close, or cleanup re-entered from an exception handler)
-        is a no-op rather than a double shutdown.
+        Items not yet started are cancelled and running ones awaited, so a
+        failure does not run the rest of the queue; then an owned pool is
+        shut down, while a shared :class:`WorkerPool` stays usable for the
+        next session.  The pool handle is detached before any blocking
+        call, so a second ``close`` (e.g. ``__exit__`` after an explicit
+        close, or cleanup re-entered from an exception handler) is a no-op.
         """
         pool, self._pool = self._pool, None
         futures = list(self._futures.values())
@@ -521,12 +435,10 @@ class ExecutorSession:
         self._completed.clear()
         if pool is None:
             return
-        if self._shared:
-            for future in futures:
-                future.cancel()
-            if futures:
-                wait(futures)
-        else:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        if self._owned:
             pool.shutdown(wait=True)
 
     def __enter__(self) -> "ExecutorSession":

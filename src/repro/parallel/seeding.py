@@ -5,7 +5,7 @@ derives one independent child stream per work item through
 :meth:`numpy.random.SeedSequence.spawn`.  The children are spawned *before*
 the work is dispatched and are keyed only by the item's position in the
 sweep, so the random numbers a work item consumes do not depend on the
-worker count, the chunk size, the scheduling order or the process start
+worker count, the dispatch chunking, the scheduling order or the process start
 method — serial and parallel runs are bit-identical by construction.
 """
 

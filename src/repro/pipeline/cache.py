@@ -12,7 +12,7 @@ Keys are therefore *input*-addressed, the way build-system action caches
 work: they are computable before anything runs, identical in every process,
 and a settings change invalidates exactly the subtree of tasks that
 (transitively) read the changed field.  Throughput-only knobs (``workers``,
-``chunk_size``, ``sim_backend``) are never part of any task's declared
+``sim_backend``) are never part of any task's declared
 fields, so a cache stays warm across backend or worker-count changes —
 results are bit-identical by the determinism contract.  (``sim_batch_size``
 is *not* a throughput knob for the Monte-Carlo sweep: the samples-per-shard

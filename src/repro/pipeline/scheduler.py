@@ -231,7 +231,6 @@ def run_pipeline(
     cache: bool | None = None,
     cache_dir: "str | Path | None" = None,
     output_dir: "str | Path | None" = None,
-    executor: ParallelExecutor | None = None,
     pool: "WorkerPool | None" = None,
     on_task: "Callable[[TaskRecord], None] | None" = None,
 ) -> PipelineRun:
@@ -249,8 +248,6 @@ def run_pipeline(
         output_dir: when given, each requested experiment's JSON is written
             there *as soon as the result is available* (execution or cache
             hit), so a crash later in the run loses no completed work.
-        executor: override the dispatch executor (defaults to one built from
-            ``settings.workers``).
         pool: dispatch heavy tasks on this persistent
             :class:`~repro.parallel.executor.WorkerPool` instead of a
             per-invocation pool — the re-entrant shape :mod:`repro.service`
@@ -276,7 +273,6 @@ def run_pipeline(
             cache=cache,
             cache_dir=cache_dir,
             output_dir=output_dir,
-            executor=executor,
             pool=pool,
             on_task=on_task,
         )
@@ -293,7 +289,6 @@ def run_pipeline(
                 cache=cache,
                 cache_dir=cache_dir,
                 output_dir=output_dir,
-                executor=executor,
                 pool=pool,
                 on_task=on_task,
             )
@@ -309,7 +304,6 @@ def _run_pipeline(
     cache: bool | None = None,
     cache_dir: "str | Path | None" = None,
     output_dir: "str | Path | None" = None,
-    executor: ParallelExecutor | None = None,
     pool: "WorkerPool | None" = None,
     on_task: "Callable[[TaskRecord], None] | None" = None,
 ) -> PipelineRun:
@@ -444,43 +438,30 @@ def _run_pipeline(
             and not _is_chain(heavy_exec, {task.name for task in heavy_exec})
         )
 
-        if not overlap:
-            # Sequential path: one shared workspace, original settings — inner
-            # sweeps keep their workers, exactly like the PR 3 runner.
-            shared = ExperimentWorkspace.create(settings)
-            shared.adopt(artifacts)
-            for task in exec_order:
-                context = TaskContext(
-                    settings,
-                    {dep: artifacts[dep] for dep in task.depends},
-                    workspace=shared,
-                )
-                start = time.perf_counter()
-                with observability.span(
-                    f"task:{task.name}", category="task", where="inline", action="executed"
-                ):
-                    value = task.run(context)
-                _finish(task, value, "inline", start)
-        else:
-            # Light tasks first, inline (they are closed under dependencies by
-            # the light-before-heavy layering rule)...
-            shared = ExperimentWorkspace.create(settings)
-            shared.adopt(artifacts)
-            for task in exec_order:
-                if task.heavy:
-                    continue
-                context = TaskContext(
-                    settings,
-                    {dep: artifacts[dep] for dep in task.depends},
-                    workspace=shared,
-                )
-                start = time.perf_counter()
-                with observability.span(
-                    f"task:{task.name}", category="task", where="inline", action="executed"
-                ):
-                    value = task.run(context)
-                _finish(task, value, "inline", start)
-            # ... then dispatch heavy tasks as their dependencies complete.
+        # Inline tasks share one workspace and the original settings, so
+        # their inner sweeps keep the workers knob.  Without overlap every
+        # executing task runs here, exactly like the PR 3 runner; with it
+        # only the light ones do (they are closed under dependencies by the
+        # light-before-heavy layering rule) and the heavy ones follow below.
+        shared = ExperimentWorkspace.create(settings)
+        shared.adopt(artifacts)
+        for task in exec_order:
+            if overlap and task.heavy:
+                continue
+            context = TaskContext(
+                settings,
+                {dep: artifacts[dep] for dep in task.depends},
+                workspace=shared,
+            )
+            start = time.perf_counter()
+            with observability.span(
+                f"task:{task.name}", category="task", where="inline", action="executed"
+            ):
+                value = task.run(context)
+            _finish(task, value, "inline", start)
+
+        if overlap:
+            # Dispatch heavy tasks as their dependencies complete.
             # With a per-invocation pool the session payload ships once per
             # worker through the pool initializer; on a persistent pool it
             # rides each item (memoised worker-side).  Later artifacts ride
@@ -491,19 +472,13 @@ def _run_pipeline(
             base_artifacts = {
                 name: value for name, value in artifacts.items() if name in heavy_deps
             }
-            if pool is not None:
-                session_cm = pool.session(
-                    _execute_work_item, (worker_settings, base_artifacts)
-                )
-            else:
-                executor = executor or ParallelExecutor(workers=settings.workers)
-                session_cm = executor.session(
-                    _execute_work_item, (worker_settings, base_artifacts)
-                )
+            dispatcher = pool if pool is not None else ParallelExecutor(settings.workers)
             tickets: dict[int, tuple[Task, float, float]] = {}
             pending = {task.name: task for task in heavy_exec}
             dispatched: set[str] = set()
-            with session_cm as session:
+            with dispatcher.session(
+                _execute_work_item, (worker_settings, base_artifacts)
+            ) as session:
                 where = "worker" if session.parallel else "inline"
                 while pending:
                     for name in list(pending):

@@ -77,7 +77,7 @@ class Task:
         settings_fields: the :class:`ExperimentSettings` fields the body
             reads.  Together with the upstream cache keys these define the
             task's cache key — throughput-only knobs (``workers``,
-            ``chunk_size``, ``sim_backend``) are never declared, so
+            ``sim_backend``) are never declared, so
             changing them keeps the cache warm.
         kind: ``"experiment"`` or ``"product"``.
         heavy: heavy tasks are dispatched to worker processes when the

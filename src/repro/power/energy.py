@@ -236,7 +236,6 @@ class EnergyModel:
         activity: SwitchingActivity | None = None,
         activity_mode: str = "zero-delay",
         workers: int = 0,
-        chunk_size: "int | None" = None,
     ) -> EnergyReport:
         """Simulate random traffic through ``target`` and report its energy.
 
@@ -252,8 +251,8 @@ class EnergyModel:
         event-driven engine instead, using this model's own delay source
         (the scenario if one was given, else the library), so glitches —
         which the zero-delay baseline cannot see and which shift with aging —
-        are priced into the dynamic term.  ``workers``/``chunk_size``
-        parallelise the activity estimation without changing its result.
+        are priced into the dynamic term.  ``workers`` parallelises the
+        activity estimation without changing its result.
         """
         if activity is None:
             activity = estimate_switching_activity(
@@ -268,6 +267,5 @@ class EnergyModel:
                     else None
                 ),
                 workers=workers,
-                chunk_size=chunk_size,
             )
         return self.energy_from_activity(target, activity, clock_period_ps)

@@ -27,7 +27,7 @@ split into independent chains of ``transitions_per_shard`` transitions
 ``SeedSequence`` child spawned from ``rng`` and keyed only by shard
 position (:func:`repro.parallel.spawn_seed_sequences`).  Toggle counts are
 integers summed over shards, so the returned activity is **bit-identical
-for any ``workers``/``chunk_size``** combination.  A custom
+for any ``workers`` count**.  A custom
 ``input_sampler`` that cannot be pickled still parallelises under the fork
 start method (workers inherit it); on spawn platforms the executor
 degrades to serial with a warning, results unchanged.
@@ -193,7 +193,6 @@ def estimate_switching_activity(
     mode: str = "zero-delay",
     delay_source: object | None = None,
     workers: int = 0,
-    chunk_size: int | None = None,
     transitions_per_shard: int | None = None,
 ) -> SwitchingActivity:
     """Estimate switching activity of ``target`` under a random input stream.
@@ -217,8 +216,6 @@ def estimate_switching_activity(
         workers: worker processes for the shard fan-out (``0`` = serial
             in-process, ``-1`` = all usable CPUs); results are
             bit-identical for any value.
-        chunk_size: work items per dispatched chunk (IPC batching only,
-            never affects results).
         transitions_per_shard: transitions per shard chain (default
             :data:`DEFAULT_TRANSITIONS_PER_SHARD`); part of the result's
             identity — changing it changes the drawn chains.
@@ -248,7 +245,7 @@ def estimate_switching_activity(
         delay_source=delay_source,
         input_sampler=input_sampler,
     )
-    executor = ParallelExecutor(workers=workers, chunk_size=chunk_size)
+    executor = ParallelExecutor(workers=workers)
     shard_counts = executor.map(_activity_shard_task, items, payload=context)
 
     net_toggles: dict[str, int] = {}

@@ -368,7 +368,6 @@ def sweep_timing_errors(
     backend: str = "auto",
     batch_size: int | None = None,
     workers: int = 0,
-    chunk_size: int | None = None,
     samples_per_shard: int | None = None,
     scenarios: "Sequence[AgingScenario] | None" = None,
 ) -> list[TimingErrorStatistics]:
@@ -406,8 +405,8 @@ def sweep_timing_errors(
     * Each work item draws from its own :class:`numpy.random.SeedSequence`
       child spawned from ``rng``, keyed only by the item's position in the
       sweep, and scenario resolution is deterministic by construction, so
-      the returned statistics are **bit-identical for any
-      ``workers``/``chunk_size``** combination and any scheduling order.
+      the returned statistics are **bit-identical for any ``workers``
+      count** and any scheduling order.
     * Results are merged in shard order, one entry per scenario in axis
       order, regardless of worker completion order.
 
@@ -457,7 +456,7 @@ def sweep_timing_errors(
         backend=resolved.name,
         batch_size=batch_size,
     )
-    executor = ParallelExecutor(workers=workers, chunk_size=chunk_size)
+    executor = ParallelExecutor(workers=workers)
     with observability.span(
         "sweep:timing_errors",
         category="sweep",
@@ -477,7 +476,7 @@ def sweep_timing_errors(
             scenario_index * shards_per_scenario : (scenario_index + 1) * shards_per_scenario
         ]
         # Left-fold in shard order: float sums stay bit-identical to the
-        # serial accumulation for any workers/chunk_size combination.
+        # serial accumulation for any workers count.
         total = sum(scenario_counters, start=empty)
         results.append(
             TimingErrorStatistics(

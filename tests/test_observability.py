@@ -6,7 +6,7 @@ Pins down the three contracts the subsystem is built on:
   commutative, so worker snapshots aggregate to the same numbers for any
   sharding, chunking or arrival order;
 * **inertness** — experiment results are byte-identical with observability
-  on vs. off, for any workers/chunk-size combination (recording is *about*
+  on vs. off, for any workers count (recording is *about*
   the work, never *into* it), and the disabled path is a no-op;
 * **exports** — the Chrome trace-event JSON is schema-valid and the span
   tree nests pipeline run -> task -> sweep -> shard; the metrics sidecar
@@ -184,7 +184,7 @@ class TestTracerAndLifecycle:
         assert observability.snapshot().metrics.counter("inner.counter") == 1
 
 
-def _sweep_counters(unit, workers, chunk_size):
+def _sweep_counters(unit, workers):
     with observability.collecting() as snap:
         stats = sweep_timing_errors(
             unit,
@@ -193,7 +193,6 @@ def _sweep_counters(unit, workers, chunk_size):
             rng=11,
             samples_per_shard=10,
             workers=workers,
-            chunk_size=chunk_size,
         )
     counters = {
         name: value
@@ -212,15 +211,15 @@ class TestWorkerInvariance:
         The shard plan depends only on (num_samples, samples_per_shard), so
         the ``sweep.*``/``sim.*`` counters — recorded inside the shard task,
         never per chunk or per process — must merge to identical values for
-        every workers/chunk-size combination, exactly like the statistics.
+        every workers count, exactly like the statistics.
         """
-        reference_stats, reference = _sweep_counters(small_multiplier, 0, None)
+        reference_stats, reference = _sweep_counters(small_multiplier, 0)
         assert reference["sweep.shards"] == 8  # 2 scenarios x 4 shards
         assert reference["sweep.samples"] == 80
-        for workers, chunk_size in [(1, None), (2, None), (2, 1), (4, None), (4, 3)]:
-            stats, counters = _sweep_counters(small_multiplier, workers, chunk_size)
-            assert stats == reference_stats, (workers, chunk_size)
-            assert counters == reference, (workers, chunk_size)
+        for workers in (1, 2, 4):
+            stats, counters = _sweep_counters(small_multiplier, workers)
+            assert stats == reference_stats, workers
+            assert counters == reference, workers
 
 
 class TestInertness:

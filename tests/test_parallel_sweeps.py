@@ -1,17 +1,21 @@
 """Tests of the process-parallel sweep subsystem (repro.parallel).
 
 The central property under test is the seed-sharding contract: every sweep
-front-end must produce **bit-identical** results for any ``workers`` /
-``chunk_size`` combination, because work items (and their spawned child RNG
-streams) are fixed before dispatch and merged in item order.
+front-end must produce **bit-identical** results for any ``workers``
+count, because work items (and their spawned child RNG streams) are fixed
+before dispatch and merged in item order.
 """
 
 from __future__ import annotations
 
 import pickle
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import repro.observability as observability
 
 from repro.aging.cell_library import AgingAwareLibrarySet
 from repro.circuits.mac import build_mac, build_multiplier
@@ -19,6 +23,7 @@ from repro.circuits.simulator import LogicSimulator
 from repro.nn.evaluate import sweep_fault_injection, sweep_quantization_grid
 from repro.parallel import (
     ParallelExecutor,
+    WorkerPool,
     resolve_workers,
     shard_sizes,
     spawn_generators,
@@ -46,16 +51,40 @@ def _fail_on_three(item, payload):
     return item
 
 
+def _counted_affine(item, payload):
+    observability.add("test.items")
+    observability.add("test.item_sum", item)
+    return item * payload + 1
+
+
+def _mark_then_sleep(item, marker_dir):
+    """Item 0 fails at once; every other item leaves a marker and sleeps."""
+    if item == 0:
+        raise ValueError("item zero is broken")
+    (Path(marker_dir) / f"{item}.ran").touch()
+    time.sleep(0.1)
+    return item
+
+
+def _drain_session(session, items):
+    """Submit every item, then collect results back into item order."""
+    tickets = {session.submit(item): index for index, item in enumerate(items)}
+    results = [None] * len(items)
+    while session.outstanding:
+        ticket, value = session.wait_any()
+        results[tickets[ticket]] = value
+    return results
+
+
 # ---------------------------------------------------------------- executor
 class TestParallelExecutor:
     @pytest.mark.parametrize("workers", [0, 1, 2])
-    @pytest.mark.parametrize("chunk_size", [None, 1, 3])
-    def test_map_preserves_item_order(self, workers, chunk_size):
-        executor = ParallelExecutor(workers=workers, chunk_size=chunk_size)
+    def test_map_preserves_item_order(self, workers):
+        executor = ParallelExecutor(workers=workers)
         assert executor.map(_square, range(7)) == [i * i for i in range(7)]
 
     def test_payload_is_shared(self):
-        executor = ParallelExecutor(workers=2, chunk_size=2)
+        executor = ParallelExecutor(workers=2)
         assert executor.map(_add_payload, [1, 2, 3], payload={"offset": 10}) == [11, 12, 13]
 
     def test_empty_items(self):
@@ -93,9 +122,69 @@ class TestParallelExecutor:
         executor = ParallelExecutor(workers=2, start_method="fork")
         assert executor.map(closure_task, [1, 2, 3]) == [1, 4, 9]
 
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(chunk_size=0)
+    def test_every_dispatch_path_agrees(self):
+        """map (serial and parallel), owned and shared sessions: one answer.
+
+        Under ``collecting()`` the worker telemetry merged back into the
+        parent must also match the serial run's, counter for counter.
+        """
+        items = list(range(11))
+        with WorkerPool(workers=2) as pool:
+
+            def owned_session():
+                with ParallelExecutor(workers=2).session(_counted_affine, 3) as session:
+                    assert session.parallel
+                    return _drain_session(session, items)
+
+            def shared_session():
+                with pool.session(_counted_affine, 3) as session:
+                    assert session.parallel
+                    return _drain_session(session, items)
+
+            paths = {
+                "map, workers=0": lambda: ParallelExecutor(0).map(_counted_affine, items, 3),
+                "map, workers=2": lambda: ParallelExecutor(2).map(_counted_affine, items, 3),
+                "owned session": owned_session,
+                "WorkerPool session": shared_session,
+            }
+            expected = [item * 3 + 1 for item in items]
+            counters = {}
+            for name, run in paths.items():
+                assert run() == expected, name
+                with observability.collecting() as snapshot:
+                    assert run() == expected, name
+                counters[name] = dict(snapshot.metrics.counters)
+        assert counters["map, workers=0"] == {"test.items": 11, "test.item_sum": 55}
+        for name, merged in counters.items():
+            assert merged == counters["map, workers=0"], name
+
+    @pytest.mark.parametrize("path", ["map", "owned session", "WorkerPool session"])
+    def test_failure_cancels_queued_items(self, path, tmp_path):
+        """A failing item stops the queue: unstarted items never run.
+
+        Item 0 fails at once while 19 items of 0.1 s wait behind it on two
+        workers.  Only submissions already handed to a worker process may
+        still run: one per worker plus the pool's call queue of
+        ``workers + 1``.  map submits chunks of ``ceil(20 / 8) = 3`` items,
+        sessions single items; everything else is cancelled when the
+        failure surfaces.
+        """
+        items = list(range(20))
+        unit = 3 if path == "map" else 1
+        with pytest.raises(ValueError, match="item zero"):
+            if path == "map":
+                ParallelExecutor(workers=2).map(_mark_then_sleep, items, str(tmp_path))
+            elif path == "owned session":
+                with ParallelExecutor(workers=2).session(
+                    _mark_then_sleep, str(tmp_path)
+                ) as session:
+                    _drain_session(session, items)
+            else:
+                with WorkerPool(workers=2) as pool:
+                    with pool.session(_mark_then_sleep, str(tmp_path)) as session:
+                        _drain_session(session, items)
+        ran = len(list(tmp_path.iterdir()))
+        assert ran <= (2 * 2 + 1) * unit < len(items) - 1
 
     def test_resolve_workers(self):
         assert resolve_workers(None) == 0
@@ -184,10 +273,10 @@ def _run_sweep(unit, libraries, **overrides):
 
 
 class TestTimingSweepDeterminism:
-    @pytest.mark.parametrize("workers,chunk_size", [(1, None), (2, 1), (4, 2)])
-    def test_parallel_matches_serial_bit_for_bit(self, sweep_unit, library_set, workers, chunk_size):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_parallel_matches_serial_bit_for_bit(self, sweep_unit, library_set, workers):
         serial = _run_sweep(sweep_unit, library_set)
-        parallel = _run_sweep(sweep_unit, library_set, workers=workers, chunk_size=chunk_size)
+        parallel = _run_sweep(sweep_unit, library_set, workers=workers)
         assert parallel == serial
 
     def test_event_model_parallel_matches_serial(self, sweep_unit, library_set):
@@ -213,8 +302,8 @@ class TestTimingSweepDeterminism:
 
     def test_shard_plan_changes_streams_but_not_contract(self, sweep_unit, library_set):
         """samples_per_shard is part of the statistical contract (it fixes
-        the shard decomposition), unlike workers/chunk_size which are pure
-        dispatch knobs."""
+        the shard decomposition), unlike workers, which is a pure
+        dispatch knob."""
         serial = _run_sweep(sweep_unit, library_set, samples_per_shard=64)
         parallel = _run_sweep(sweep_unit, library_set, samples_per_shard=64, workers=3)
         assert parallel == serial
@@ -252,7 +341,7 @@ class TestFaultSweepDeterminism:
         )
         parallel = sweep_fault_injection(
             tiny_model, get_method("M2"), tiny_calibration, x_test, y_test,
-            workers=2, chunk_size=1, **kwargs
+            workers=2, **kwargs
         )
         assert parallel == serial
         assert set(serial) == {0.0, 1e-3, 1e-2}
@@ -272,7 +361,7 @@ class TestQuantizationGridDeterminism:
             tiny_model, tiles, tiny_calibration, x_test, y_test
         )
         parallel = sweep_quantization_grid(
-            tiny_model, tiles, tiny_calibration, x_test, y_test, workers=2, chunk_size=2
+            tiny_model, tiles, tiny_calibration, x_test, y_test, workers=2
         )
         assert parallel == serial
         assert [e.method_key for e in serial] == [t[0] for t in tiles]

@@ -156,7 +156,7 @@ class TestCacheKeys:
 
     def test_throughput_knobs_never_change_keys(self, hw_settings):
         keys = compute_cache_keys(build_experiment_graph(hw_settings), hw_settings)
-        changed = hw_settings.with_overrides(workers=4, chunk_size=7, sim_backend="ndarray")
+        changed = hw_settings.with_overrides(workers=4, sim_backend="ndarray")
         assert compute_cache_keys(build_experiment_graph(changed), changed) == keys
 
     def test_batch_size_is_statistical_config_for_fig1a(self, hw_settings):

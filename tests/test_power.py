@@ -101,10 +101,8 @@ class TestActivityModes:
             transitions_per_shard=25,
         )
         serial = estimate_switching_activity(small_mac, **kwargs)
-        for workers, chunk_size in [(2, None), (3, 1), (-1, 2)]:
-            parallel = estimate_switching_activity(
-                small_mac, workers=workers, chunk_size=chunk_size, **kwargs
-            )
+        for workers in (2, 3, -1):
+            parallel = estimate_switching_activity(small_mac, workers=workers, **kwargs)
             assert parallel == serial
 
     def test_closure_sampler_parallelises_or_degrades_serially(self, small_mac):

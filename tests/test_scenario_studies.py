@@ -184,23 +184,6 @@ class TestArrayScenarioMap:
         assert pe_seed(0, 1, 2) != pe_seed(0, 2, 1)
         assert pe_seed(0, 1, 2) != pe_seed(1, 1, 2)
 
-    def test_bit_identical_across_workers_and_chunk_sizes(self, small_mac, fresh_cells):
-        array = SystolicArray(rows=2, cols=3)
-        kwargs = dict(
-            nominal_mv=30.0,
-            sigma_mv=5.0,
-            seed=1,
-            mac=small_mac,
-            library=fresh_cells,
-            num_transitions=40,
-        )
-        serial = array_scenario_map(array, workers=0, batched=False, **kwargs)
-        for workers, chunk_size in ((2, 1), (2, 4)):
-            parallel = array_scenario_map(
-                array, workers=workers, chunk_size=chunk_size, batched=False, **kwargs
-            )
-            assert parallel.records == serial.records
-
     def test_batched_path_bit_identical_to_scalar(self, small_mac, fresh_cells):
         from repro.circuits.backends import levelized_graph
 

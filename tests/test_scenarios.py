@@ -273,9 +273,9 @@ class TestScenarioSweepDeterminism:
             VariationAging(nominal_mv=40.0, sigma_mv=8.0, seed=3),
         ]
 
-    @pytest.mark.parametrize("workers,chunk_size", [(1, None), (2, 1), (4, 2)])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_workers_and_chunking_bit_identical(
-        self, multiplier6, library_set, mixed_axis, workers, chunk_size
+        self, multiplier6, library_set, mixed_axis, workers
     ):
         kwargs = dict(
             scenarios=mixed_axis,
@@ -286,9 +286,7 @@ class TestScenarioSweepDeterminism:
             samples_per_shard=30,
         )
         serial = sweep_timing_errors(multiplier6, library_set, **kwargs)
-        parallel = sweep_timing_errors(
-            multiplier6, library_set, workers=workers, chunk_size=chunk_size, **kwargs
-        )
+        parallel = sweep_timing_errors(multiplier6, library_set, workers=workers, **kwargs)
         assert serial == parallel
 
     def test_scenario_order_preserved(self, multiplier6, library_set, mixed_axis):

@@ -626,6 +626,10 @@ class TestService:
                 with pytest.raises(ServiceError) as excinfo:
                     client.query(["fig2"], {"sim_backend": "wheel"})
                 assert excinfo.value.code == BAD_REQUEST
+                # The removed chunk_size knob is an unknown field now.
+                with pytest.raises(ServiceError) as excinfo:
+                    client.query(["fig2"], {"chunk_size": 4})
+                assert excinfo.value.code == BAD_REQUEST
                 # The connection is still usable afterwards.
                 assert client.ping()["event"] == "pong"
         finally:
