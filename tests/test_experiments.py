@@ -112,6 +112,11 @@ class TestSettings:
         settings = ExperimentSettings.fast(seed=5).with_overrides(error_samples=10)
         assert settings.seed == 5 and settings.error_samples == 10
 
+    def test_removed_chunk_size_field_rejected(self):
+        """chunk_size is no longer a setting; overriding it is an error."""
+        with pytest.raises(TypeError):
+            ExperimentSettings.fast().with_overrides(chunk_size=4)
+
 
 class TestHardwareSideExperiments:
     def test_fig1a_shape(self, fast_workspace):

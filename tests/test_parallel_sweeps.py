@@ -83,6 +83,30 @@ class TestParallelExecutor:
         executor = ParallelExecutor(workers=workers)
         assert executor.map(_square, range(7)) == [i * i for i in range(7)]
 
+    @pytest.mark.parametrize("num_items,num_chunks", [(1, 1), (8, 8), (9, 5), (33, 7)])
+    def test_map_chunks_cover_every_item_once(self, num_items, num_chunks):
+        """map's automatic chunks neither drop nor repeat an item.
+
+        On two workers chunks hold ``ceil(n / 8)`` items: one item runs on
+        a single worker, 8 items go one per chunk, 9 make chunks of 2 with
+        a short last one, and 33 make chunks of 5.  The per-item counters
+        merged back from the workers prove each item ran exactly once.
+        """
+        items = list(range(num_items))
+        with observability.collecting() as snapshot:
+            result = ParallelExecutor(workers=2).map(_counted_affine, items, 3)
+        assert result == [item * 3 + 1 for item in items]
+        assert snapshot.metrics.counter("test.items") == num_items
+        assert snapshot.metrics.counter("test.item_sum") == sum(items)
+        (span,) = [span for span in snapshot.spans if span.name == "parallel:map"]
+        assert span.args["chunks"] == num_chunks
+        assert span.args["workers"] == min(2, num_items)
+
+    def test_chunk_size_option_is_gone(self):
+        """Chunk size is derived from the item count, never passed in."""
+        with pytest.raises(TypeError):
+            ParallelExecutor(workers=2, chunk_size=3)
+
     def test_payload_is_shared(self):
         executor = ParallelExecutor(workers=2)
         assert executor.map(_add_payload, [1, 2, 3], payload={"offset": 10}) == [11, 12, 13]
