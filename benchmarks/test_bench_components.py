@@ -12,7 +12,7 @@ import pytest
 from repro.circuits.mac import build_mac
 from repro.circuits.simulator import TimingSimulator
 from repro.core.padding import Padding, mac_case_analysis
-from repro.nn.quantized import QuantizedModel
+from repro.nn.quantized import QuantizedModel, record_calibration
 from repro.quantization.registry import get_method
 from repro.timing.sta import StaticTimingAnalyzer
 
@@ -103,9 +103,9 @@ def test_bench_quantized_inference(benchmark, bench_workspace):
     quantized = QuantizedModel.build(
         pretrained.model,
         get_method("M4"),
-        activation_bits=6,
-        weight_bits=6,
-        calibration_data=bench_workspace.calibration,
+        6,
+        6,
+        record_calibration(pretrained.model, bench_workspace.calibration),
     )
     batch = bench_workspace.test_inputs[:64]
 

@@ -15,6 +15,7 @@ Run with::
 
 from repro import DeviceToSystemPipeline, SGDTrainer, SyntheticImageDataset, build_model
 from repro.nn.evaluate import quantize_and_evaluate
+from repro.nn.quantized import record_calibration
 from repro.quantization import available_methods
 from repro.utils.tables import format_table
 
@@ -32,6 +33,9 @@ def main() -> None:
         model = build_model(network, num_classes=dataset.num_classes, image_size=dataset.image_size, rng=0)
         SGDTrainer(epochs=8).fit(model, dataset.x_train, dataset.y_train, rng=0)
         fp32 = model.accuracy(dataset.x_test, dataset.y_test)
+        # Calibration depends on neither the method nor the bit widths, so
+        # one recording serves the whole method x compression sweep.
+        recording = record_calibration(model, calibration)
 
         rows = []
         for level, compression in compressions.items():
@@ -40,12 +44,12 @@ def main() -> None:
                 evaluation = quantize_and_evaluate(
                     model,
                     method,
-                    activation_bits=compression.activation_bits(),
-                    weight_bits=compression.weight_bits(),
+                    compression.activation_bits(),
+                    compression.weight_bits(),
+                    recording,
+                    dataset.x_test,
+                    dataset.y_test,
                     bias_bits=compression.bias_bits(),
-                    calibration_data=calibration,
-                    x_test=dataset.x_test,
-                    y_test=dataset.y_test,
                     fp32_accuracy=fp32,
                 )
                 losses[method.key] = evaluation.accuracy_loss_percent

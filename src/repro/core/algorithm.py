@@ -105,21 +105,19 @@ class AgingAwareQuantizer:
         self,
         model: Model,
         compression: CompressionChoice,
-        calibration_data: np.ndarray,
+        calibration: CalibrationRecording,
         x_test: np.ndarray,
         y_test: np.ndarray,
         accuracy_loss_threshold_percent: float | None = None,
         fp32_accuracy: float | None = None,
-        calibration_recording: CalibrationRecording | None = None,
     ) -> tuple[str, QuantizedEvaluation, dict[str, QuantizedEvaluation], bool]:
         """Search the method library at the compression's bit-widths.
 
-        The FP32 calibration forward pass depends only on the model and the
-        calibration data, so it runs at most once here and every method
-        quantizes from the shared :func:`~repro.nn.quantized.record_calibration`
-        (bit-for-bit equal to calibrating per method).  Callers that quantize
-        the same model at several compressions pass ``calibration_recording``
-        (recorded from ``calibration_data``) to skip even that pass.
+        The FP32 calibration pass depends only on the model and the
+        calibration data, so every method quantizes from the one shared
+        ``calibration`` recording (see
+        :func:`~repro.nn.quantized.record_calibration`); callers that
+        quantize the same model at several compressions record it once.
 
         Returns ``(selected_key, selected_evaluation, per_method, satisfied)``.
         """
@@ -130,21 +128,18 @@ class AgingAwareQuantizer:
         if fp32_accuracy is None:
             fp32_accuracy = model.accuracy(x_test, y_test)
 
-        if calibration_recording is None:
-            calibration_recording = record_calibration(model, calibration_data)
         per_method: dict[str, QuantizedEvaluation] = {}
         for method in self.methods:
             evaluation = quantize_and_evaluate(
                 model,
                 method,
-                activation_bits=activation_bits,
-                weight_bits=weight_bits,
+                activation_bits,
+                weight_bits,
+                calibration,
+                x_test,
+                y_test,
                 bias_bits=bias_bits,
-                calibration_data=calibration_data,
-                x_test=x_test,
-                y_test=y_test,
                 fp32_accuracy=fp32_accuracy,
-                calibration_recording=calibration_recording,
             )
             per_method[method.key] = evaluation
             if (
@@ -173,7 +168,7 @@ class AgingAwareQuantizer:
         selected, evaluation, per_method, satisfied = self.quantize_model(
             model,
             timing.choice,
-            calibration_data,
+            record_calibration(model, calibration_data),
             x_test,
             y_test,
             accuracy_loss_threshold_percent=accuracy_loss_threshold_percent,

@@ -169,12 +169,11 @@ class DeviceToSystemPipeline:
             selected, evaluation, per_method, satisfied = self.quantizer.quantize_model(
                 model,
                 plan.compression,
-                calibration_data,
+                recording,
                 x_test,
                 y_test,
                 accuracy_loss_threshold_percent=accuracy_loss_threshold_percent,
                 fp32_accuracy=fp32_accuracy,
-                calibration_recording=recording,
             )
             results.append(
                 AgingAwareQuantizationResult(

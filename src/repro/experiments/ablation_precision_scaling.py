@@ -17,6 +17,7 @@ from repro.experiments.reporting import ExperimentResult
 from repro.experiments.settings import ExperimentSettings
 from repro.experiments.workspace import ExperimentWorkspace
 from repro.nn.evaluate import quantize_and_evaluate
+from repro.nn.quantized import record_calibration
 from repro.nn.zoo import display_name
 from repro.quantization.base import QuantParams
 from repro.quantization.registry import get_method
@@ -84,10 +85,12 @@ def run_precision_scaling_ablation(
     for network in settings.ablation_networks:
         pretrained = workspace.model(network)
         fp32_accuracy = pretrained.model.accuracy(x_test, y_test)
+        # One FP32 calibration pass per network, shared by both quantizations.
+        recording = record_calibration(pretrained.model, calibration)
         selected, evaluation, _, _ = pipeline.quantizer.quantize_model(
             pretrained.model,
             plan.compression,
-            calibration,
+            recording,
             x_test,
             y_test,
             fp32_accuracy=fp32_accuracy,
@@ -95,12 +98,12 @@ def run_precision_scaling_ablation(
         masking = quantize_and_evaluate(
             pretrained.model,
             _LsbMaskedQuantizer(alpha, beta),
-            activation_bits=8,
-            weight_bits=8,
+            8,
+            8,
+            recording,
+            x_test,
+            y_test,
             bias_bits=16,
-            calibration_data=calibration,
-            x_test=x_test,
-            y_test=y_test,
             fp32_accuracy=fp32_accuracy,
         )
         rows.append(

@@ -78,11 +78,10 @@ def run_surrogate_ablation(
         evaluations = sweep_quantization_grid(
             pretrained.model,
             tiles,
-            calibration_data=calibration,
-            x_test=x_test,
-            y_test=y_test,
+            recording,
+            x_test,
+            y_test,
             fp32_accuracy=fp32_accuracy,
-            calibration_recording=recording,
             workers=settings.workers,
         )
         for method_index, method_key in enumerate(settings.ablation_methods):

@@ -10,7 +10,6 @@ from repro.nn.blocks import FireModule, ResidualBlock
 from repro.nn.datasets import SyntheticImageDataset
 from repro.nn.evaluate import (
     QuantizedEvaluation,
-    evaluate_fp32,
     evaluate_with_fault_injection,
     quantize_and_evaluate,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "ResidualBlock",
     "SyntheticImageDataset",
     "QuantizedEvaluation",
-    "evaluate_fp32",
     "evaluate_with_fault_injection",
     "quantize_and_evaluate",
     "MsbBitFlipInjector",

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn.faults import MsbBitFlipInjector
 from repro.nn.model import Model
-from repro.nn.quantized import CalibrationRecording, QuantizedModel
+from repro.nn.quantized import CalibrationRecording, QuantizedModel, record_calibration
 from repro.parallel import ParallelExecutor
 from repro.quantization.base import QuantizationMethod
 
@@ -43,46 +43,29 @@ class QuantizedEvaluation:
         return (self.fp32_accuracy - self.quantized_accuracy) * 100.0
 
 
-def evaluate_fp32(model: Model, x_test: np.ndarray, y_test: np.ndarray) -> float:
-    """Top-1 accuracy of the FP32 model."""
-    return model.accuracy(x_test, y_test)
-
-
 def quantize_and_evaluate(
     model: Model,
     method: QuantizationMethod,
     activation_bits: int,
     weight_bits: int,
-    calibration_data: np.ndarray,
+    calibration: CalibrationRecording,
     x_test: np.ndarray,
     y_test: np.ndarray,
     bias_bits: int | None = None,
     fp32_accuracy: float | None = None,
-    fault_injector: MsbBitFlipInjector | None = None,
-    per_channel: bool = True,
-    calibration_recording: CalibrationRecording | None = None,
 ) -> QuantizedEvaluation:
     """Quantize ``model`` with ``method`` and measure its test accuracy.
 
-    The bias width defaults to ``activation_bits + weight_bits`` which, for
-    the paper's (α, β) compression of an 8/8/16-bit MAC datapath, equals
-    ``16 - α - β``.  Sweeps evaluating many configurations of one model can
-    pass a shared ``calibration_recording`` (see
-    :func:`repro.nn.quantized.record_calibration`) to skip the per-call
-    calibration forward pass.
+    ``calibration`` is the model's :func:`~repro.nn.quantized.record_calibration`
+    recording, shared by every configuration a sweep evaluates.  The bias
+    width defaults to ``activation_bits + weight_bits`` which, for the
+    paper's (α, β) compression of an 8/8/16-bit MAC datapath, equals
+    ``16 - α - β``.
     """
     if fp32_accuracy is None:
-        fp32_accuracy = evaluate_fp32(model, x_test, y_test)
+        fp32_accuracy = model.accuracy(x_test, y_test)
     quantized = QuantizedModel.build(
-        model,
-        method=method,
-        activation_bits=activation_bits,
-        weight_bits=weight_bits,
-        bias_bits=bias_bits,
-        calibration_data=calibration_data,
-        per_channel=per_channel,
-        fault_injector=fault_injector,
-        calibration_recording=calibration_recording,
+        model, method, activation_bits, weight_bits, calibration, bias_bits
     )
     accuracy = quantized.accuracy(x_test, y_test)
     return QuantizedEvaluation(
@@ -135,10 +118,10 @@ def evaluate_with_fault_injection(
 class _FaultSweepContext:
     """Shared, picklable state of one fault-injection sweep.
 
-    Shipped once per worker process; each process quantizes (and calibrates)
-    the model a single time on first use and reuses it for every grid cell
-    it is handed.  Quantization is deterministic, so every process works on
-    an identical model.
+    Shipped once per worker process; each process records the calibration
+    and quantizes the model a single time on first use, and reuses the
+    quantized model for every grid cell it is handed.  Quantization is
+    deterministic, so every process works on an identical model.
     """
 
     model: Model
@@ -160,10 +143,10 @@ class _FaultSweepContext:
         if self._quantized is None:
             self._quantized = QuantizedModel.build(
                 self.model,
-                method=self.method,
-                activation_bits=self.activation_bits,
-                weight_bits=self.weight_bits,
-                calibration_data=self.calibration_data,
+                self.method,
+                self.activation_bits,
+                self.weight_bits,
+                record_calibration(self.model, self.calibration_data),
             )
         return self._quantized
 
@@ -253,12 +236,10 @@ class _QuantizationGridContext:
     """Shared, picklable state of one quantization-grid sweep."""
 
     model: Model
-    calibration_data: np.ndarray
+    calibration: CalibrationRecording
     x_test: np.ndarray
     y_test: np.ndarray
     fp32_accuracy: float
-    calibration_recording: CalibrationRecording | None
-    per_channel: bool
 
 
 def _quantization_tile_task(
@@ -271,27 +252,23 @@ def _quantization_tile_task(
     return quantize_and_evaluate(
         context.model,
         get_method(method_key),
-        activation_bits=activation_bits,
-        weight_bits=weight_bits,
+        activation_bits,
+        weight_bits,
+        context.calibration,
+        context.x_test,
+        context.y_test,
         bias_bits=bias_bits,
-        calibration_data=context.calibration_data,
-        x_test=context.x_test,
-        y_test=context.y_test,
         fp32_accuracy=context.fp32_accuracy,
-        per_channel=context.per_channel,
-        calibration_recording=context.calibration_recording,
     )
 
 
 def sweep_quantization_grid(
     model: Model,
     tiles: "list[tuple[str, int, int, int | None]]",
-    calibration_data: np.ndarray,
+    calibration: CalibrationRecording,
     x_test: np.ndarray,
     y_test: np.ndarray,
     fp32_accuracy: float | None = None,
-    calibration_recording: CalibrationRecording | None = None,
-    per_channel: bool = True,
     workers: int = 0,
 ) -> list[QuantizedEvaluation]:
     """Evaluate a grid of quantization configurations of one model.
@@ -299,6 +276,8 @@ def sweep_quantization_grid(
     Args:
         tiles: grid tiles ``(method_key, activation_bits, weight_bits,
             bias_bits)``; evaluations come back in the same order.
+        calibration: the model's calibration recording, shared by every
+            tile.
         fp32_accuracy: FP32 reference accuracy; measured once up front when
             omitted so workers never repeat the FP32 pass.
         workers: worker processes (see
@@ -314,12 +293,10 @@ def sweep_quantization_grid(
         fp32_accuracy = model.accuracy(x_test, y_test)
     context = _QuantizationGridContext(
         model=model,
-        calibration_data=calibration_data,
+        calibration=calibration,
         x_test=x_test,
         y_test=y_test,
         fp32_accuracy=fp32_accuracy,
-        calibration_recording=calibration_recording,
-        per_channel=per_channel,
     )
     executor = ParallelExecutor(workers=workers)
     return executor.map(_quantization_tile_task, tiles, payload=context)

@@ -9,7 +9,7 @@ inference the paper's NPU performs:
   ``q_a * q_w`` — exactly what the 8-bit MAC multiplier produces — followed
   by the zero-point corrections and rescaling (the zero-point expansion of
   Jacob et al., arXiv:1712.05877, whose weight-side terms are fixed per
-  layer at :meth:`QuantizationContext.finalize`),
+  layer when the :class:`QuantizationContext` is built),
 * an optional :class:`~repro.nn.faults.MsbBitFlipInjector` perturbs those
   raw products to model aging-induced timing errors of an unprotected NPU.
 
@@ -17,14 +17,19 @@ The quantization *method* (M1..M5) only decides the clipping ranges; the
 execution path is identical for all methods, so accuracy differences are
 attributable to the range/bias-correction choices alone, as in the paper.
 
-Run-phase contract: a layer first asks :meth:`QuantizationContext.layer_input`
+Run-phase contract: calibration runs first, once per model and calibration
+set, in :func:`record_calibration`, which passes ``forward_quantized`` a
+recorder that computes in FP32 and keeps a sample of every quantizable
+layer's inputs (a :class:`CalibrationRecording`).  A
+:class:`QuantizationContext` is then built from ``(method, bit widths,
+recording)`` with every layer's parameters fixed, and only runs integer
+inference.  There, a layer first asks :meth:`QuantizationContext.layer_input`
 for its operand — the activation codes of its whole input, quantized once —
 and then passes those codes (im2col-unfolded for a convolution, padded with
 the code of 0.0) to :meth:`QuantizationContext.linear`.  Activation
 parameters are per-tensor and quantization is elementwise, so this equals
 quantizing the unfolded FP32 columns, without quantizing every input value
-once per kernel tap.  In the calibration phase ``layer_input`` passes the
-FP32 input through and ``linear`` receives FP32 operands.
+once per kernel tap.
 
 Codes are held in floating point so the integer GEMM runs on BLAS.  Every
 product and partial sum is a non-negative integer no larger than the full
@@ -113,30 +118,98 @@ class LayerQuantization:
         self.zero_product = inner * activation_zero * self.weight_zero
 
 
+# Calibration subsamples each layer's inputs to at most this many values
+# (seed-0 draws), and runs the model on batches of this many images.
+_CALIBRATION_SAMPLE_CAP = 16384
+_CALIBRATION_BATCH = 64
+
+
 @dataclass(frozen=True)
 class CalibrationRecording:
     """FP32 calibration observations captured once, reusable across configs.
 
     The calibration forward pass only depends on the model and the
-    calibration data — not on the quantization method or bit widths — so a
-    sweep over many ``(method, activation_bits, weight_bits)`` configurations
-    (Algorithm 1's grid, the Section VI-B ablation) can record it once and
-    rebuild each configuration's parameters from the recording.  Loading a
-    recording is bit-for-bit equivalent to re-running calibration.
+    calibration data — not on the quantization method or bit widths — so
+    :func:`record_calibration` runs it once and every ``(method,
+    activation_bits, weight_bits)`` configuration (Algorithm 1's method
+    search, the Section VI-B ablation grid) is built from the recording.
+    Building never modifies it.
     """
 
     observations: dict[str, np.ndarray]
     layer_tensors: dict[str, tuple[np.ndarray, np.ndarray]]
 
 
+class _CalibrationRecorder:
+    """The stand-in context of the calibration pass.
+
+    It runs every quantizable layer in FP32 while recording a sample of the
+    layer's inputs and a reference to its weights.
+    """
+
+    def __init__(self) -> None:
+        self.observations: dict[str, np.ndarray] = {}
+        self.layer_tensors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._rng = make_rng(0)
+
+    def layer_input(self, layer: Layer, x: np.ndarray) -> tuple[np.ndarray, float]:
+        return x, 0.0
+
+    def linear(
+        self, layer: Layer, inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray
+    ) -> np.ndarray:
+        weights = weights.reshape(weights.shape[0], -1)
+        self._observe(layer.name, inputs, weights, bias)
+        return inputs @ weights.T + bias
+
+    def _observe(
+        self, layer_name: str, inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray
+    ) -> None:
+        flat = np.asarray(inputs, dtype=np.float64).ravel()
+        if flat.size > _CALIBRATION_SAMPLE_CAP:
+            chosen = self._rng.choice(flat.size, size=_CALIBRATION_SAMPLE_CAP, replace=False)
+            flat = flat[chosen]
+        if layer_name in self.observations:
+            combined = np.concatenate([self.observations[layer_name], flat])
+            if combined.size > _CALIBRATION_SAMPLE_CAP:
+                chosen = self._rng.choice(
+                    combined.size, size=_CALIBRATION_SAMPLE_CAP, replace=False
+                )
+                combined = combined[chosen]
+            self.observations[layer_name] = combined
+        else:
+            self.observations[layer_name] = flat
+        self.layer_tensors[layer_name] = (
+            np.asarray(weights, dtype=np.float64),
+            np.asarray(bias, dtype=np.float64),
+        )
+
+
+def record_calibration(model: Model, calibration_data: np.ndarray) -> CalibrationRecording:
+    """Run the FP32 calibration pass once and return a reusable recording.
+
+    The recording is method- and bit-width-independent; pass it to
+    :meth:`QuantizedModel.build` to quantize the same model many times.
+    """
+    recorder = _CalibrationRecorder()
+    for start in range(0, calibration_data.shape[0], _CALIBRATION_BATCH):
+        model.forward_quantized(calibration_data[start : start + _CALIBRATION_BATCH], recorder)
+    if not recorder.observations:
+        raise RuntimeError(
+            "no calibration data observed; the calibration set is empty or the "
+            "model has no convolution/dense layer"
+        )
+    return CalibrationRecording(
+        observations=recorder.observations, layer_tensors=recorder.layer_tensors
+    )
+
+
 class QuantizationContext:
     """Holds per-layer quantization state and executes the integer MACs.
 
-    The context runs in two phases.  In the calibration phase the model is
-    executed in FP32 while the context records a sample of each quantizable
-    layer's input activations and a reference to its weights.  After
-    :meth:`finalize` the context switches to the run phase, where
-    :meth:`linear` performs the integer computation.
+    Every recorded layer's parameters are computed at construction, from a
+    :class:`CalibrationRecording` for one method and set of bit widths;
+    :meth:`linear` then performs the integer computation.
     """
 
     def __init__(
@@ -144,11 +217,8 @@ class QuantizationContext:
         method: QuantizationMethod,
         activation_bits: int,
         weight_bits: int,
+        calibration: CalibrationRecording,
         bias_bits: int | None = None,
-        per_channel: bool = True,
-        fault_injector: MsbBitFlipInjector | None = None,
-        max_calibration_values: int = 16384,
-        calibration_rng: "int | np.random.Generator | None" = 0,
     ) -> None:
         if activation_bits < 1 or weight_bits < 1:
             raise ValueError("activation_bits and weight_bits must be >= 1")
@@ -158,63 +228,19 @@ class QuantizationContext:
         self.bias_bits = bias_bits if bias_bits is not None else activation_bits + weight_bits
         if self.bias_bits < 1:
             raise ValueError("bias_bits must be >= 1")
-        self.per_channel = per_channel
-        self.fault_injector = fault_injector
-        self.max_calibration_values = max_calibration_values
-        self.layer_params: dict[str, LayerQuantization] = {}
-        self._observations: dict[str, np.ndarray] = {}
-        self._layer_tensors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._calibrating = True
-        self._calibration_rng = make_rng(calibration_rng)
-
-    # ------------------------------------------------------------------ state
-    @property
-    def is_calibrating(self) -> bool:
-        return self._calibrating
-
-    def snapshot_calibration(self) -> CalibrationRecording:
-        """Capture the recorded observations for reuse in other contexts."""
-        if not self._calibrating:
-            raise RuntimeError("the context has already been finalized")
-        if not self._observations:
-            raise RuntimeError("no calibration data observed yet")
-        return CalibrationRecording(
-            observations=dict(self._observations),
-            layer_tensors=dict(self._layer_tensors),
-        )
-
-    def load_calibration(self, recording: CalibrationRecording) -> None:
-        """Adopt a :class:`CalibrationRecording` instead of a forward pass."""
-        if not self._calibrating:
-            raise RuntimeError("the context has already been finalized")
-        self._observations = dict(recording.observations)
-        self._layer_tensors = dict(recording.layer_tensors)
-
-    def finalize(self) -> None:
-        """Compute every layer's quantization parameters and switch to run mode."""
-        if not self._calibrating:
-            return
-        if not self._observations:
-            raise RuntimeError(
-                "no calibration data observed; run the model on calibration "
-                "inputs via forward_quantized before finalizing"
+        self.fault_injector: MsbBitFlipInjector | None = None
+        self.layer_params: dict[str, LayerQuantization] = {
+            layer_name: self._build_layer_quantization(
+                samples, *calibration.layer_tensors[layer_name]
             )
-        for layer_name, samples in self._observations.items():
-            weights, bias = self._layer_tensors[layer_name]
-            self.layer_params[layer_name] = self._build_layer_quantization(
-                samples, weights, bias
-            )
-        self._calibrating = False
-        self._observations.clear()
-        self._layer_tensors.clear()
+            for layer_name, samples in calibration.observations.items()
+        }
 
     def _build_layer_quantization(
         self, activation_samples: np.ndarray, weights: np.ndarray, bias: np.ndarray
     ) -> LayerQuantization:
         activation = self.method.activation_params(activation_samples, self.activation_bits)
-        weight_encode = self.method.weight_params(
-            weights, self.weight_bits, per_channel=self.per_channel, channel_axis=0
-        )
+        weight_encode = self.method.weight_params(weights, self.weight_bits, channel_axis=0)
         if self.method.wants_bias_correction and weights.ndim > 1:
             weight_decode = corrected_weight_params(weights, weight_encode, channel_axis=0)
         else:
@@ -246,19 +272,15 @@ class QuantizationContext:
         except KeyError:
             raise KeyError(
                 f"layer {layer.name!r} has no quantization parameters; "
-                "was the context calibrated on this model?"
+                "was the calibration recorded on this model?"
             ) from None
 
     def layer_input(self, layer: Layer, x: np.ndarray) -> tuple[np.ndarray, float]:
         """The operand ``layer`` builds its :meth:`linear` input from, and its pad value.
 
-        During calibration this is ``x`` itself, padded with 0.0.  In the run
-        phase it is the activation codes of ``x`` (one quantization of the
-        whole input) in the layer's ``code_dtype``, padded with the code of
-        0.0.
+        This is the activation codes of ``x`` (one quantization of the whole
+        input) in the layer's ``code_dtype``, padded with the code of 0.0.
         """
-        if self._calibrating:
-            return x, 0.0
         params = self._params(layer)
         return params.activation.quantize(x, params.code_dtype), params.activation_pad
 
@@ -271,43 +293,12 @@ class QuantizationContext:
     ) -> np.ndarray:
         """Quantized affine transform ``inputs @ weights.T + bias``.
 
-        ``inputs`` is the (M, K) operand matrix (im2col columns for a
-        convolution, features for a dense layer) built from
-        :meth:`layer_input`, ``weights`` the (N, K) FP32 weight matrix.
-        During calibration ``inputs`` is FP32: the FP32 result is returned
-        and the operands recorded.  Afterwards ``inputs`` holds activation
-        codes and the integer path runs on the frozen weight codes.
+        ``inputs`` is the (M, K) activation-code matrix (im2col columns for
+        a convolution, features for a dense layer) built from
+        :meth:`layer_input`.  The integer path runs on the layer's frozen
+        weight codes; the FP32 ``weights`` and ``bias`` are not read.
         """
-        if self._calibrating:
-            weights = weights.reshape(weights.shape[0], -1)
-            self._observe(layer.name, inputs, weights, bias)
-            return inputs @ weights.T + bias
         return self._integer_linear(inputs, self._params(layer))
-
-    def _observe(
-        self, layer_name: str, inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray
-    ) -> None:
-        flat = np.asarray(inputs, dtype=np.float64).ravel()
-        if flat.size > self.max_calibration_values:
-            chosen = self._calibration_rng.choice(
-                flat.size, size=self.max_calibration_values, replace=False
-            )
-            flat = flat[chosen]
-        if layer_name in self._observations:
-            existing = self._observations[layer_name]
-            combined = np.concatenate([existing, flat])
-            if combined.size > self.max_calibration_values:
-                chosen = self._calibration_rng.choice(
-                    combined.size, size=self.max_calibration_values, replace=False
-                )
-                combined = combined[chosen]
-            self._observations[layer_name] = combined
-        else:
-            self._observations[layer_name] = flat
-        self._layer_tensors[layer_name] = (
-            np.asarray(weights, dtype=np.float64),
-            np.asarray(bias, dtype=np.float64),
-        )
 
     def _integer_linear(self, q_activations: np.ndarray, params: LayerQuantization) -> np.ndarray:
         # Integer codes in ``code_dtype`` give an exact BLAS matmul (see
@@ -333,14 +324,12 @@ class QuantizationContext:
 class QuantizedModel:
     """A frozen quantized view of an FP32 model.
 
-    Use :meth:`build` to calibrate and construct; afterwards the object
-    behaves like a read-only classifier (``forward`` / ``predict`` /
-    ``accuracy``) running on the integer MAC path.
+    Use :meth:`build` to construct from a :func:`record_calibration`
+    recording; the object behaves like a read-only classifier (``forward`` /
+    ``predict`` / ``accuracy``) running on the integer MAC path.
     """
 
     def __init__(self, model: Model, context: QuantizationContext) -> None:
-        if context.is_calibrating:
-            raise ValueError("the quantization context must be finalized first")
         self.model = model
         self.context = context
 
@@ -351,36 +340,13 @@ class QuantizedModel:
         method: QuantizationMethod,
         activation_bits: int,
         weight_bits: int,
-        calibration_data: np.ndarray,
+        calibration: CalibrationRecording,
         bias_bits: int | None = None,
-        per_channel: bool = True,
-        fault_injector: MsbBitFlipInjector | None = None,
-        calibration_batch_size: int = 64,
-        calibration_recording: CalibrationRecording | None = None,
     ) -> "QuantizedModel":
-        """Calibrate ``model`` with ``method`` and freeze the integer view.
-
-        Pass ``calibration_recording`` (see :func:`record_calibration`) to
-        skip the FP32 calibration forward pass; parameter sweeps over many
-        configurations of the same model only pay for calibration once.
-        """
-        context = QuantizationContext(
-            method=method,
-            activation_bits=activation_bits,
-            weight_bits=weight_bits,
-            bias_bits=bias_bits,
-            per_channel=per_channel,
-            fault_injector=fault_injector,
+        """Quantize ``model`` with ``method`` from its calibration recording."""
+        return cls(
+            model, QuantizationContext(method, activation_bits, weight_bits, calibration, bias_bits)
         )
-        if calibration_recording is not None:
-            context.load_calibration(calibration_recording)
-        else:
-            for start in range(0, calibration_data.shape[0], calibration_batch_size):
-                model.forward_quantized(
-                    calibration_data[start : start + calibration_batch_size], context
-                )
-        context.finalize()
-        return cls(model, context)
 
     # -------------------------------------------------------------- inference
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -409,23 +375,3 @@ class QuantizedModel:
     def fault_injector(self) -> MsbBitFlipInjector | None:
         return self.context.fault_injector
 
-
-def record_calibration(
-    model: Model,
-    calibration_data: np.ndarray,
-    calibration_batch_size: int = 64,
-) -> CalibrationRecording:
-    """Run the FP32 calibration pass once and return a reusable recording.
-
-    The recording is method- and bit-width-independent; feed it to
-    :meth:`QuantizedModel.build` via ``calibration_recording`` to quantize
-    the same model many times without re-running the forward pass.
-    """
-    # The method is only consulted when a context is finalized, which never
-    # happens on this recording-only context.
-    context = QuantizationContext(method=None, activation_bits=8, weight_bits=8)
-    for start in range(0, calibration_data.shape[0], calibration_batch_size):
-        model.forward_quantized(
-            calibration_data[start : start + calibration_batch_size], context
-        )
-    return context.snapshot_calibration()

@@ -200,6 +200,27 @@ def _execute_work_item(
 
 
 # -------------------------------------------------------------- scheduler
+def prune_to_demand(
+    order: Sequence[Task], requested: Sequence[str], hit: dict[str, bool]
+) -> tuple[set[str], list[Task]]:
+    """Demand-driven pruning of a topological ``order``, consumers first.
+
+    A task is needed if it is requested or feeds a task that will execute;
+    it executes if it is needed and ``hit`` says it is not cached.  Returns
+    the needed task names and the executing tasks in ``order``.  The query
+    service plans with this same function, so its plan is exactly what
+    :func:`run_pipeline` executes.
+    """
+    needed: set[str] = set(requested)
+    executing: list[Task] = []
+    for task in reversed(order):
+        if task.name in needed and not hit[task.name]:
+            executing.append(task)
+            needed.update(task.depends)
+    executing.reverse()
+    return needed, executing
+
+
 def _is_chain(tasks: Sequence[Task], names: set[str]) -> bool:
     """True if the heavy tasks form a single dependency chain (no overlap).
 
@@ -328,15 +349,7 @@ def _run_pipeline(
         for task in order
     }
 
-    # Demand-driven pruning (consumers first): a task is needed if it is a
-    # target or feeds a task that will execute; it executes if needed and
-    # not already cached.
-    needed: set[str] = set(requested)
-    executes: dict[str, bool] = {}
-    for task in reversed(order):
-        executes[task.name] = task.name in needed and not hit[task.name]
-        if executes[task.name]:
-            needed.update(task.depends)
+    needed, exec_order = prune_to_demand(order, requested, hit)
 
     records = {
         task.name: TaskRecord(
@@ -425,7 +438,6 @@ def _run_pipeline(
             if task.name in needed and hit[task.name]:
                 _load(task)
 
-        exec_order = [task for task in order if executes[task.name]]
         heavy_exec = [task for task in exec_order if task.heavy]
         # With a persistent pool, its size decides overlap (settings.workers
         # still steers worker-side inner sweeps via worker_settings below).

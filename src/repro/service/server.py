@@ -48,7 +48,7 @@ from repro.experiments.settings import ExperimentSettings
 from repro.parallel import WorkerPool
 from repro.pipeline.cache import ArtifactCache, compute_cache_keys
 from repro.pipeline.registry import build_experiment_graph
-from repro.pipeline.scheduler import TaskRecord, run_pipeline
+from repro.pipeline.scheduler import TaskRecord, prune_to_demand, run_pipeline
 from repro.service.admission import AdmissionPolicy, estimate_query_seconds
 from repro.service.protocol import (
     BAD_REQUEST,
@@ -437,19 +437,9 @@ class AgingAnalysisService:
             task.name: cache is not None and cache.contains(task, keys[task.name])
             for task in order
         }
-        # Mirror of the scheduler's demand-driven pruning, so the plan's
-        # to-execute set is exactly what run_pipeline will execute.
-        needed: set[str] = set(requested)
-        to_execute: list[str] = []
-        hits: list[str] = []
-        for task in reversed(order):
-            if task.name in needed and not hit[task.name]:
-                to_execute.append(task.name)
-                needed.update(task.depends)
-        for task in order:
-            if task.name in needed and hit[task.name]:
-                hits.append(task.name)
-        to_execute.reverse()
+        needed, executing = prune_to_demand(order, requested, hit)
+        to_execute = [task.name for task in executing]
+        hits = [task.name for task in order if task.name in needed and hit[task.name]]
         return QueryPlan(
             requested=requested,
             settings=settings,

@@ -16,6 +16,7 @@ from repro.circuits.mac import build_mac, build_multiplier
 from repro.nn.datasets import SyntheticImageDataset
 from repro.nn.layers import Conv2D, Dense, Flatten, GlobalAvgPool2D, MaxPool2D, ReLU
 from repro.nn.model import Model
+from repro.nn.quantized import CalibrationRecording, record_calibration
 from repro.nn.training import SGDTrainer
 
 
@@ -131,6 +132,12 @@ def tiny_model(tiny_dataset) -> Model:
 @pytest.fixture(scope="session")
 def tiny_calibration(tiny_dataset) -> np.ndarray:
     return tiny_dataset.calibration_split(24, seed=1)
+
+
+@pytest.fixture(scope="session")
+def tiny_recording(tiny_model, tiny_calibration) -> CalibrationRecording:
+    """The tiny model's calibration recording (building never modifies it)."""
+    return record_calibration(tiny_model, tiny_calibration)
 
 
 @pytest.fixture()

@@ -81,10 +81,10 @@ class TestAlgorithmSelection:
     def test_fresh_level_needs_no_compression(self, quantizer):
         assert quantizer.select_compression(0.0).choice.is_uncompressed
 
-    def test_method_search_returns_best(self, quantizer, tiny_model, tiny_calibration, tiny_dataset):
+    def test_method_search_returns_best(self, quantizer, tiny_model, tiny_recording, tiny_dataset):
         compression = CompressionChoice(2, 2)
         selected, evaluation, per_method, satisfied = quantizer.quantize_model(
-            tiny_model, compression, tiny_calibration, tiny_dataset.x_test, tiny_dataset.y_test
+            tiny_model, compression, tiny_recording, tiny_dataset.x_test, tiny_dataset.y_test
         )
         assert selected in per_method
         assert satisfied is True
@@ -92,12 +92,12 @@ class TestAlgorithmSelection:
             entry.accuracy_loss_percent for entry in per_method.values()
         )
 
-    def test_threshold_short_circuits_search(self, quantizer, tiny_model, tiny_calibration, tiny_dataset):
+    def test_threshold_short_circuits_search(self, quantizer, tiny_model, tiny_recording, tiny_dataset):
         compression = CompressionChoice(0, 0)
         selected, _, per_method, satisfied = quantizer.quantize_model(
             tiny_model,
             compression,
-            tiny_calibration,
+            tiny_recording,
             tiny_dataset.x_test,
             tiny_dataset.y_test,
             accuracy_loss_threshold_percent=100.0,
@@ -118,47 +118,45 @@ class TestAlgorithmSelection:
     def test_shared_calibration_matches_per_method_calibration(
         self, paper_mac, library_set, tiny_model, tiny_calibration, tiny_dataset
     ):
+        import pickle
+
         import numpy as np
 
         from repro.nn.evaluate import quantize_and_evaluate
-        from repro.nn.quantized import QuantizedModel, record_calibration
+        from repro.nn.quantized import QuantizedModel
 
         methods = available_methods(["M1", "M2", "M3", "M4", "M5"])
         quantizer = AgingAwareQuantizer(
             mac=paper_mac, library_set=library_set, methods=methods
         )
         compression = CompressionChoice(2, 1)
+        bits = (compression.activation_bits(8), compression.weight_bits(8))
+        bias_bits = compression.bias_bits(8)
+        x_test, y_test = tiny_dataset.x_test, tiny_dataset.y_test
+        shared = record_calibration(tiny_model, tiny_calibration)
+        observed = {name: samples.copy() for name, samples in shared.observations.items()}
         _, _, per_method, _ = quantizer.quantize_model(
-            tiny_model, compression, tiny_calibration, tiny_dataset.x_test, tiny_dataset.y_test
+            tiny_model, compression, shared, x_test, y_test
         )
-        bits = {
-            "activation_bits": compression.activation_bits(8),
-            "weight_bits": compression.weight_bits(8),
-            "bias_bits": compression.bias_bits(8),
-        }
-        recording = record_calibration(tiny_model, tiny_calibration)
         assert list(per_method) == [method.key for method in methods]
         for method in methods:
+            fresh = record_calibration(tiny_model, tiny_calibration)
             assert per_method[method.key] == quantize_and_evaluate(
-                tiny_model,
-                method,
-                calibration_data=tiny_calibration,
-                x_test=tiny_dataset.x_test,
-                y_test=tiny_dataset.y_test,
-                **bits,
+                tiny_model, method, *bits, fresh, x_test, y_test, bias_bits=bias_bits
             )
-            # Accuracy is coarse; the logits pin the recording bit for bit.
-            shared, own = (
-                QuantizedModel.build(
-                    tiny_model,
-                    method=method,
-                    calibration_data=tiny_calibration,
-                    calibration_recording=calibration_recording,
-                    **bits,
-                ).predict_logits(tiny_dataset.x_test)
-                for calibration_recording in (recording, None)
+            # Accuracy is coarse; the layer parameters pin the recording bit for bit.
+            from_shared, from_fresh = (
+                pickle.dumps(
+                    QuantizedModel.build(tiny_model, method, *bits, recording, bias_bits)
+                    .context.layer_params
+                )
+                for recording in (shared, fresh)
             )
-            assert np.array_equal(shared, own)
+            assert from_shared == from_fresh
+        # Building never modifies the recording it reads.
+        assert list(shared.observations) == list(observed)
+        for name, samples in observed.items():
+            assert np.array_equal(shared.observations[name], samples)
 
     def test_empty_method_library_rejected(self, paper_mac, library_set):
         with pytest.raises(ValueError):
@@ -238,14 +236,14 @@ class TestPipeline:
         assert len(results) == 2 and len(calls) == 1
         # The shared recording reproduces a per-level calibration exactly.
         for result in results:
+            fresh = record_calibration(tiny_model, tiny_calibration)
             selected, _, per_method, _ = pipeline.quantizer.quantize_model(
-                tiny_model, result.timing.choice, tiny_calibration, x_test, y_test
+                tiny_model, result.timing.choice, fresh, x_test, y_test
             )
             assert selected == result.selected_method
             assert {key: e.quantized_accuracy for key, e in per_method.items()} == {
                 key: e.quantized_accuracy for key, e in result.per_method.items()
             }
-        assert len(calls) == 1 + len(results)
 
     def test_energy_study_shows_savings_when_aged(self, pipeline):
         study = pipeline.energy_study(num_transitions=120, rng=0)

@@ -8,6 +8,8 @@ harness runs the realistically sized versions.
 
 import pytest
 
+import repro.core.algorithm as algorithm_module
+import repro.experiments.ablation_precision_scaling as precision_scaling_module
 from repro.experiments import (
     ExperimentSettings,
     ExperimentWorkspace,
@@ -16,6 +18,7 @@ from repro.experiments import (
     run_surrogate_ablation,
     run_table1,
 )
+from repro.nn.quantized import record_calibration
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +104,18 @@ class TestAblationsFast:
         assert -100.0 <= ours_loss <= 100.0
         assert -100.0 <= masking_loss <= 100.0
         assert masking_loss >= ours_loss - 5.0
+
+    def test_precision_scaling_records_calibration_once_per_network(
+        self, nn_workspace, monkeypatch
+    ):
+        calls = []
+
+        def counting_record_calibration(model, calibration_data):
+            calls.append(model)
+            return record_calibration(model, calibration_data)
+
+        for module in (algorithm_module, precision_scaling_module):
+            monkeypatch.setattr(module, "record_calibration", counting_record_calibration)
+        run_precision_scaling_ablation(workspace=nn_workspace, delta_vth_mv=50.0)
+        networks = nn_workspace.settings.ablation_networks
+        assert calls == [nn_workspace.model(name).model for name in networks]

@@ -6,7 +6,7 @@ import pytest
 from repro.nn.blocks import FireModule, ResidualBlock
 from repro.nn.layers import Conv2D
 from repro.nn.model import Model
-from repro.nn.quantized import QuantizedModel
+from repro.nn.quantized import QuantizedModel, record_calibration
 from repro.quantization.registry import get_method
 
 
@@ -86,7 +86,7 @@ class TestQuantizedBlocks:
         x = np.abs(rng.normal(size=(8, in_channels, 8, 8)))
         calibration = x[:4]
         quantized = QuantizedModel.build(
-            model, get_method("M2"), activation_bits=8, weight_bits=8, calibration_data=calibration
+            model, get_method("M2"), 8, 8, record_calibration(model, calibration)
         )
         fp32_logits = model.forward(x)
         quant_logits = quantized.predict_logits(x)

@@ -21,6 +21,7 @@ from repro.nn.functional import conv_output_size
 from repro.nn.layers import Conv2D, Dense, Flatten, ReLU
 from repro.nn.model import Model
 from repro.nn.quantized import (
+    CalibrationRecording,
     LayerQuantization,
     QuantizationContext,
     QuantizedModel,
@@ -137,19 +138,16 @@ def networks():
     for name in NETWORKS:
         model = build_model(name, rng=0)
         built[name] = (model, record_calibration(model, calibration))
-    return built, calibration, inputs
+    return built, inputs
 
 
 @pytest.mark.parametrize("bits", BIT_WIDTHS, ids=lambda bits: f"a{bits[0]}w{bits[1]}")
 @pytest.mark.parametrize("key", METHOD_KEYS)
 @pytest.mark.parametrize("network", NETWORKS)
 def test_code_domain_engine_matches_reference(network, key, bits, networks, monkeypatch):
-    built, calibration, inputs = networks
+    built, inputs = networks
     model, recording = built[network]
-    quantized = QuantizedModel.build(
-        model, get_method(key), *bits, calibration_data=calibration,
-        calibration_recording=recording,
-    )
+    quantized = QuantizedModel.build(model, get_method(key), *bits, recording)
     linear = QuantizationContext.linear
     for probability in FLIP_PROBABILITIES:
         quantized.set_fault_injector(
@@ -217,7 +215,8 @@ def test_bound_one_below_2_pow_24_picks_float32_and_stays_exact():
     # 255 * 65793 == 2**24 - 1, set by the all-ones column alone.
     layer = identity_layer(8, np.zeros((1, 65793)), weight_zero=1.0)
     assert layer.code_dtype is np.float32
-    context = QuantizationContext(get_method("M2"), 8, 8)
+    # An empty recording: a context with no layers, to drive _integer_linear.
+    context = QuantizationContext(get_method("M2"), 8, 8, CalibrationRecording({}, {}))
     # Every activation at the top code: the row sum is the bound itself, and
     # with z_w = 1 the output is exactly minus that row sum.
     q_activations = np.full((2, 65793), 255, dtype=layer.code_dtype)
@@ -236,7 +235,9 @@ def test_wide_dense_runs_float64_and_matches_reference(key, probability, monkeyp
     model = Model(
         [Conv2D(3, 8, rng=1), ReLU(), Flatten(), Dense(8 * 16 * 16, 10, rng=2)], num_classes=10
     )
-    quantized = QuantizedModel.build(model, get_method(key), 8, 8, calibration_data=calibration)
+    quantized = QuantizedModel.build(
+        model, get_method(key), 8, 8, record_calibration(model, calibration)
+    )
     dtypes = {name: params.code_dtype for name, params in quantized.context.layer_params.items()}
     assert dtypes == {"0_conv2d": np.float32, "3_dense": np.float64}
 

@@ -6,26 +6,23 @@ import pytest
 import repro.observability as observability
 from repro.nn.evaluate import evaluate_with_fault_injection, quantize_and_evaluate
 from repro.nn.faults import MsbBitFlipInjector
-from repro.nn.quantized import QuantizationContext, QuantizedModel
+from repro.nn.quantized import QuantizationContext, QuantizedModel, record_calibration
 from repro.quantization.registry import METHOD_KEYS, get_method
 
 
 class TestQuantizationContext:
-    def test_finalize_requires_calibration(self):
-        context = QuantizationContext(get_method("M2"), activation_bits=8, weight_bits=8)
-        with pytest.raises(RuntimeError):
-            context.finalize()
+    def test_record_calibration_requires_observations(self, tiny_model, tiny_calibration):
+        with pytest.raises(RuntimeError, match="no calibration data observed"):
+            record_calibration(tiny_model, tiny_calibration[:0])
 
-    def test_invalid_bit_widths(self):
+    def test_invalid_bit_widths(self, tiny_recording):
         with pytest.raises(ValueError):
-            QuantizationContext(get_method("M2"), activation_bits=0, weight_bits=8)
+            QuantizationContext(get_method("M2"), 0, 8, tiny_recording)
         with pytest.raises(ValueError):
-            QuantizationContext(get_method("M2"), activation_bits=8, weight_bits=8, bias_bits=0)
+            QuantizationContext(get_method("M2"), 8, 8, tiny_recording, bias_bits=0)
 
-    def test_unquantized_layer_lookup_fails_cleanly(self, tiny_model, tiny_calibration, tiny_dataset):
-        quantized = QuantizedModel.build(
-            tiny_model, get_method("M2"), 8, 8, calibration_data=tiny_calibration
-        )
+    def test_unquantized_layer_lookup_fails_cleanly(self, tiny_model, tiny_recording):
+        quantized = QuantizedModel.build(tiny_model, get_method("M2"), 8, 8, tiny_recording)
         # A layer that never went through calibration is rejected explicitly.
         from repro.nn.layers import Dense
 
@@ -34,10 +31,8 @@ class TestQuantizationContext:
         with pytest.raises(KeyError):
             quantized.context.linear(foreign, np.zeros((1, 4)), foreign.weight.value, foreign.bias.value)
 
-    def test_unquantized_layer_forward_fails_cleanly(self, tiny_model, tiny_calibration):
-        quantized = QuantizedModel.build(
-            tiny_model, get_method("M2"), 8, 8, calibration_data=tiny_calibration
-        )
+    def test_unquantized_layer_forward_fails_cleanly(self, tiny_model, tiny_recording):
+        quantized = QuantizedModel.build(tiny_model, get_method("M2"), 8, 8, tiny_recording)
         from repro.nn.layers import Conv2D, Dense
 
         # The run-phase lookup of the layer's activation codes fails first,
@@ -53,53 +48,48 @@ class TestQuantizationContext:
 
 
 class TestQuantizedModel:
-    def test_build_requires_finalized_context(self, tiny_model):
-        context = QuantizationContext(get_method("M2"), 8, 8)
-        with pytest.raises(ValueError):
-            QuantizedModel(tiny_model, context)
+    def test_build_quantizes_every_recorded_layer(self, tiny_model, tiny_recording):
+        quantized = QuantizedModel.build(tiny_model, get_method("M2"), 8, 8, tiny_recording)
+        layers = [layer.name for layer in tiny_model.layers if hasattr(layer, "weight")]
+        assert list(quantized.context.layer_params) == list(tiny_recording.observations) == layers
+        assert quantized.fault_injector is None
 
-    def test_eight_bit_quantization_preserves_accuracy(self, tiny_model, tiny_calibration, tiny_dataset):
+    def test_eight_bit_quantization_preserves_accuracy(self, tiny_model, tiny_recording, tiny_dataset):
         fp32 = tiny_model.accuracy(tiny_dataset.x_test, tiny_dataset.y_test)
-        quantized = QuantizedModel.build(
-            tiny_model, get_method("M2"), 8, 8, calibration_data=tiny_calibration
-        )
+        quantized = QuantizedModel.build(tiny_model, get_method("M2"), 8, 8, tiny_recording)
         accuracy = quantized.accuracy(tiny_dataset.x_test, tiny_dataset.y_test)
         assert abs(fp32 - accuracy) <= 0.05
 
     @pytest.mark.parametrize("key", METHOD_KEYS)
-    def test_all_methods_execute(self, key, tiny_model, tiny_calibration, tiny_dataset):
-        quantized = QuantizedModel.build(
-            tiny_model, get_method(key), 6, 6, calibration_data=tiny_calibration
-        )
+    def test_all_methods_execute(self, key, tiny_model, tiny_recording, tiny_dataset):
+        quantized = QuantizedModel.build(tiny_model, get_method(key), 6, 6, tiny_recording)
         predictions = quantized.predict(tiny_dataset.x_test[:16])
         assert predictions.shape == (16,)
 
-    def test_aggressive_quantization_degrades_more(self, tiny_model, tiny_calibration, tiny_dataset):
+    def test_aggressive_quantization_degrades_more(self, tiny_model, tiny_recording, tiny_dataset):
         fp32 = tiny_model.accuracy(tiny_dataset.x_test, tiny_dataset.y_test)
         mild = quantize_and_evaluate(
-            tiny_model, get_method("M2"), 8, 8, tiny_calibration,
+            tiny_model, get_method("M2"), 8, 8, tiny_recording,
             tiny_dataset.x_test, tiny_dataset.y_test, fp32_accuracy=fp32,
         )
         harsh = quantize_and_evaluate(
-            tiny_model, get_method("M2"), 3, 3, tiny_calibration,
+            tiny_model, get_method("M2"), 3, 3, tiny_recording,
             tiny_dataset.x_test, tiny_dataset.y_test, fp32_accuracy=fp32,
         )
         assert harsh.quantized_accuracy <= mild.quantized_accuracy + 0.02
         assert harsh.accuracy_loss_percent >= mild.accuracy_loss_percent - 2.0
 
-    def test_quantized_logits_close_to_fp32_at_8_bits(self, tiny_model, tiny_calibration, tiny_dataset):
-        quantized = QuantizedModel.build(
-            tiny_model, get_method("M2"), 8, 8, calibration_data=tiny_calibration
-        )
+    def test_quantized_logits_close_to_fp32_at_8_bits(self, tiny_model, tiny_recording, tiny_dataset):
+        quantized = QuantizedModel.build(tiny_model, get_method("M2"), 8, 8, tiny_recording)
         x = tiny_dataset.x_test[:8]
         fp32_logits = tiny_model.predict_logits(x)
         quant_logits = quantized.predict_logits(x)
         scale = np.abs(fp32_logits).max() + 1e-9
         assert np.abs(fp32_logits - quant_logits).max() / scale < 0.15
 
-    def test_evaluation_metadata(self, tiny_model, tiny_calibration, tiny_dataset):
+    def test_evaluation_metadata(self, tiny_model, tiny_recording, tiny_dataset):
         evaluation = quantize_and_evaluate(
-            tiny_model, get_method("M4"), 5, 4, tiny_calibration,
+            tiny_model, get_method("M4"), 5, 4, tiny_recording,
             tiny_dataset.x_test, tiny_dataset.y_test,
         )
         assert evaluation.method_key == "M4"
@@ -170,10 +160,8 @@ class TestFaultInjection:
         )
         assert noisy < clean
 
-    def test_fault_injection_is_removable(self, tiny_model, tiny_calibration, tiny_dataset):
-        quantized = QuantizedModel.build(
-            tiny_model, get_method("M2"), 8, 8, calibration_data=tiny_calibration
-        )
+    def test_fault_injection_is_removable(self, tiny_model, tiny_recording, tiny_dataset):
+        quantized = QuantizedModel.build(tiny_model, get_method("M2"), 8, 8, tiny_recording)
         baseline = quantized.accuracy(tiny_dataset.x_test, tiny_dataset.y_test)
         quantized.set_fault_injector(MsbBitFlipInjector(probability=0.05, rng=1))
         degraded = quantized.accuracy(tiny_dataset.x_test, tiny_dataset.y_test)

@@ -373,7 +373,7 @@ class TestFaultSweepDeterminism:
 
 # ------------------------------------------------------- quantization grid
 class TestQuantizationGridDeterminism:
-    def test_parallel_matches_serial(self, tiny_model, tiny_dataset, tiny_calibration):
+    def test_parallel_matches_serial(self, tiny_model, tiny_dataset, tiny_recording):
         x_test = tiny_dataset.x_test[:40]
         y_test = tiny_dataset.y_test[:40]
         tiles = [
@@ -381,11 +381,9 @@ class TestQuantizationGridDeterminism:
             for method_key in ("M2", "M4")
             for alpha, beta in ((0, 0), (2, 2), (4, 4))
         ]
-        serial = sweep_quantization_grid(
-            tiny_model, tiles, tiny_calibration, x_test, y_test
-        )
+        serial = sweep_quantization_grid(tiny_model, tiles, tiny_recording, x_test, y_test)
         parallel = sweep_quantization_grid(
-            tiny_model, tiles, tiny_calibration, x_test, y_test, workers=2
+            tiny_model, tiles, tiny_recording, x_test, y_test, workers=2
         )
         assert parallel == serial
         assert [e.method_key for e in serial] == [t[0] for t in tiles]

@@ -30,9 +30,11 @@ from repro.parallel import ParallelExecutor, WorkerPool
 from repro.pipeline import ArtifactCache, run_pipeline
 from repro.pipeline.cache import compute_cache_keys
 from repro.pipeline.registry import build_experiment_graph
+from repro.pipeline.scheduler import HIT
 from repro.pipeline.task import PICKLE_FORMAT, PRODUCT, Task
 from repro.service import (
     AdmissionPolicy,
+    AgingAnalysisService,
     ServiceClient,
     ServiceConfig,
     ServiceError,
@@ -668,3 +670,23 @@ class TestService:
         service.stop()  # joins the already-stopping thread
         with pytest.raises((ConnectionError, OSError)):
             ServiceClient(host, port, timeout=2).ping()
+
+    def test_plan_is_exactly_what_run_pipeline_executes(self, tmp_path, hw_settings):
+        service = AgingAnalysisService(self._config(tmp_path, hw_settings))
+        try:
+            plans = []
+            # Cold; partially warm (fig4a cached, fig5 not); warm.
+            for names in (["fig4a"], ["fig4a", "fig5"], ["fig4a", "fig5"]):
+                plan = service._plan(names, {})
+                run = run_pipeline(names, plan.settings, cache_dir=plan.cache_dir)
+                assert plan.to_execute == run.executed
+                assert plan.hits == tuple(
+                    name for name in run.order if run.records[name].action == HIT
+                )
+                plans.append(plan)
+            cold, partial, warm = plans
+            assert "fig4a" in cold.to_execute and not cold.hits
+            assert "fig5" in partial.to_execute and "fig4a" in partial.hits
+            assert warm.to_execute == () and set(warm.hits) == {"fig4a", "fig5"}
+        finally:
+            service._pool.close()
