@@ -16,6 +16,7 @@ Given an aging level (ΔVth), the algorithm
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +84,9 @@ class AgingAwareQuantizer:
         self.max_alpha = max_alpha
         self.max_beta = max_beta
         self.paddings = paddings
+        # The most recent calibration of :meth:`run`, as (model, fingerprint
+        # of the model's parameters and the calibration data, recording).
+        self._calibration: tuple[Model, bytes, CalibrationRecording] | None = None
 
     # -------------------------------------------------------------- line 2-5
     def select_compression(self, delta_vth_mv: "float | AgingScenario") -> CompressionTiming:
@@ -163,12 +167,23 @@ class AgingAwareQuantizer:
         accuracy_loss_threshold_percent: float | None = None,
         fp32_accuracy: float | None = None,
     ) -> AgingAwareQuantizationResult:
-        """Full Algorithm 1 for one network at one aging level."""
+        """Full Algorithm 1 for one network at one aging level.
+
+        The quantizer keeps the calibration recording of its most recent
+        call and reuses it while the model and the calibration data are
+        unchanged, so running one network over a lifetime of aging levels
+        records the FP32 calibration pass once, and each method calibrates
+        each bit width once (the recording memoises the clipping; see
+        :class:`~repro.nn.quantized.CalibrationRecording`).  Reuse needs
+        the same model object and an exact match of a content fingerprint
+        of the calibration data and every model parameter: editing the
+        weights in place or passing other data records afresh.
+        """
         timing = self.select_compression(delta_vth_mv)
         selected, evaluation, per_method, satisfied = self.quantize_model(
             model,
             timing.choice,
-            record_calibration(model, calibration_data),
+            self._recording(model, calibration_data),
             x_test,
             y_test,
             accuracy_loss_threshold_percent=accuracy_loss_threshold_percent,
@@ -182,3 +197,27 @@ class AgingAwareQuantizer:
             per_method=per_method,
             threshold_satisfied=satisfied,
         )
+
+    def _recording(self, model: Model, calibration_data: np.ndarray) -> CalibrationRecording:
+        """The kept recording if it matches ``model`` and the data, else a new one."""
+        fingerprint = _calibration_fingerprint(model, calibration_data)
+        kept = self._calibration
+        if kept is None or kept[0] is not model or kept[1] != fingerprint:
+            kept = (model, fingerprint, record_calibration(model, calibration_data))
+            self._calibration = kept
+        return kept[2]
+
+
+def _calibration_fingerprint(model: Model, calibration_data: np.ndarray) -> bytes:
+    """Digest of the calibration data and every parameter, in ``named_layers`` order."""
+    digest = hashlib.blake2b(digest_size=16)
+    arrays = [("calibration_data", calibration_data)] + [
+        (f"{layer_name}/{param.name}", param.value)
+        for layer_name, layer in model.named_layers()
+        for param in layer.parameters()
+    ]
+    for name, array in arrays:
+        array = np.ascontiguousarray(array)
+        digest.update(f"{name}:{array.dtype.str}:{array.shape}".encode())
+        digest.update(array)
+    return digest.digest()

@@ -23,8 +23,12 @@ recorder that computes in FP32 and keeps a sample of every quantizable
 layer's inputs (a :class:`CalibrationRecording`).  A
 :class:`QuantizationContext` is then built from ``(method, bit widths,
 recording)`` with every layer's parameters fixed, and only runs integer
-inference.  There, a layer first asks :meth:`QuantizationContext.layer_input`
-for its operand — the activation codes of its whole input, quantized once —
+inference.  A method's clipping of a layer depends only on the method's
+settings, the recorded tensor and that operand's bit width, so the recording
+memoises it: each (method, layer, bit width) is calibrated once per
+recording, however many configurations are built from it.  In the run
+phase, a layer first asks :meth:`QuantizationContext.layer_input` for its
+operand — the activation codes of its whole input, quantized once —
 and then passes those codes (im2col-unfolded for a convolution, padded with
 the code of 0.0) to :meth:`QuantizationContext.linear`.  Activation
 parameters are per-tensor and quantization is elementwise, so this equals
@@ -43,10 +47,13 @@ appended to the weight codes, so the column matrix is read once.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
+import repro.observability as observability
 from repro.nn.faults import MsbBitFlipInjector
 from repro.nn.layers import Layer
 from repro.nn.model import Model
@@ -133,11 +140,42 @@ class CalibrationRecording:
     :func:`record_calibration` runs it once and every ``(method,
     activation_bits, weight_bits)`` configuration (Algorithm 1's method
     search, the Section VI-B ablation grid) is built from the recording.
-    Building never modifies it.
+
+    Building also memoises, on the recording, what it derives per tensor:
+    the activation parameters per (method, layer, activation bits), and the
+    weight grid with its codes per (method, layer, weight bits), plus the
+    bias-corrected decode beside them.  The method part of each key is its
+    :attr:`~repro.quantization.base.QuantizationMethod.calibration_key`, so
+    M4 and M5 share their clipping.  Building only adds memo entries;
+    ``observations`` and ``layer_tensors`` (a copy of the weights taken
+    when recording) never change.  A new recording starts with an empty
+    memo, and the memo is not pickled, so a recording shipped to a worker
+    process arrives without it.
     """
 
     observations: dict[str, np.ndarray]
     layer_tensors: dict[str, tuple[np.ndarray, np.ndarray]]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_memo"] = {}
+        return state
+
+    def memoised(self, side: str, key: tuple, compute: Callable[[], Any]) -> Any:
+        """The memo entry ``(side, key)``, computed by ``compute()`` on a miss.
+
+        Hits and misses are counted per side as
+        ``quantization.calibration.<side>.hits`` / ``.misses``.
+        """
+        try:
+            value = self._memo[side, key]
+        except KeyError:
+            observability.add(f"quantization.calibration.{side}.misses")
+            value = self._memo[side, key] = compute()
+        else:
+            observability.add(f"quantization.calibration.{side}.hits")
+        return value
 
 
 class _CalibrationRecorder:
@@ -179,10 +217,12 @@ class _CalibrationRecorder:
             self.observations[layer_name] = combined
         else:
             self.observations[layer_name] = flat
-        self.layer_tensors[layer_name] = (
-            np.asarray(weights, dtype=np.float64),
-            np.asarray(bias, dtype=np.float64),
-        )
+            # A copy, so later in-place edits of the model cannot reach the
+            # recording or the clipping memoised on it.
+            self.layer_tensors[layer_name] = (
+                np.array(weights, dtype=np.float64),
+                np.array(bias, dtype=np.float64),
+            )
 
 
 def record_calibration(model: Model, calibration_data: np.ndarray) -> CalibrationRecording:
@@ -192,8 +232,13 @@ def record_calibration(model: Model, calibration_data: np.ndarray) -> Calibratio
     :meth:`QuantizedModel.build` to quantize the same model many times.
     """
     recorder = _CalibrationRecorder()
-    for start in range(0, calibration_data.shape[0], _CALIBRATION_BATCH):
-        model.forward_quantized(calibration_data[start : start + _CALIBRATION_BATCH], recorder)
+    with observability.span(
+        "nn.record_calibration", category="nn", images=int(calibration_data.shape[0])
+    ):
+        for start in range(0, calibration_data.shape[0], _CALIBRATION_BATCH):
+            model.forward_quantized(
+                calibration_data[start : start + _CALIBRATION_BATCH], recorder
+            )
     if not recorder.observations:
         raise RuntimeError(
             "no calibration data observed; the calibration set is empty or the "
@@ -207,9 +252,11 @@ def record_calibration(model: Model, calibration_data: np.ndarray) -> Calibratio
 class QuantizationContext:
     """Holds per-layer quantization state and executes the integer MACs.
 
-    Every recorded layer's parameters are computed at construction, from a
-    :class:`CalibrationRecording` for one method and set of bit widths;
-    :meth:`linear` then performs the integer computation.
+    Every recorded layer's parameters are fixed at construction, from a
+    :class:`CalibrationRecording` for one method and set of bit widths (the
+    clipping comes from the recording's memo where an earlier build already
+    calibrated that method, layer and width); :meth:`linear` then performs
+    the integer computation.
     """
 
     def __init__(
@@ -230,22 +277,33 @@ class QuantizationContext:
             raise ValueError("bias_bits must be >= 1")
         self.fault_injector: MsbBitFlipInjector | None = None
         self.layer_params: dict[str, LayerQuantization] = {
-            layer_name: self._build_layer_quantization(
-                samples, *calibration.layer_tensors[layer_name]
-            )
-            for layer_name, samples in calibration.observations.items()
+            layer_name: self._build_layer_quantization(calibration, layer_name)
+            for layer_name in calibration.observations
         }
 
     def _build_layer_quantization(
-        self, activation_samples: np.ndarray, weights: np.ndarray, bias: np.ndarray
+        self, calibration: CalibrationRecording, layer_name: str
     ) -> LayerQuantization:
-        activation = self.method.activation_params(activation_samples, self.activation_bits)
-        weight_encode = self.method.weight_params(weights, self.weight_bits, channel_axis=0)
-        if self.method.wants_bias_correction and weights.ndim > 1:
-            weight_decode = corrected_weight_params(weights, weight_encode, channel_axis=0)
+        method = self.method
+        samples = calibration.observations[layer_name]
+        weights, bias = calibration.layer_tensors[layer_name]
+        activation = calibration.memoised(
+            "activation",
+            (method.calibration_key, layer_name, self.activation_bits),
+            lambda: method.activation_params(samples, self.activation_bits),
+        )
+        weight_key = (method.calibration_key, layer_name, self.weight_bits)
+        weight_encode, quantized_weights = calibration.memoised(
+            "weight", weight_key, lambda: self._weight_codes(weights)
+        )
+        if method.wants_bias_correction and weights.ndim > 1:
+            weight_decode = calibration.memoised(
+                "weight_decode",
+                weight_key,
+                lambda: corrected_weight_params(weights, weight_encode, channel_axis=0),
+            )
         else:
             weight_decode = weight_encode
-        quantized_weights = weight_encode.quantize(weights)
 
         activation_scale = float(np.asarray(activation.scale).reshape(-1)[0])
         weight_scale = np.broadcast_to(
@@ -264,6 +322,17 @@ class QuantizationContext:
             quantized_bias=quantized_bias,
             bias_scale=bias_scale,
         )
+
+    def _weight_codes(self, weights: np.ndarray) -> tuple[QuantParams, np.ndarray]:
+        """The weight grid and the codes on it.
+
+        The codes are read-only: every context built from the recording
+        shares them.
+        """
+        encode = self.method.weight_params(weights, self.weight_bits, channel_axis=0)
+        codes = encode.quantize(weights)
+        codes.flags.writeable = False
+        return encode, codes
 
     # -------------------------------------------------------------- execution
     def _params(self, layer: Layer) -> LayerQuantization:

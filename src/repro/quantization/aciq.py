@@ -78,6 +78,12 @@ class ACIQQuantizer(QuantizationMethod):
     def wants_bias_correction(self) -> bool:
         return self._bias_correction
 
+    @property
+    def calibration_key(self) -> tuple:
+        # Bias correction only changes the decode, not the clipping, so M4
+        # and M5 share their thresholds.
+        return (type(self), self.prior)
+
     # ------------------------------------------------------------------ ranges
     def _laplace_rows(self, rows: np.ndarray) -> np.ndarray:
         """Per row of ``rows`` (R, K): whether the Laplace prior fits it.

@@ -199,6 +199,17 @@ class QuantizationMethod(abc.ABC):
         """Whether the quantized-model builder should correct weight bias."""
         return False
 
+    @property
+    def calibration_key(self) -> tuple:
+        """What the clipping this method picks depends on, besides its inputs.
+
+        Two methods with equal keys choose the same parameters for the same
+        tensor and bit width, so a calibration recording memoises clipping
+        under this key.  It is the class and every instance setting; a
+        subclass leaves out settings that do not change the clipping.
+        """
+        return (type(self), tuple(sorted(vars(self).items())))
+
     # ------------------------------------------------------------ shared maths
     @staticmethod
     def _per_channel_reduce(

@@ -136,7 +136,7 @@ def tiny_calibration(tiny_dataset) -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def tiny_recording(tiny_model, tiny_calibration) -> CalibrationRecording:
-    """The tiny model's calibration recording (building never modifies it)."""
+    """The tiny model's calibration recording (building only fills its clipping memo)."""
     return record_calibration(tiny_model, tiny_calibration)
 
 

@@ -153,10 +153,104 @@ class TestAlgorithmSelection:
                 for recording in (shared, fresh)
             )
             assert from_shared == from_fresh
-        # Building never modifies the recording it reads.
+        # Building never modifies the observations it reads.
         assert list(shared.observations) == list(observed)
         for name, samples in observed.items():
             assert np.array_equal(shared.observations[name], samples)
+
+    @pytest.fixture
+    def recordings(self, monkeypatch):
+        """The models ``record_calibration`` is called on, in call order."""
+        calls = []
+
+        def counting_record_calibration(model, calibration_data):
+            calls.append(model)
+            return record_calibration(model, calibration_data)
+
+        monkeypatch.setattr(algorithm_module, "record_calibration", counting_record_calibration)
+        return calls
+
+    def test_run_records_once_across_levels(
+        self, paper_mac, library_set, tiny_model, tiny_calibration, tiny_dataset, recordings
+    ):
+        quantizer = AgingAwareQuantizer(
+            mac=paper_mac,
+            library_set=library_set,
+            methods=available_methods(["M3", "M4", "M5"]),
+            max_alpha=4,
+            max_beta=4,
+        )
+        x_test, y_test = tiny_dataset.x_test, tiny_dataset.y_test
+        results = [
+            quantizer.run(tiny_model, level, tiny_calibration, x_test, y_test)
+            for level in (0.0, 30.0, 50.0, 30.0)
+        ]
+        assert len(recordings) == 1
+        # Each level's result equals a search from a fresh recording.
+        for result in results:
+            fresh = record_calibration(tiny_model, tiny_calibration)
+            selected, evaluation, per_method, satisfied = quantizer.quantize_model(
+                tiny_model, result.compression, fresh, x_test, y_test
+            )
+            assert (selected, evaluation, per_method, satisfied) == (
+                result.selected_method,
+                result.evaluation,
+                result.per_method,
+                result.threshold_satisfied,
+            )
+
+    def test_run_records_again_when_model_or_data_change(
+        self, paper_mac, library_set, tiny_model, tiny_calibration, tiny_dataset, recordings
+    ):
+        import copy
+
+        quantizer = AgingAwareQuantizer(
+            mac=paper_mac,
+            library_set=library_set,
+            methods=available_methods(["M2", "M4"]),
+            max_alpha=4,
+            max_beta=4,
+        )
+        model = copy.deepcopy(tiny_model)
+        x_test, y_test = tiny_dataset.x_test, tiny_dataset.y_test
+
+        def run(calibration_data=tiny_calibration):
+            return quantizer.run(model, 50.0, calibration_data, x_test, y_test)
+
+        run()
+        run(tiny_calibration.copy())  # equal content, another array: kept
+        assert len(recordings) == 1
+        run(tiny_calibration[:-1])
+        run(tiny_calibration[::-1].copy())
+        run()
+        assert len(recordings) == 4
+
+        # An in-place weight edit records afresh, and nothing calibrated on
+        # the old weights leaks into the new result.
+        weight = model.layers[0].weight.value
+        weight *= 0.5
+        edited = run()
+        assert len(recordings) == 5
+        fresh = record_calibration(model, tiny_calibration)
+        _, _, per_method, _ = quantizer.quantize_model(
+            model, edited.compression, fresh, x_test, y_test
+        )
+        assert per_method == edited.per_method
+
+        # Another model object records, even with equal weights.
+        quantizer.run(copy.deepcopy(model), 50.0, tiny_calibration, x_test, y_test)
+        assert len(recordings) == 6
+
+    def test_new_quantizer_starts_cold(
+        self, paper_mac, library_set, tiny_model, tiny_calibration, tiny_dataset, recordings
+    ):
+        for _ in range(2):
+            quantizer = AgingAwareQuantizer(
+                mac=paper_mac, library_set=library_set, methods=available_methods(["M2"]),
+                max_alpha=2, max_beta=2,
+            )
+            quantizer.run(tiny_model, 0.0, tiny_calibration, tiny_dataset.x_test, tiny_dataset.y_test)
+        assert len(recordings) == 2
 
     def test_empty_method_library_rejected(self, paper_mac, library_set):
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
 """Tests of integer (quantized) model execution and MSB fault injection."""
 
+import copy
+import pickle
+import random
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ import repro.observability as observability
 from repro.nn.evaluate import evaluate_with_fault_injection, quantize_and_evaluate
 from repro.nn.faults import MsbBitFlipInjector
 from repro.nn.quantized import QuantizationContext, QuantizedModel, record_calibration
+from repro.quantization.lapq import LAPQQuantizer
 from repro.quantization.registry import METHOD_KEYS, get_method
 
 
@@ -97,6 +102,138 @@ class TestQuantizedModel:
         assert evaluation.weight_bits == 4
         assert evaluation.bias_bits == 9
         assert -100.0 <= evaluation.accuracy_loss_percent <= 100.0
+
+
+def _layer_params_bytes(model, method, recording, bits) -> bytes:
+    """Pickled layer parameters of ``model`` built at ``(activation, weight[, bias])`` bits."""
+    activation_bits, weight_bits, *bias_bits = bits
+    quantized = QuantizedModel.build(
+        model, method, activation_bits, weight_bits, recording, *bias_bits
+    )
+    return pickle.dumps(quantized.context.layer_params)
+
+
+class TestCalibrationMemo:
+    """Clipping memoised on a recording equals clipping from a cold one."""
+
+    # (activation_bits, weight_bits, bias_bits), with every width repeated.
+    CONFIGS = [
+        (8, 8, None), (6, 5, None), (8, 5, 13), (6, 8, None),
+        (4, 4, None), (6, 5, 9), (8, 8, 16), (4, 8, None),
+    ]
+
+    @pytest.mark.parametrize("key", METHOD_KEYS)
+    def test_warm_recording_matches_fresh_recordings(self, key, tiny_model, tiny_calibration):
+        configs = list(self.CONFIGS)
+        random.Random(0).shuffle(configs)
+        warm = record_calibration(tiny_model, tiny_calibration)
+        observed = {name: samples.copy() for name, samples in warm.observations.items()}
+        tensors = {name: [t.copy() for t in pair] for name, pair in warm.layer_tensors.items()}
+        for bits in configs:
+            fresh = record_calibration(tiny_model, tiny_calibration)
+            method = get_method(key)
+            assert _layer_params_bytes(tiny_model, method, warm, bits) == _layer_params_bytes(
+                tiny_model, method, fresh, bits
+            )
+        # Building only fills the memo; the recorded tensors are untouched.
+        assert list(warm.observations) == list(observed)
+        for name, samples in observed.items():
+            assert np.array_equal(warm.observations[name], samples)
+            for kept, original in zip(warm.layer_tensors[name], tensors[name]):
+                assert np.array_equal(kept, original)
+
+    def test_hits_and_misses_per_side(self, tiny_model, tiny_calibration):
+        recording = record_calibration(tiny_model, tiny_calibration)
+        layers = len(recording.observations)
+        method = get_method("M3")
+
+        def counts(bits):
+            with observability.collecting() as recorded:
+                QuantizedModel.build(tiny_model, method, *bits, recording)
+            return {
+                name.removeprefix("quantization.calibration."): value
+                for name, value in recorded.metrics.counters.items()
+                if name.startswith("quantization.calibration.")
+            }
+
+        assert counts((6, 5)) == {"activation.misses": layers, "weight.misses": layers}
+        assert counts((6, 4)) == {"activation.hits": layers, "weight.misses": layers}
+        assert counts((5, 4)) == {"activation.misses": layers, "weight.hits": layers}
+        assert counts((6, 5)) == {"activation.hits": layers, "weight.hits": layers}
+
+    def test_method_settings_keep_separate_entries(self, tiny_model, tiny_calibration):
+        # Fresh instances of one method share entries (a sweep builds one
+        # per tile); a different setting of the same "M3" does not.
+        assert get_method("M3").calibration_key == LAPQQuantizer().calibration_key
+        narrow = LAPQQuantizer(num_candidates=8)
+        assert narrow.key == "M3"
+        assert narrow.calibration_key != LAPQQuantizer().calibration_key
+        recording = record_calibration(tiny_model, tiny_calibration)
+        _layer_params_bytes(tiny_model, get_method("M3"), recording, (4, 4))
+        with observability.collecting() as recorded:
+            warm = _layer_params_bytes(tiny_model, narrow, recording, (4, 4))
+        assert not any(name.endswith(".hits") for name in recorded.metrics.counters)
+        fresh = record_calibration(tiny_model, tiny_calibration)
+        assert warm == _layer_params_bytes(tiny_model, narrow, fresh, (4, 4))
+        assert warm != _layer_params_bytes(tiny_model, get_method("M3"), fresh, (4, 4))
+
+    def test_m4_and_m5_share_clipping_not_decode(self, tiny_model, tiny_calibration):
+        recording = record_calibration(tiny_model, tiny_calibration)
+        layers = len(recording.observations)
+        m5 = QuantizedModel.build(tiny_model, get_method("M5"), 5, 4, recording)
+        with observability.collecting() as recorded:
+            m4 = QuantizedModel.build(tiny_model, get_method("M4"), 5, 4, recording)
+        assert recorded.metrics.counter("quantization.calibration.activation.hits") == layers
+        assert recorded.metrics.counter("quantization.calibration.weight.hits") == layers
+        assert recorded.metrics.counter("quantization.calibration.weight_decode.misses") == layers
+        for name, with_correction in m4.context.layer_params.items():
+            without = m5.context.layer_params[name]
+            assert with_correction.activation is without.activation
+            assert with_correction.weight_encode is without.weight_encode
+            assert with_correction.quantized_weights is without.quantized_weights
+            assert without.weight_decode is without.weight_encode
+            assert not np.array_equal(
+                with_correction.weight_decode.zero_point, without.weight_decode.zero_point
+            )
+
+    def test_memoised_codes_are_read_only(self, tiny_model, tiny_recording):
+        quantized = QuantizedModel.build(tiny_model, get_method("M2"), 8, 8, tiny_recording)
+        for params in quantized.context.layer_params.values():
+            with pytest.raises(ValueError):
+                params.quantized_weights[0, 0] = 0
+
+    def test_observability_does_not_change_parameters(self, tiny_model, tiny_calibration):
+        for key in ("M3", "M4"):
+            quiet = record_calibration(tiny_model, tiny_calibration)
+            with observability.collecting() as recorded:
+                observed = record_calibration(tiny_model, tiny_calibration)
+                traced = [_layer_params_bytes(tiny_model, get_method(key), observed, bits)
+                          for bits in ((6, 5), (6, 5))]
+            untraced = [_layer_params_bytes(tiny_model, get_method(key), quiet, bits)
+                        for bits in ((6, 5), (6, 5))]
+            assert traced == untraced
+            spans = [span for span in recorded.spans if span.name == "nn.record_calibration"]
+            assert len(spans) == 1
+            assert spans[0].args["images"] == len(tiny_calibration)
+
+    def test_pickling_drops_the_memo(self, tiny_model, tiny_calibration):
+        recording = record_calibration(tiny_model, tiny_calibration)
+        cold = pickle.dumps(recording)
+        for key in METHOD_KEYS:
+            QuantizedModel.build(tiny_model, get_method(key), 6, 5, recording)
+        assert pickle.dumps(recording) == cold
+        with observability.collecting() as recorded:
+            QuantizedModel.build(tiny_model, get_method("M2"), 6, 5, pickle.loads(cold))
+        assert not any(name.endswith(".hits") for name in recorded.metrics.counters)
+
+    def test_recording_keeps_a_copy_of_the_weights(self, tiny_model, tiny_calibration):
+        model = copy.deepcopy(tiny_model)
+        recording = record_calibration(model, tiny_calibration)
+        kept = {name: pair[0].copy() for name, pair in recording.layer_tensors.items()}
+        for param in model.parameters():
+            param.value *= 2.0
+        for name, weights in kept.items():
+            assert np.array_equal(recording.layer_tensors[name][0], weights)
 
 
 class TestFaultInjection:

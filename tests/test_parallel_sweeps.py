@@ -21,6 +21,7 @@ from repro.aging.cell_library import AgingAwareLibrarySet
 from repro.circuits.mac import build_mac, build_multiplier
 from repro.circuits.simulator import LogicSimulator
 from repro.nn.evaluate import sweep_fault_injection, sweep_quantization_grid
+from repro.nn.quantized import record_calibration
 from repro.parallel import (
     ParallelExecutor,
     WorkerPool,
@@ -388,6 +389,31 @@ class TestQuantizationGridDeterminism:
         assert parallel == serial
         assert [e.method_key for e in serial] == [t[0] for t in tiles]
         assert all(e.fp32_accuracy == serial[0].fp32_accuracy for e in serial)
+
+    def test_repeated_widths_and_a_warm_recording(self, tiny_model, tiny_dataset, tiny_calibration):
+        x_test = tiny_dataset.x_test[:40]
+        y_test = tiny_dataset.y_test[:40]
+        # Widths repeat within and across methods, so tiles share memo entries.
+        tiles = [
+            (method_key, 8 - alpha, 8 - beta, 16 - alpha - beta)
+            for method_key in ("M3", "M4", "M5")
+            for alpha, beta in ((0, 2), (2, 2), (2, 0), (0, 2))
+        ]
+        recording = record_calibration(tiny_model, tiny_calibration)
+
+        def parallel_sweep():
+            with observability.collecting() as recorded:
+                evaluations = sweep_quantization_grid(
+                    tiny_model, tiles, recording, x_test, y_test, workers=2
+                )
+            return evaluations, recorded.metrics.gauges["executor.payload_bytes"].value
+
+        cold, cold_payload = parallel_sweep()
+        serial = sweep_quantization_grid(tiny_model, tiles, recording, x_test, y_test)
+        warm, warm_payload = parallel_sweep()
+        assert cold == serial == warm
+        # The memo the serial sweep filled is not shipped to the workers.
+        assert warm_payload == cold_payload
 
 
 # --------------------------------------------------- multi-corner STA pass
