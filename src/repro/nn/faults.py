@@ -66,15 +66,28 @@ class MsbBitFlipInjector:
         self._generator = make_rng(rng)
 
     def accumulation_deltas(
-        self, q_activations: np.ndarray, q_weights: np.ndarray
+        self,
+        q_activations: np.ndarray,
+        q_weights: np.ndarray,
+        columns: np.ndarray | None = None,
     ) -> np.ndarray | None:
         """Value deltas to add to the accumulator matrix ``q_a @ q_w``.
 
+        Hit products are drawn as (i, k, j) over the canonical order of k,
+        the order of ``q_weights``' rows, whatever order the activation
+        columns arrive in; so the same random stream hits the same products.
+
         Args:
             q_activations: unsigned activation codes, shape (M, K).
-            q_weights: unsigned weight codes, shape (K, N).  Hit products
-                are gathered through flat indices, which is cheapest when
-                both operands are C-contiguous.
+            q_weights: unsigned weight codes, shape (K, N), in the canonical
+                order of k.
+            columns: for each canonical k, the column of ``q_activations``
+                that holds it (a length-K index array), when the activation
+                columns are permuted (a channels-last unfold); ``None`` when
+                they are in canonical order.
+
+        Hit products are gathered through flat indices, which is cheapest
+        when both operands are C-contiguous.
 
         Returns:
             A dense (M, N) array of deltas, or ``None`` when no fault was
@@ -107,12 +120,21 @@ class MsbBitFlipInjector:
             )
             num_events = self.max_events_per_call
 
-        # flat = (i * inner + k) * cols + j for product (i, k, j).
-        flat = self._generator.integers(0, total_products, size=num_events)
-        activation_index, j = divmod(flat, cols)
-        i = activation_index // inner
+        # Product (i, k, j) is drawn as (i * inner + k) * cols + j.  Each
+        # index array is dropped once used: a call can draw millions.
+        activation_index, j = divmod(
+            self._generator.integers(0, total_products, size=num_events), cols
+        )
+        i, k = divmod(activation_index, inner)
+        if columns is not None:
+            activation_index = i * inner
+            activation_index += columns[k]
         activation_codes = q_activations.ravel()[activation_index]
-        weight_codes = q_weights.ravel()[flat - i * inner * cols]
+        del activation_index
+        k *= cols
+        k += j  # the flat index of q_weights[k, j]
+        weight_codes = q_weights.ravel()[k]
+        del k
         products = activation_codes.astype(np.int64) * weight_codes.astype(np.int64)
         bits = self._generator.choice(np.array(self.msb_bits), size=num_events)
         bit_values = (products >> bits) & 1

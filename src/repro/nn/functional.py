@@ -1,11 +1,12 @@
 """Low-level tensor operations shared by the NN layers.
 
 All activations use the NCHW layout.  Convolutions are implemented with an
-im2col/col2im pair.  FP32 inference/training unfolds the real-valued input;
-the integer (quantized) execution path — what the paper's MAC-level analysis
-operates on — unfolds the layer's activation *codes* instead, padding with
+im2col/col2im pair.  FP32 inference/training unfolds the real-valued input
+into (C, kh, kw)-ordered columns; the integer (quantized) execution path —
+what the paper's MAC-level analysis operates on — unfolds the layer's
+activation *codes* instead, into (kh, kw, C)-ordered columns, padding with
 the code of 0.0 (``pad_value``), which yields exactly the codes of the FP32
-columns.
+columns up to that column permutation.
 """
 
 from __future__ import annotations
@@ -32,11 +33,20 @@ def im2col(
     stride: int,
     padding: int,
     pad_value: float = 0.0,
+    channels_last: bool = False,
 ) -> tuple[np.ndarray, int, int]:
     """Unfold ``x`` (N, C, H, W) into convolution columns.
 
     ``pad_value`` fills the ``padding`` border (the integer path pads
     activation codes with the code of 0.0).
+
+    Column order: ``(C, kh, kw)`` by default, the order of a flattened
+    ``(out, C, kh, kw)`` weight tensor, which training, FP32 inference and
+    the calibration pass use.  ``channels_last=True`` gives ``(kh, kw, C)``
+    columns instead, which the integer path uses: each window row is then
+    copied in runs of C contiguous elements rather than kw.  Both orders
+    come from the same padded-window view; only the axis order of the one
+    copy differs.
 
     Returns:
         ``(columns, out_h, out_w)`` where ``columns`` is a new array of shape
@@ -59,6 +69,8 @@ def im2col(
     windows = sliding_window_view(padded, (kernel_h, kernel_w), axis=(1, 2))[
         :, : stride * out_h : stride, : stride * out_w : stride
     ]
+    if channels_last:
+        windows = windows.transpose(0, 1, 2, 4, 5, 3)
     columns = np.empty(windows.shape, dtype=x.dtype)
     columns[...] = windows
     return (

@@ -10,7 +10,8 @@ implements
   :class:`~repro.nn.quantized.QuantizationContext`, where convolution and
   dense layers run on the integer MAC path (and optionally inject
   multiplication faults) over their input's activation codes, while
-  shape/activation layers simply pass through.
+  shape/activation layers simply pass through.  The context's
+  ``channels_last`` decides the column order a convolution unfolds into.
 """
 
 from __future__ import annotations
@@ -156,10 +157,15 @@ class Conv2D(Layer):
     def forward_quantized(self, x: np.ndarray, context) -> np.ndarray:
         operand, pad_value = context.layer_input(self, x)
         columns, out_h, out_w = im2col(
-            operand, self.kernel_size, self.kernel_size, self.stride, self.padding, pad_value
+            operand,
+            self.kernel_size,
+            self.kernel_size,
+            self.stride,
+            self.padding,
+            pad_value,
+            channels_last=context.channels_last,
         )
-        weight_matrix = self.weight.value.reshape(self.out_channels, -1)
-        output = context.linear(self, columns, weight_matrix, self.bias.value)
+        output = context.linear(self, columns, self.weight.value, self.bias.value)
         batch = x.shape[0]
         return output.reshape(batch, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 

@@ -35,14 +35,26 @@ parameters are per-tensor and quantization is elementwise, so this equals
 quantizing the unfolded FP32 columns, without quantizing every input value
 once per kernel tap.
 
-Codes are held in floating point so the integer GEMM runs on BLAS.  Every
-product and partial sum is a non-negative integer no larger than the full
-sum, so a layer whose largest possible accumulator is below ``2**24`` gets
-exact results from a float32 GEMM in any summation order; each layer picks
-float32 where that bound holds (:attr:`LayerQuantization.code_dtype`) and
-float64 (exact below ``2**53``) elsewhere.  The same GEMM yields the
-activation row sums of the zero-point expansion through an all-ones column
-appended to the weight codes, so the column matrix is read once.
+Codes are held in floating point so the integer GEMM runs on BLAS, and the
+context unfolds convolution codes into channels-last (kh, kw, C) columns
+(:attr:`QuantizationContext.channels_last`), whose window copies read runs
+of C contiguous codes.  Each layer's GEMM operand rows are permuted once, at
+construction, to that column order; the recording, its memoised codes and
+the calibration pass keep the canonical (C, kh, kw) order.  A layer whose
+largest possible accumulator is below ``2**24`` gets exact results from a
+float32 GEMM in any summation order (every product and partial sum is an
+integer no larger in magnitude than that bound), so the column order does
+not change a single accumulator bit; each layer picks float32 where the
+bound holds (:attr:`LayerQuantization.code_dtype`) and float64 (exact below
+``2**53``) elsewhere.
+
+Where every zero point of a layer is an integer (every method but M4's
+bias-corrected weight decode), the weight zero points fold into the operand
+``q_w - z_w``, and the epilogue is ``(GEMM + offset) * bias_scale``: every
+term is an exact integer, so this equals the strict left-to-right sum
+below.  A layer with a fractional weight zero point keeps the operand
+``[q_w | 1]``, whose all-ones column yields the activation row sums in the
+same GEMM, and the strict epilogue, whose rounding M4's results depend on.
 """
 
 from __future__ import annotations
@@ -71,26 +83,40 @@ class LayerQuantization:
         weight_encode: grid used to produce the integer weight codes.
         weight_decode: parameters used to interpret the codes (differs from
             ``weight_encode`` only when bias correction is applied).
-        quantized_weights: unsigned integer weight codes, shape (N, K).
+        quantized_weights: unsigned integer weight codes, shape (N, K), in
+            the canonical (C, kh, kw) order of K.
         quantized_bias: integer bias codes at the accumulator scale.
         bias_scale: per-output-channel scale of the accumulator
             (``s_a * s_w``).
+        kernel_shape: the layer's weight shape after N (``(C, kh, kw)``
+            for a convolution, ``(K,)`` for a dense layer) when its
+            activation columns arrive channels-last, in (kh, kw, C) order;
+            ``None`` when they arrive in the canonical order.
 
     The remaining attributes are derived once, for the run phase:
 
     * ``activation_pad``: the code of real 0.0, which pads unfolded codes.
+    * ``folded``: whether the weight zero points fold into the operand,
+      which needs every zero point ``z_a``, ``z_w`` to be an integer.
+    * ``gemm_operand``: the (K, N) operand ``q_w - z_w`` of a folded layer;
+      otherwise the (K, N + 1) operand ``[q_w | 1]``, the weight codes with
+      an all-ones column whose product is each row's activation code sum.
+      Its rows follow the activation column order.
     * ``code_dtype``: float32 when ``activation.max_level`` times the
-      largest column sum of ``gemm_operand`` is below ``2**24`` (every
+      largest column sum of ``|gemm_operand|`` is below ``2**24`` (every
       partial sum of the GEMM is then an exact float32 integer), else
       float64.  Activation codes and both operands below use it.
-    * ``gemm_operand``: the (K, N + 1) GEMM operand ``[q_w | 1]``, the
-      weight codes with an all-ones column whose product is each row's
-      activation code sum (the ones column counts toward the bound).
-    * ``weight_codes``: the contiguous (K, N) weight codes, which the fault
-      injector gathers hit products from.
+    * ``weight_codes``: the contiguous (K, N) weight codes in canonical
+      order, which the fault injector gathers hit products from.
+    * ``activation_columns``: for each canonical k, the activation column
+      that holds it (``None`` when the orders agree).
     * ``weight_zero``: the per-channel decode zero points ``z_w``.
-    * ``zero_col_sums`` and ``zero_product``: the constant zero-point terms
-      ``z_a * sum_k q_w`` and ``K * z_a * z_w``.
+    * ``offset``: the folded epilogue's ``q_b - z_a * sum_k (q_w - z_w)``,
+      normalised with ``+ 0.0`` so a ``-0.0`` bias code cannot turn a zero
+      output negative (``None`` on a strict layer).
+    * ``zero_col_sums`` and ``zero_product``: the strict epilogue's
+      constant zero-point terms ``z_a * sum_k q_w`` and ``K * z_a * z_w``
+      (``None`` on a folded layer).
     """
 
     activation: QuantParams
@@ -99,30 +125,51 @@ class LayerQuantization:
     quantized_weights: np.ndarray
     quantized_bias: np.ndarray
     bias_scale: np.ndarray
+    kernel_shape: tuple[int, ...] | None = None
     activation_pad: float = field(init=False)
+    folded: bool = field(init=False)
     code_dtype: type = field(init=False)
     gemm_operand: np.ndarray = field(init=False, repr=False)
     weight_codes: np.ndarray = field(init=False, repr=False)
+    activation_columns: np.ndarray | None = field(init=False, repr=False)
     weight_zero: np.ndarray = field(init=False, repr=False)
-    zero_col_sums: np.ndarray = field(init=False, repr=False)
-    zero_product: np.ndarray = field(init=False, repr=False)
+    offset: np.ndarray | None = field(init=False, repr=False, default=None)
+    zero_col_sums: np.ndarray | None = field(init=False, repr=False, default=None)
+    zero_product: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         channels, inner = self.quantized_weights.shape
         activation_zero = float(np.asarray(self.activation.zero_point).reshape(-1)[0])
         self.activation_pad = float(self.activation.quantize(0.0))
-        operand = np.ones((inner, channels + 1))
-        operand[:, :channels] = self.quantized_weights.T
-        column_sums = operand.sum(axis=0)
-        bound = self.activation.max_level * column_sums.max()
-        self.code_dtype = np.float32 if bound < 2**24 else np.float64
-        self.gemm_operand = operand.astype(self.code_dtype)
-        self.weight_codes = np.ascontiguousarray(self.gemm_operand[:, :channels])
-        self.weight_zero = np.broadcast_to(
+        self.weight_zero = weight_zero = np.broadcast_to(
             np.asarray(self.weight_decode.zero_point, dtype=np.float64), (channels,)
         )
-        self.zero_col_sums = activation_zero * column_sums[:channels]
-        self.zero_product = inner * activation_zero * self.weight_zero
+        canonical = np.ascontiguousarray(self.quantized_weights.T, dtype=np.float64)
+        self.folded = activation_zero.is_integer() and bool(
+            np.all(weight_zero == np.round(weight_zero))
+        )
+        if self.folded:
+            operand = canonical - weight_zero
+            self.offset = self.quantized_bias - activation_zero * operand.sum(axis=0) + 0.0
+            bound = np.abs(operand).sum(axis=0).max()
+        else:
+            operand = np.ones((inner, channels + 1))
+            operand[:, :channels] = canonical
+            column_sums = operand.sum(axis=0)
+            self.zero_col_sums = activation_zero * column_sums[:channels]
+            self.zero_product = inner * activation_zero * weight_zero
+            bound = column_sums.max()
+        self.code_dtype = (
+            np.float32 if self.activation.max_level * bound < 2**24 else np.float64
+        )
+        self.weight_codes = canonical.astype(self.code_dtype)
+        self.activation_columns = None
+        if self.kernel_shape is not None and np.prod(self.kernel_shape[1:]) > 1:
+            # Row r of the channels-last operand is canonical row order[r].
+            order = np.arange(inner).reshape(self.kernel_shape).transpose(1, 2, 0).ravel()
+            operand = operand[order]
+            self.activation_columns = np.argsort(order)
+        self.gemm_operand = operand.astype(self.code_dtype)
 
 
 # Calibration subsamples each layer's inputs to at most this many values
@@ -147,14 +194,18 @@ class CalibrationRecording:
     bias-corrected decode beside them.  The method part of each key is its
     :attr:`~repro.quantization.base.QuantizationMethod.calibration_key`, so
     M4 and M5 share their clipping.  Building only adds memo entries;
-    ``observations`` and ``layer_tensors`` (a copy of the weights taken
-    when recording) never change.  A new recording starts with an empty
+    ``observations``, ``layer_tensors`` (a copy of the weights taken when
+    recording, each flattened to (N, K)) and ``kernel_shapes`` (each
+    layer's weight shape after N: ``(C, kh, kw)`` for a convolution,
+    ``(K,)`` for a dense layer) never change, and the memoised codes stay
+    in the canonical order of K.  A new recording starts with an empty
     memo, and the memo is not pickled, so a recording shipped to a worker
     process arrives without it.
     """
 
     observations: dict[str, np.ndarray]
     layer_tensors: dict[str, tuple[np.ndarray, np.ndarray]]
+    kernel_shapes: dict[str, tuple[int, ...]]
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
@@ -182,12 +233,17 @@ class _CalibrationRecorder:
     """The stand-in context of the calibration pass.
 
     It runs every quantizable layer in FP32 while recording a sample of the
-    layer's inputs and a reference to its weights.
+    layer's inputs, a copy of its weights and their kernel shape.  Its
+    columns keep the canonical (C, kh, kw) order, which the seeded input
+    subsample depends on.
     """
+
+    channels_last = False
 
     def __init__(self) -> None:
         self.observations: dict[str, np.ndarray] = {}
         self.layer_tensors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.kernel_shapes: dict[str, tuple[int, ...]] = {}
         self._rng = make_rng(0)
 
     def layer_input(self, layer: Layer, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -196,9 +252,8 @@ class _CalibrationRecorder:
     def linear(
         self, layer: Layer, inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray
     ) -> np.ndarray:
-        weights = weights.reshape(weights.shape[0], -1)
         self._observe(layer.name, inputs, weights, bias)
-        return inputs @ weights.T + bias
+        return inputs @ weights.reshape(weights.shape[0], -1).T + bias
 
     def _observe(
         self, layer_name: str, inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray
@@ -220,9 +275,10 @@ class _CalibrationRecorder:
             # A copy, so later in-place edits of the model cannot reach the
             # recording or the clipping memoised on it.
             self.layer_tensors[layer_name] = (
-                np.array(weights, dtype=np.float64),
+                np.array(weights.reshape(weights.shape[0], -1), dtype=np.float64),
                 np.array(bias, dtype=np.float64),
             )
+            self.kernel_shapes[layer_name] = weights.shape[1:]
 
 
 def record_calibration(model: Model, calibration_data: np.ndarray) -> CalibrationRecording:
@@ -245,7 +301,9 @@ def record_calibration(model: Model, calibration_data: np.ndarray) -> Calibratio
             "model has no convolution/dense layer"
         )
     return CalibrationRecording(
-        observations=recorder.observations, layer_tensors=recorder.layer_tensors
+        observations=recorder.observations,
+        layer_tensors=recorder.layer_tensors,
+        kernel_shapes=recorder.kernel_shapes,
     )
 
 
@@ -257,7 +315,14 @@ class QuantizationContext:
     clipping comes from the recording's memo where an earlier build already
     calibrated that method, layer and width); :meth:`linear` then performs
     the integer computation.
+
+    Convolutions unfold this context's operands into channels-last
+    (kh, kw, C) columns (:attr:`channels_last`); each layer's GEMM operand
+    is permuted to match when it is built.  Building counts the layers by
+    epilogue, as ``nn.integer.layers.folded`` and ``nn.integer.layers.strict``.
     """
+
+    channels_last = True
 
     def __init__(
         self,
@@ -280,6 +345,9 @@ class QuantizationContext:
             layer_name: self._build_layer_quantization(calibration, layer_name)
             for layer_name in calibration.observations
         }
+        folded = sum(params.folded for params in self.layer_params.values())
+        observability.add("nn.integer.layers.folded", folded)
+        observability.add("nn.integer.layers.strict", len(self.layer_params) - folded)
 
     def _build_layer_quantization(
         self, calibration: CalibrationRecording, layer_name: str
@@ -321,6 +389,7 @@ class QuantizationContext:
             quantized_weights=quantized_weights,
             quantized_bias=quantized_bias,
             bias_scale=bias_scale,
+            kernel_shape=calibration.kernel_shapes[layer_name],
         )
 
     def _weight_codes(self, weights: np.ndarray) -> tuple[QuantParams, np.ndarray]:
@@ -362,24 +431,35 @@ class QuantizationContext:
     ) -> np.ndarray:
         """Quantized affine transform ``inputs @ weights.T + bias``.
 
-        ``inputs`` is the (M, K) activation-code matrix (im2col columns for
-        a convolution, features for a dense layer) built from
-        :meth:`layer_input`.  The integer path runs on the layer's frozen
-        weight codes; the FP32 ``weights`` and ``bias`` are not read.
+        ``inputs`` is the (M, K) activation-code matrix (channels-last
+        im2col columns for a convolution, features for a dense layer) built
+        from :meth:`layer_input`.  The integer path runs on the layer's
+        frozen weight codes; the FP32 ``weights`` ((N, C, kh, kw) or (N, K))
+        and ``bias`` are not read.
         """
         return self._integer_linear(inputs, self._params(layer))
 
     def _integer_linear(self, q_activations: np.ndarray, params: LayerQuantization) -> np.ndarray:
         # Integer codes in ``code_dtype`` give an exact BLAS matmul (see
-        # LayerQuantization); the epilogue runs in float64.  The last column
-        # is each row's code sum, the rest the accumulated MAC products.
+        # LayerQuantization); the epilogue runs in float64.
         accumulated = (q_activations @ params.gemm_operand).astype(np.float64, copy=False)
-        raw, row_sums = accumulated[:, :-1], accumulated[:, -1:]
+        if params.folded:
+            raw = accumulated
+        else:
+            # The last column is each row's code sum, the rest the MAC sums.
+            raw, row_sums = accumulated[:, :-1], accumulated[:, -1:]
         if self.fault_injector is not None:
-            deltas = self.fault_injector.accumulation_deltas(q_activations, params.weight_codes)
+            deltas = self.fault_injector.accumulation_deltas(
+                q_activations, params.weight_codes, params.activation_columns
+            )
             if deltas is not None:
                 raw += deltas
 
+        if params.folded:
+            # Exact integers throughout, so one add equals the strict sum.
+            raw += params.offset
+            raw *= params.bias_scale
+            return raw
         # Strictly left to right: decode zero points may be non-integer (bias
         # correction), so reassociating the terms would change the result.
         accumulator = raw - row_sums * params.weight_zero

@@ -26,6 +26,10 @@ Layout under ``<cache_dir>/pipeline/``::
 
 (the ``:`` of model task names is replaced with ``_`` in directory names).
 All writes are atomic, so a killed run never leaves a truncated artifact.
+An artifact counts as cached only while it matches the ``content_sha256``
+its sidecar records and decodes: anything else (a truncated or edited
+file, a missing sidecar) is counted as ``pipeline.cache.corrupt`` and
+treated as a miss, so the task is recomputed and its artifact overwritten.
 """
 
 from __future__ import annotations
@@ -125,16 +129,40 @@ class ArtifactCache:
 
     # ------------------------------------------------------------- protocol
     def contains(self, task: Task, key: str) -> bool:
-        return task.cacheable and self.artifact_path(task, key).exists()
+        """Whether a sound artifact is cached under ``key``.
+
+        An existing artifact that does not match its sidecar's
+        ``content_sha256``, has no sidecar or does not decode is counted as
+        ``pipeline.cache.corrupt`` and reported missing, so the caller
+        recomputes it and :meth:`store` overwrites it.
+        """
+        if not task.cacheable:
+            return False
+        try:
+            blob = self.artifact_path(task, key).read_bytes()
+        except FileNotFoundError:
+            return False
+        meta = self.read_meta(task.name, key) or {}
+        if meta.get("content_sha256") == hashlib.sha256(blob).hexdigest():
+            try:
+                self._decode(task, blob)
+                return True
+            except Exception:  # any decode failure means the entry is unusable
+                pass
+        observability.add("pipeline.cache.corrupt")
+        return False
 
     def load(self, task: Task, key: str) -> Any:
         """Deserialize the stored artifact (the caller checked ``contains``)."""
-        path = self.artifact_path(task, key)
+        blob = self.artifact_path(task, key).read_bytes()
+        observability.add("pipeline.cache.hits")
+        observability.add("pipeline.cache.bytes_read", len(blob))
+        return self._decode(task, blob)
+
+    @staticmethod
+    def _decode(task: Task, blob: bytes) -> Any:
         if task.serializer == JSON_FORMAT:
-            text = path.read_text()
-            observability.add("pipeline.cache.hits")
-            observability.add("pipeline.cache.bytes_read", len(text.encode("utf-8")))
-            data = json.loads(text)
+            data = json.loads(blob)
             return ExperimentResult(
                 experiment_id=data["experiment_id"],
                 title=data["title"],
@@ -142,10 +170,6 @@ class ArtifactCache:
                 rows=[list(row) for row in data["rows"]],
                 metadata=data["metadata"],
             )
-        with path.open("rb") as handle:
-            blob = handle.read()
-        observability.add("pipeline.cache.hits")
-        observability.add("pipeline.cache.bytes_read", len(blob))
         return pickle.loads(blob)
 
     def store(

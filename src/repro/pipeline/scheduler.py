@@ -201,20 +201,23 @@ def _execute_work_item(
 
 # -------------------------------------------------------------- scheduler
 def prune_to_demand(
-    order: Sequence[Task], requested: Sequence[str], hit: dict[str, bool]
+    order: Sequence[Task], requested: Sequence[str], is_hit: Callable[[Task], bool]
 ) -> tuple[set[str], list[Task]]:
     """Demand-driven pruning of a topological ``order``, consumers first.
 
     A task is needed if it is requested or feeds a task that will execute;
-    it executes if it is needed and ``hit`` says it is not cached.  Returns
-    the needed task names and the executing tasks in ``order``.  The query
-    service plans with this same function, so its plan is exactly what
+    it executes if it is needed and ``is_hit`` says it is not cached.
+    ``is_hit`` is asked once per needed task and never about another, so a
+    cache probe that verifies artifacts reads only those a run may load.
+    Returns the needed task names and the executing tasks in ``order``; the
+    needed tasks that do not execute are the hits.  The query service plans
+    with this same function, so its plan is exactly what
     :func:`run_pipeline` executes.
     """
     needed: set[str] = set(requested)
     executing: list[Task] = []
     for task in reversed(order):
-        if task.name in needed and not hit[task.name]:
+        if task.name in needed and not is_hit(task):
             executing.append(task)
             needed.update(task.depends)
     executing.reverse()
@@ -344,12 +347,13 @@ def _run_pipeline(
     ) if use_cache else None
 
     order = graph.topological_order(requested)
-    hit = {
-        task.name: artifact_cache is not None and artifact_cache.contains(task, keys[task.name])
-        for task in order
-    }
-
-    needed, exec_order = prune_to_demand(order, requested, hit)
+    needed, exec_order = prune_to_demand(
+        order,
+        requested,
+        lambda task: artifact_cache is not None
+        and artifact_cache.contains(task, keys[task.name]),
+    )
+    hits = needed.difference(task.name for task in exec_order)
 
     records = {
         task.name: TaskRecord(
@@ -435,7 +439,7 @@ def _run_pipeline(
     )
     with pin_guard:
         for task in order:
-            if task.name in needed and hit[task.name]:
+            if task.name in hits:
                 _load(task)
 
         heavy_exec = [task for task in exec_order if task.heavy]

@@ -433,13 +433,13 @@ class AgingAnalysisService:
             else None
         )
         order = graph.topological_order(requested)
-        hit = {
-            task.name: cache is not None and cache.contains(task, keys[task.name])
-            for task in order
-        }
-        needed, executing = prune_to_demand(order, requested, hit)
+        needed, executing = prune_to_demand(
+            order,
+            requested,
+            lambda task: cache is not None and cache.contains(task, keys[task.name]),
+        )
         to_execute = [task.name for task in executing]
-        hits = [task.name for task in order if task.name in needed and hit[task.name]]
+        hits = [task.name for task in order if task.name in needed and task.name not in to_execute]
         return QueryPlan(
             requested=requested,
             settings=settings,

@@ -73,12 +73,18 @@ class TestFunctional:
             (batch, channels, height + 2 * padding, width + 2 * padding), pad_value
         )
         padded[:, :, padding : padding + height, padding : padding + width] = x
-        expected = [
-            padded[n, :, oh * stride : oh * stride + kernel_h, ow * stride : ow * stride + kernel_w].ravel()
+        windows = [
+            padded[n, :, oh * stride : oh * stride + kernel_h, ow * stride : ow * stride + kernel_w]
             for n in range(batch)
             for oh in range(out_h)
             for ow in range(out_w)
         ]
+        assert np.array_equal(columns, np.array([window.ravel() for window in windows]))
+        # Channels-last columns: the same windows, in (kh, kw, C) order.
+        columns, _, _ = im2col(
+            x, kernel_h, kernel_w, stride, padding, pad_value, channels_last=True
+        )
+        expected = [window.transpose(1, 2, 0).ravel() for window in windows]
         assert np.array_equal(columns, np.array(expected))
 
     def test_col2im_is_adjoint_of_im2col(self):

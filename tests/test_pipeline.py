@@ -10,11 +10,13 @@ hard-coded special case.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import warnings
 
 import pytest
 
+import repro.observability as observability
 from repro.experiments.reporting import ExperimentResult, _jsonify
 from repro.experiments.settings import ExperimentSettings
 from repro.experiments.workspace import ExperimentWorkspace
@@ -240,6 +242,33 @@ class TestArtifactCache:
         assert loaded["tag"] == "libs"
         assert np.array_equal(loaded["array"], value["array"])
 
+    def test_corrupt_entries_are_counted_misses(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        task = Task("library_set", lambda ctx: None, kind=PRODUCT, serializer=PICKLE_FORMAT)
+        for key in ("truncated", "no-sidecar", "undecodable"):
+            cache.store(task, key, {"tag": key})
+        path = cache.artifact_path(task, "truncated")
+        path.write_bytes(path.read_bytes()[:-3])
+        cache.meta_path(task, "no-sidecar").unlink()
+        # Bytes that match the sidecar's hash but are not a pickle.
+        garbage = b"not a pickle"
+        cache.artifact_path(task, "undecodable").write_bytes(garbage)
+        meta_path = cache.meta_path(task, "undecodable")
+        meta = json.loads(meta_path.read_text())
+        meta["content_sha256"] = hashlib.sha256(garbage).hexdigest()
+        meta_path.write_text(json.dumps(meta))
+        cache.store(task, "sound", {"tag": "sound"})
+        with observability.collecting() as recorded:
+            assert not cache.contains(task, "truncated")
+            assert not cache.contains(task, "no-sidecar")
+            assert not cache.contains(task, "undecodable")
+            assert not cache.contains(task, "absent")
+            assert cache.contains(task, "sound")
+        assert recorded.metrics.counter("pipeline.cache.corrupt") == 3
+        cache.store(task, "truncated", {"tag": "again"})
+        assert cache.contains(task, "truncated")
+        assert cache.load(task, "truncated") == {"tag": "again"}
+
     def test_uncacheable_tasks_are_never_stored(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         task = Task("mac", lambda ctx: None, kind=PRODUCT, cacheable=False, serializer=PICKLE_FORMAT)
@@ -294,6 +323,33 @@ class TestSchedulerHardware:
         assert warm.cache_hits == ("fig1a", "fig2", "table2")
         for name in ("fig1a", "fig2", "table2"):
             assert canonical(warm.results[name]) == canonical(cold.results[name])
+
+    def test_truncated_artifact_is_recomputed_and_overwritten(
+        self, hw_settings, tmp_path, monkeypatch
+    ):
+        cold = run_pipeline(["fig2"], hw_settings, cache_dir=tmp_path)
+        cache = ArtifactCache(cold.cache_root)
+        path = cache.root / "fig2" / f"{cold.records['fig2'].key}.json"
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        with observability.collecting() as recorded:
+            rerun = run_pipeline(["fig2"], hw_settings, cache_dir=tmp_path)
+        assert recorded.metrics.counter("pipeline.cache.corrupt") == 1
+        assert rerun.executed_experiments == ("fig2",)
+        assert canonical(rerun.results["fig2"]) == canonical(cold.results["fig2"])
+        assert path.read_bytes() == blob
+        # A warm run verifies only what it may load: fig2, not its inputs.
+        probed = []
+        contains = ArtifactCache.contains
+
+        def recording_contains(self, task, key):
+            probed.append(task.name)
+            return contains(self, task, key)
+
+        monkeypatch.setattr(ArtifactCache, "contains", recording_contains)
+        warm = run_pipeline(["fig2"], hw_settings, cache_dir=tmp_path)
+        assert warm.executed == () and warm.cache_hits == ("fig2",)
+        assert probed == ["fig2"]
 
     def test_settings_change_invalidates_only_the_affected_subtree(self, hw_settings, tmp_path):
         run_pipeline(["fig1a", "fig5"], hw_settings, cache_dir=tmp_path)
