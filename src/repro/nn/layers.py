@@ -40,6 +40,9 @@ class Parameter:
 class Layer:
     """Base class for all layers."""
 
+    #: Attributes a training forward pass fills for ``backward``.
+    _training_state: tuple[str, ...] = ()
+
     def __init__(self) -> None:
         self.name = type(self).__name__.lower()
 
@@ -64,6 +67,13 @@ class Layer:
             params.extend(child.all_parameters())
         return params
 
+    def clear_training_state(self) -> None:
+        """Drop what training forward passes kept here and in every child."""
+        for attribute in self._training_state:
+            setattr(self, attribute, None)
+        for child in self.children():
+            child.clear_training_state()
+
     # ------------------------------------------------------------- quantized
     def forward_quantized(self, x: np.ndarray, context) -> np.ndarray:
         """Execute under quantization; default layers are unaffected."""
@@ -75,6 +85,8 @@ class Layer:
 
 class Conv2D(Layer):
     """2-D convolution (NCHW, square kernels) executed through im2col."""
+
+    _training_state = ("_cache",)
 
     def __init__(
         self,
@@ -173,6 +185,8 @@ class Conv2D(Layer):
 class Dense(Layer):
     """Fully connected layer over flattened features."""
 
+    _training_state = ("_cache",)
+
     def __init__(
         self,
         in_features: int,
@@ -218,6 +232,8 @@ class Dense(Layer):
 class ReLU(Layer):
     """Rectified linear activation."""
 
+    _training_state = ("_mask",)
+
     def __init__(self) -> None:
         super().__init__()
         self._mask: np.ndarray | None = None
@@ -234,7 +250,18 @@ class ReLU(Layer):
 
 
 class MaxPool2D(Layer):
-    """Non-overlapping max pooling (pool size equals stride)."""
+    """Non-overlapping max pooling (pool size equals stride).
+
+    Each window's maximum is taken over the ``pool * pool`` strided views
+    ``x[:, :, di::pool, dj::pool]``: the output starts as a copy of the
+    first, in the input's memory order, and ``np.maximum`` folds in the
+    others in row-major offset order.  That gives the maxima of a reshape
+    and ``max`` over the window axes bit for bit (NaN propagates, and ties
+    between ``+0.0`` and ``-0.0`` resolve alike) without reducing over two
+    strided inner axes.  The backward pass walks the same offsets.
+    """
+
+    _training_state = ("_cache",)
 
     def __init__(self, pool_size: int = 2) -> None:
         super().__init__()
@@ -243,15 +270,20 @@ class MaxPool2D(Layer):
         self.pool_size = pool_size
         self._cache: tuple | None = None
 
+    def _offsets(self) -> list[tuple[int, int]]:
+        pool = self.pool_size
+        return [(di, dj) for di in range(pool) for dj in range(pool)]
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        batch, channels, height, width = x.shape
+        _, _, height, width = x.shape
         pool = self.pool_size
         if height % pool or width % pool:
             raise ValueError(
                 f"input spatial size ({height}x{width}) not divisible by pool size {pool}"
             )
-        reshaped = x.reshape(batch, channels, height // pool, pool, width // pool, pool)
-        output = reshaped.max(axis=(3, 5))
+        output = x[:, :, ::pool, ::pool].copy(order="K")
+        for di, dj in self._offsets()[1:]:
+            np.maximum(output, x[:, :, di::pool, dj::pool], out=output)
         if training:
             self._cache = (x, output)
         return output
@@ -261,25 +293,20 @@ class MaxPool2D(Layer):
             raise RuntimeError("backward called before a training forward pass")
         x, output = self._cache
         pool = self.pool_size
-        upsampled_output = np.repeat(np.repeat(output, pool, axis=2), pool, axis=3)
-        upsampled_grad = np.repeat(np.repeat(grad, pool, axis=2), pool, axis=3)
-        mask = x == upsampled_output
+        offsets = self._offsets()
+        masks = [x[:, :, di::pool, dj::pool] == output for di, dj in offsets]
         # Split gradient evenly between positions that tie for the maximum.
-        counts = np.repeat(
-            np.repeat(
-                mask.reshape(x.shape[0], x.shape[1], -1, pool, x.shape[3] // pool, pool)
-                .sum(axis=(3, 5)),
-                pool,
-                axis=2,
-            ),
-            pool,
-            axis=3,
-        )
-        return np.where(mask, upsampled_grad / np.maximum(counts, 1), 0.0)
+        share = grad / np.maximum(sum(masks), 1)
+        grad_input = np.zeros(x.shape, dtype=share.dtype)
+        for (di, dj), mask in zip(offsets, masks):
+            np.copyto(grad_input[:, :, di::pool, dj::pool], share, where=mask)
+        return grad_input
 
 
 class GlobalAvgPool2D(Layer):
     """Average over the spatial dimensions, producing (N, C)."""
+
+    _training_state = ("_shape",)
 
     def __init__(self) -> None:
         super().__init__()
@@ -300,6 +327,8 @@ class GlobalAvgPool2D(Layer):
 
 class Flatten(Layer):
     """Flatten all dimensions after the batch dimension."""
+
+    _training_state = ("_shape",)
 
     def __init__(self) -> None:
         super().__init__()

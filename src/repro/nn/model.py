@@ -60,6 +60,11 @@ class Model:
         for param in self.parameters():
             param.zero_grad()
 
+    def clear_training_state(self) -> None:
+        """Drop the activations every layer kept for a backward pass."""
+        for layer in self.layers:
+            layer.clear_training_state()
+
     # ---------------------------------------------------------------- forward
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         for layer in self.layers:

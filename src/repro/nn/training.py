@@ -92,7 +92,11 @@ class SGDTrainer:
         rng: "int | np.random.Generator | None" = None,
         verbose: bool = False,
     ) -> TrainingHistory:
-        """Train ``model`` in place and return the training history."""
+        """Train ``model`` in place and return the training history.
+
+        On return, also on error, no layer keeps the activations of the
+        last training forward pass.
+        """
         if x_train.shape[0] != y_train.shape[0]:
             raise ValueError("x_train and y_train must have the same number of samples")
         generator = make_rng(rng)
@@ -100,52 +104,57 @@ class SGDTrainer:
         history = TrainingHistory()
         num_samples = x_train.shape[0]
 
-        for epoch in range(self.epochs):
-            learning_rate = self._epoch_learning_rate(epoch)
-            permutation = generator.permutation(num_samples)
-            epoch_loss = 0.0
-            correct = 0
-            for start in range(0, num_samples, self.batch_size):
-                batch_idx = permutation[start : start + self.batch_size]
-                batch_x = x_train[batch_idx]
-                batch_y = y_train[batch_idx]
-                model.zero_grad()
-                logits = model.forward(batch_x, training=True)
-                loss, grad = softmax_cross_entropy(logits, batch_y, self.label_smoothing)
-                model.backward(grad)
-                epoch_loss += loss * batch_x.shape[0]
-                correct += int((logits.argmax(axis=1) == batch_y).sum())
-                if self.clip_grad_norm is not None:
-                    total = 0.0
-                    for param in model.parameters():
-                        total += float(np.sum(param.grad * param.grad))
-                    norm = np.sqrt(total)
-                    if norm > self.clip_grad_norm:
-                        scale = self.clip_grad_norm / norm
+        try:
+            for epoch in range(self.epochs):
+                learning_rate = self._epoch_learning_rate(epoch)
+                permutation = generator.permutation(num_samples)
+                epoch_loss = 0.0
+                correct = 0
+                for start in range(0, num_samples, self.batch_size):
+                    batch_idx = permutation[start : start + self.batch_size]
+                    batch_x = x_train[batch_idx]
+                    batch_y = y_train[batch_idx]
+                    model.zero_grad()
+                    logits = model.forward(batch_x, training=True)
+                    loss, grad = softmax_cross_entropy(logits, batch_y, self.label_smoothing)
+                    model.backward(grad)
+                    epoch_loss += loss * batch_x.shape[0]
+                    correct += int((logits.argmax(axis=1) == batch_y).sum())
+                    if self.clip_grad_norm is not None:
+                        total = 0.0
                         for param in model.parameters():
-                            param.grad *= scale
-                for param in model.parameters():
-                    if self.weight_decay > 0:
-                        param.grad += self.weight_decay * param.value
-                    velocity = velocities[id(param)]
-                    velocity *= self.momentum
-                    velocity -= learning_rate * param.grad
-                    param.value += velocity
+                            total += float(np.sum(param.grad * param.grad))
+                        norm = np.sqrt(total)
+                        if norm > self.clip_grad_norm:
+                            scale = self.clip_grad_norm / norm
+                            for param in model.parameters():
+                                param.grad *= scale
+                    for param in model.parameters():
+                        if self.weight_decay > 0:
+                            param.grad += self.weight_decay * param.value
+                        velocity = velocities[id(param)]
+                        velocity *= self.momentum
+                        velocity -= learning_rate * param.grad
+                        param.value += velocity
 
-            history.epochs.append(epoch)
-            history.train_loss.append(epoch_loss / num_samples)
-            history.train_accuracy.append(correct / num_samples)
-            if x_val is not None and y_val is not None:
-                history.validation_accuracy.append(model.accuracy(x_val, y_val))
-            if verbose:  # pragma: no cover - logging only
-                val = (
-                    f", val acc {history.validation_accuracy[-1]:.3f}"
-                    if history.validation_accuracy
-                    else ""
-                )
-                print(
-                    f"[{model.name}] epoch {epoch + 1}/{self.epochs}: "
-                    f"loss {history.train_loss[-1]:.4f}, "
-                    f"train acc {history.train_accuracy[-1]:.3f}{val}"
-                )
+                history.epochs.append(epoch)
+                history.train_loss.append(epoch_loss / num_samples)
+                history.train_accuracy.append(correct / num_samples)
+                if x_val is not None and y_val is not None:
+                    history.validation_accuracy.append(model.accuracy(x_val, y_val))
+                if verbose:  # pragma: no cover - logging only
+                    val = (
+                        f", val acc {history.validation_accuracy[-1]:.3f}"
+                        if history.validation_accuracy
+                        else ""
+                    )
+                    print(
+                        f"[{model.name}] epoch {epoch + 1}/{self.epochs}: "
+                        f"loss {history.train_loss[-1]:.4f}, "
+                        f"train acc {history.train_accuracy[-1]:.3f}{val}"
+                    )
+        finally:
+            # The layers' backward-pass activations are pickled with the
+            # model otherwise (tens of MB for a ResNet).
+            model.clear_training_state()
         return history

@@ -17,7 +17,9 @@ the rows.  The refinement is a port of scipy.optimize's bounded scalar
 minimiser with its constants, tolerance and evaluation cap, and
 :func:`lp_errors` does the codec's arithmetic op for op, so every row's clip
 equals a one-row-at-a-time ``minimize_scalar(method="bounded")`` search bit
-for bit.
+for bit.  An activation row's exact zeros (often most of a post-ReLU row)
+are left out of the codec arithmetic but kept in the mean, which keeps that
+equality.
 """
 
 from __future__ import annotations
@@ -50,7 +52,13 @@ def lp_exponent_for_bits(num_bits: int) -> float:
 
 
 def lp_errors(
-    rows: np.ndarray, clips: np.ndarray, num_bits: int, p: float, one_sided: bool
+    rows: np.ndarray,
+    clips: np.ndarray,
+    num_bits: int,
+    p: float,
+    one_sided: bool,
+    columns: np.ndarray | None = None,
+    full: np.ndarray | None = None,
 ) -> np.ndarray:
     """Mean ``|Q(x) - x| ** p`` of each row of ``rows`` (R, K) at its clip (R,).
 
@@ -60,6 +68,15 @@ def lp_errors(
     the mean reduces the contiguous last axis, so each row's error equals
     the same computation on that row alone.  Rows with ``clip <= 0`` get
     ``inf``.
+
+    When ``rows`` holds only the ``columns`` of wider rows, the errors are
+    written into those columns of ``full`` (at least R rows, zero in every
+    other column) and the mean runs over ``full``'s rows.  Through
+    ``from_range(0, clip)`` a zero sample round-trips to exactly 0, so its
+    error is ``+0.0``: the zero columns hold what the codec would have
+    computed there, and the mean sums the same terms in the same pairwise
+    tree as over the wide rows.  Summing the compacted rows instead would
+    regroup the terms and change the last bits.
     """
     clips = np.asarray(clips, dtype=np.float64)
     invalid = clips <= 0
@@ -79,6 +96,10 @@ def lp_errors(
     error -= rows
     np.abs(error, out=error)
     error **= p
+    if columns is not None:
+        full = full[: len(rows)]
+        full[:, columns] = error
+        error = full
     errors = error.mean(axis=1)
     errors[invalid] = np.inf
     return errors
@@ -214,7 +235,14 @@ class LAPQQuantizer(QuantizationMethod):
         return grid
 
     def _optimise_clips(self, rows: np.ndarray, num_bits: int, one_sided: bool) -> np.ndarray:
-        """The Lp-optimal clip of every row of ``rows`` (R, K)."""
+        """The Lp-optimal clip of every row of ``rows`` (R, K).
+
+        For ``one_sided`` rows, the columns where every row is zero are found
+        once: the grid and every refinement pass run the codec on the other
+        columns only, and :func:`lp_errors` takes each mean over one
+        full-length zero buffer allocated here, so the clips are those of
+        the search over whole rows bit for bit.
+        """
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         if not np.isfinite(rows).all():
             raise ValueError("cannot choose a clipping range for NaN or infinite values")
@@ -226,22 +254,29 @@ class LAPQQuantizer(QuantizationMethod):
         if live.size < len(rows):
             rows, max_abs = rows[live], max_abs[live]
 
+        columns = full = None
+        if one_sided:
+            nonzero = rows.any(axis=0)
+            if not nonzero.all():
+                columns = np.flatnonzero(nonzero)
+                full = np.zeros_like(rows)
+                rows = rows[:, columns]
+
+        def evaluate(index: np.ndarray, x: np.ndarray) -> np.ndarray:
+            subset = rows[index] if index.size < len(rows) else rows
+            return lp_errors(subset, x, num_bits, p, one_sided, columns, full)
+
         candidates = self._candidates(max_abs)
-        errors = np.stack(
-            [lp_errors(rows, column, num_bits, p, one_sided) for column in candidates.T],
-            axis=1,
-        )
-        best = np.argmin(errors, axis=1)
         row = np.arange(len(rows))
+        errors = np.stack([evaluate(row, column) for column in candidates.T], axis=1)
+        best = np.argmin(errors, axis=1)
         chosen = candidates[row, best]
         low = candidates[row, np.maximum(best - 1, 0)]
         high = candidates[row, np.minimum(best + 1, self.num_candidates - 1)]
         search = np.flatnonzero(~(high <= low))
 
         def objective(index: np.ndarray, x: np.ndarray) -> np.ndarray:
-            index = search[index]
-            subset = rows[index] if index.size < len(rows) else rows
-            return lp_errors(subset, x, num_bits, p, one_sided)
+            return evaluate(search[index], x)
 
         refined, converged, passes = _bounded_minimise(
             objective, low[search], high[search], max_abs[search] * 1e-3

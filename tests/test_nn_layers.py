@@ -1,5 +1,7 @@
 """Tests of the NN layers: shapes, functional behaviour and gradients."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -228,6 +230,66 @@ class TestGradients:
         grad = layer.backward(np.array([[1.0, 2.0]]))
         assert np.allclose(grad[0, 0], 0.25)
         assert np.allclose(grad[0, 1], 0.5)
+
+
+def _reshape_max_pool(x, pool):
+    """Max pooling as a reshape and a max over the window axes."""
+    batch, channels, height, width = x.shape
+    return x.reshape(batch, channels, height // pool, pool, width // pool, pool).max(axis=(3, 5))
+
+
+def _repeat_max_pool_backward(x, output, grad, pool):
+    """Max pooling's gradient through upsampled outputs, gradients and counts."""
+    upsampled_output = np.repeat(np.repeat(output, pool, axis=2), pool, axis=3)
+    upsampled_grad = np.repeat(np.repeat(grad, pool, axis=2), pool, axis=3)
+    mask = x == upsampled_output
+    counts = mask.reshape(x.shape[0], x.shape[1], -1, pool, x.shape[3] // pool, pool).sum(axis=(3, 5))
+    counts = np.repeat(np.repeat(counts, pool, axis=2), pool, axis=3)
+    return np.where(mask, upsampled_grad / np.maximum(counts, 1), 0.0)
+
+
+def _pooling_inputs(pool):
+    """(name, x) pairs with ties, signed zeros and a NaN, in NCHW and NHWC memory."""
+    rng = np.random.default_rng(pool)
+    shape = (3, 5, 4 * pool, 2 * pool)
+    # Coarse integer values tie often inside a window.
+    ties = rng.integers(-2, 3, size=shape).astype(np.float64)
+    signed_zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    mixed = np.where(rng.random(shape) < 0.3, signed_zeros, ties)
+    mixed[1, 2, 0, 0] = np.nan
+    inputs = []
+    for name, x in (("ties", ties), ("signed_zeros", signed_zeros), ("mixed", mixed)):
+        inputs.append((name, x))
+        # A convolution's output: an NCHW view of channels-last memory.
+        channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        inputs.append((f"{name}_nhwc", channels_last))
+    return inputs
+
+
+class TestMaxPoolMatchesReshapeOracle:
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    def test_forward_is_bitwise_the_reshape_max(self, pool):
+        for name, x in _pooling_inputs(pool):
+            expected = _reshape_max_pool(x, pool)
+            got = MaxPool2D(pool).forward(x)
+            assert got.tobytes() == expected.tobytes(), name
+            assert got.strides == expected.strides, name
+
+    def test_all_signed_zero_windows(self):
+        patterns = np.array(list(itertools.product([0.0, -0.0], repeat=4))).reshape(1, 16, 2, 2)
+        assert MaxPool2D(2).forward(patterns).tobytes() == _reshape_max_pool(patterns, 2).tobytes()
+
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    def test_backward_is_bitwise_the_repeat_formulation(self, pool):
+        rng = np.random.default_rng(10 + pool)
+        for name, x in _pooling_inputs(pool):
+            layer = MaxPool2D(pool)
+            output = layer.forward(x, training=True)
+            grad = rng.normal(size=output.shape)
+            expected = _repeat_max_pool_backward(x, output, grad, pool)
+            got = layer.backward(grad)
+            assert got.dtype == expected.dtype and got.strides == expected.strides, name
+            assert got.tobytes() == expected.tobytes(), name
 
 
 class TestLoss:

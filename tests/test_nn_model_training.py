@@ -1,5 +1,7 @@
 """Tests of the model container, training loop, dataset and model zoo."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,29 @@ class TestTraining:
             SGDTrainer(epochs=2, batch_size=32).fit(model, tiny_dataset.x_train, tiny_dataset.y_train, rng=0)
             results.append(model.forward(tiny_dataset.x_test[:4]))
         assert np.allclose(results[0], results[1])
+
+    def test_fit_drops_backward_caches(self, tiny_dataset, monkeypatch):
+        def train():
+            model = build_tiny_model(tiny_dataset.num_classes, tiny_dataset.image_size, rng=5)
+            SGDTrainer(epochs=2, batch_size=32).fit(model, tiny_dataset.x_train, tiny_dataset.y_train, rng=0)
+            return model
+
+        model = train()
+        for name, layer in model.named_layers():
+            for attribute in layer._training_state:
+                assert getattr(layer, attribute) is None, (name, attribute)
+        tensor_bytes = sum(param.value.nbytes + param.grad.nbytes for param in model.parameters())
+        assert len(pickle.dumps(model)) < 2 * tensor_bytes
+
+        # Clearing changes nothing the model computes; the caches it drops
+        # outweigh the parameters many times over.
+        monkeypatch.setattr(Model, "clear_training_state", lambda self: None)
+        cached = train()
+        assert len(pickle.dumps(cached)) > 10 * tensor_bytes
+        for key, value in model.state_dict().items():
+            assert value.tobytes() == cached.state_dict()[key].tobytes(), key
+        x_test, y_test = tiny_dataset.x_test, tiny_dataset.y_test
+        assert model.accuracy(x_test, y_test) == cached.accuracy(x_test, y_test)
 
     def test_invalid_trainer_settings(self):
         with pytest.raises(ValueError):

@@ -205,19 +205,19 @@ def _oracle_lp_error(values, clip, num_bits, p, one_sided):
 
 
 def _oracle_lapq_clip(values, num_bits, one_sided, num_candidates=12, maxiter=500):
-    """(clip, index of the best grid candidate or None) of one tensor."""
+    """(clip, index of the best grid candidate or None, refinement steps) of one tensor."""
     values = np.asarray(values, dtype=np.float64)
     p = lp_exponent_for_bits(num_bits)
     max_abs = float(np.abs(values).max())
     if max_abs <= 0:
-        return 1e-8, None
+        return 1e-8, None, 0
     candidates = np.linspace(0.2 * max_abs, max_abs, num_candidates)
     errors = [_oracle_lp_error(values, c, num_bits, p, one_sided) for c in candidates]
     best = int(np.argmin(errors))
     low = candidates[max(best - 1, 0)]
     high = candidates[min(best + 1, len(candidates) - 1)]
     if high <= low:
-        return float(candidates[best]), best
+        return float(candidates[best]), best, 0
     result = minimize_scalar(
         lambda c: _oracle_lp_error(values, c, num_bits, p, one_sided),
         bounds=(low, high),
@@ -225,7 +225,8 @@ def _oracle_lapq_clip(values, num_bits, one_sided, num_candidates=12, maxiter=50
         options={"xatol": max_abs * 1e-3, "maxiter": maxiter},
     )
     best_clip = float(result.x) if result.success else float(candidates[best])
-    return max(best_clip, 1e-8), best
+    # scipy counts the evaluation before the first step.
+    return max(best_clip, 1e-8), best, result.nfev - 1
 
 
 def _oracle_lapq_weight_params(weights, num_bits, num_candidates=12, per_channel=True, maxiter=500):
@@ -343,10 +344,21 @@ def _weight_tensors():
 
 def _activation_samples():
     rng = np.random.default_rng(8)
+    # LAPQ evaluates an activation's nonzero samples only, but must sum the
+    # errors over the full row.  The zero counts (2851, 3001) are multiples
+    # of neither 8 nor 128, so a sum over the compacted row would group the
+    # terms differently from numpy's pairwise sum over the full row.
+    sparse = np.zeros(3001)
+    sparse[rng.choice(sparse.size, 150, replace=False)] = rng.exponential(1.0, 150)
+    single = np.zeros(3002)
+    single[1234] = 0.75
     return {
         "relu": np.maximum(rng.normal(0.0, 1.0, size=3000), 0.0),
         "signed": rng.laplace(0.0, 0.5, size=3000),
         "all_zero": np.zeros(500),
+        "sparse_relu": sparse,
+        "one_nonzero": single,
+        "zero_free": rng.exponential(1.0, size=3001) + 1e-3,
     }
 
 
@@ -381,6 +393,16 @@ class TestBatchedCalibrationMatchesPerRowOracle:
             LAPQQuantizer(num_candidates=num_candidates).activation_params(samples, num_bits),
             _oracle_lapq_activation_params(samples, num_bits, num_candidates),
         )
+
+    @pytest.mark.parametrize("name", sorted(_SAMPLES))
+    @pytest.mark.parametrize("num_bits", _BITS)
+    def test_lapq_activation_refinement_steps(self, num_bits, name):
+        samples = _SAMPLES[name]
+        with observability.collecting() as recorded:
+            LAPQQuantizer().activation_params(samples, num_bits)
+        one_sided = bool(samples.min() >= 0.0)
+        steps = _oracle_lapq_clip(samples, num_bits, one_sided)[2]
+        assert recorded.metrics.counter("quantization.lapq.refine_steps") == steps
 
     def test_evaluation_cap_falls_back_to_best_candidate(self, monkeypatch):
         monkeypatch.setattr(lapq, "MAX_EVALUATIONS", 3)
