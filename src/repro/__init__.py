@@ -25,7 +25,6 @@ Quickstart::
 from repro.aging import (
     AgingAwareLibrarySet,
     AgingScenario,
-    AgingScenarioSet,
     AgingTimeline,
     AlphaPowerDelayModel,
     BTIModel,
@@ -62,7 +61,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AgingAwareLibrarySet",
     "AgingScenario",
-    "AgingScenarioSet",
     "AgingTimeline",
     "AlphaPowerDelayModel",
     "BTIModel",

@@ -27,7 +27,6 @@ from repro.aging.cell_library import (
 from repro.aging.scenarios import (
     SCENARIO_KINDS,
     AgingScenario,
-    AgingScenarioSet,
     MissionProfile,
     PerCellTypeAging,
     UniformAging,
@@ -46,7 +45,6 @@ __all__ = [
     "fresh_library",
     "SCENARIO_KINDS",
     "AgingScenario",
-    "AgingScenarioSet",
     "MissionProfile",
     "PerCellTypeAging",
     "UniformAging",

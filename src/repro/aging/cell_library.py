@@ -18,7 +18,6 @@ cells and between aging levels matter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
 
@@ -281,17 +280,6 @@ class AgingAwareLibrarySet:
 
         return UniformAging(float(delta_vth_mv), library=self._base)
 
-    def scenarios(self):
-        """This set as a scenario axis: one uniform scenario per level.
-
-        The generalisation bridge to :class:`~repro.aging.scenarios.
-        AgingScenarioSet` — an aging-aware library set *is* the uniform
-        special case of a scenario sweep.
-        """
-        from repro.aging.scenarios.base import AgingScenarioSet
-
-        return AgingScenarioSet.from_library_set(self)
-
     def __iter__(self):
         return iter(sorted(self._libraries.items()))
 
@@ -311,7 +299,3 @@ def end_of_life_guardband_fraction(
     """
     factor = library_set.degradation_factor(end_of_life_mv)
     return factor - 1.0
-
-
-def _format_level(level: float) -> str:  # pragma: no cover - debugging helper
-    return f"{level:g}mV" if not math.isnan(level) else "nan"

@@ -22,7 +22,6 @@ bit-identical to the legacy ``library.aged(x)`` path.
 
 from repro.aging.scenarios.base import (
     AgingScenario,
-    AgingScenarioSet,
     default_fresh_library,
     gate_delay_columns,
     nominal_delta_vth_mv,
@@ -43,7 +42,6 @@ SCENARIO_KINDS: tuple[str, ...] = (
 __all__ = [
     "SCENARIO_KINDS",
     "AgingScenario",
-    "AgingScenarioSet",
     "MissionProfile",
     "PerCellTypeAging",
     "UniformAging",

@@ -1,4 +1,4 @@
-"""The :class:`AgingScenario` contract and the scenario axis.
+"""The :class:`AgingScenario` contract and the per-gate delay funnel.
 
 An aging scenario answers one question for the timing substrate: *given a
 netlist, how slow is each gate?*  The uniform-ΔVth contract the paper uses
@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
-from repro.aging.cell_library import AgingAwareLibrarySet, CellLibrary, fresh_library
+from repro.aging.cell_library import CellLibrary, fresh_library
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.circuits.netlist import Gate, Netlist
@@ -248,74 +248,3 @@ def nominal_delta_vth_mv(source: "CellLibrary | AgingScenario") -> float:
     if isinstance(source, AgingScenario):
         return source.nominal_delta_vth_mv
     return source.delta_vth_mv
-
-
-class AgingScenarioSet:
-    """A scenario axis: one fresh base library plus one scenario per point.
-
-    This generalises :class:`~repro.aging.cell_library.AgingAwareLibrarySet`
-    (one aged library per ΔVth level — i.e. a uniform scenario per level)
-    into an arbitrary sweep axis: mission-profile timelines, heterogeneous
-    stress corners and per-gate variation seeds are all just sequences of
-    :class:`AgingScenario` objects sharing one fresh characterisation.
-    """
-
-    def __init__(
-        self,
-        scenarios: "tuple[AgingScenario, ...] | list[AgingScenario]",
-        library: CellLibrary | None = None,
-    ) -> None:
-        entries = tuple(scenarios)
-        if not entries:
-            raise ValueError("an AgingScenarioSet needs at least one scenario")
-        for scenario in entries:
-            if not isinstance(scenario, AgingScenario):
-                raise TypeError(f"not an AgingScenario: {scenario!r}")
-        self._library = library if library is not None else default_fresh_library()
-        if not self._library.is_fresh:
-            raise ValueError("the base library of a scenario set must be fresh (0 mV)")
-        self._scenarios = tuple(s.bound_to(self._library) for s in entries)
-
-    # ------------------------------------------------------------ constructors
-    @classmethod
-    def uniform(
-        cls,
-        levels_mv: "tuple[float, ...] | list[float]",
-        library: CellLibrary | None = None,
-    ) -> "AgingScenarioSet":
-        """The paper's axis: one uniform scenario per ΔVth level."""
-        from repro.aging.scenarios.uniform import UniformAging
-
-        return cls(tuple(UniformAging(float(level)) for level in levels_mv), library)
-
-    @classmethod
-    def from_library_set(cls, library_set: AgingAwareLibrarySet) -> "AgingScenarioSet":
-        """The uniform axis equivalent to an aging-aware library set."""
-        return cls.uniform(library_set.levels_mv, library_set.fresh)
-
-    # -------------------------------------------------------------- accessors
-    @property
-    def fresh(self) -> CellLibrary:
-        """The shared fresh base library (also the sweep's clock reference)."""
-        return self._library
-
-    @property
-    def scenarios(self) -> "tuple[AgingScenario, ...]":
-        return self._scenarios
-
-    def gate_delays_ps(self, index: int, netlist: "Netlist") -> "dict[Gate, float]":
-        """Resolve the ``index``-th scenario for ``netlist``."""
-        return self._scenarios[index].gate_delays_ps(netlist, self._library)
-
-    def __iter__(self):
-        return iter(self._scenarios)
-
-    def __len__(self) -> int:
-        return len(self._scenarios)
-
-    def __getitem__(self, index: int) -> AgingScenario:
-        return self._scenarios[index]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        labels = ", ".join(scenario.label() for scenario in self._scenarios)
-        return f"AgingScenarioSet([{labels}])"

@@ -14,7 +14,7 @@ constant handling.
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.circuits.gates import CELL_INPUT_COUNTS
 
@@ -320,13 +320,6 @@ def bits_to_bus_values(bit_values: dict[Net, int], buses: dict[str, list[Net]]) 
             value |= (bit_values[net] & 1) << i
         result[bus_name] = value
     return result
-
-
-def iter_bus_bits(buses: dict[str, list[Net]]) -> Iterable[tuple[str, int, Net]]:
-    """Yield ``(bus_name, bit_index, net)`` triples for all bus bits."""
-    for bus_name, nets in buses.items():
-        for index, net in enumerate(nets):
-            yield bus_name, index, net
 
 
 def bus_batches_to_words(

@@ -12,10 +12,10 @@ Algorithm 1 on top of the substrate packages:
 * :mod:`repro.core.algorithm` — Algorithm 1: select the minimal compression
   that meets the fresh clock, then pick the quantization method with the
   smallest accuracy loss,
-* :mod:`repro.core.guardband` — baseline guardband sizing and the delay
-  trajectories of Fig. 4a,
+* :mod:`repro.core.guardband` — baseline guardband sizing,
 * :mod:`repro.core.pipeline` — the full lifetime study used by the
-  experiment harness (Table 1/2, Figs. 4 and 5).
+  experiment harness; its ``plan_level`` is the one planner of Algorithm 1's
+  timing phase behind Table 2, Figs. 4a and 5 and the scenario sweep.
 """
 
 from repro.core.padding import (
@@ -33,13 +33,7 @@ from repro.core.compression import (
 )
 from repro.core.timing_analysis import CompressionTimingAnalyzer, CompressionTiming
 from repro.core.algorithm import AgingAwareQuantizer, AgingAwareQuantizationResult
-from repro.core.guardband import (
-    GuardbandAnalysis,
-    analyze_guardband,
-    baseline_delay_trajectory,
-    compensated_delay_trajectory,
-)
-from repro.core.scenario_grid import ScenarioPlan, plan_scenario, scenario_grid
+from repro.core.guardband import GuardbandAnalysis, analyze_guardband
 from repro.core.pipeline import DeviceToSystemPipeline, LevelPlan
 
 __all__ = [
@@ -58,11 +52,6 @@ __all__ = [
     "AgingAwareQuantizationResult",
     "GuardbandAnalysis",
     "analyze_guardband",
-    "baseline_delay_trajectory",
-    "compensated_delay_trajectory",
-    "ScenarioPlan",
-    "plan_scenario",
-    "scenario_grid",
     "DeviceToSystemPipeline",
     "LevelPlan",
 ]

@@ -1,4 +1,4 @@
-"""Guardband analysis and the delay trajectories of Fig. 4a.
+"""Guardband analysis: the clock margin an unprotected baseline needs.
 
 The unprotected baseline must be clocked at the end-of-life critical-path
 delay (fresh delay × aging degradation), i.e. it carries a timing guardband
@@ -15,12 +15,10 @@ as the uniform contract, bit-identically for uniform scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping
 
 from repro.aging.cell_library import AgingAwareLibrarySet
 from repro.aging.scenarios.base import AgingScenario
 from repro.circuits.mac import ArithmeticUnit
-from repro.core.compression import CompressionChoice
 from repro.core.timing_analysis import CompressionTimingAnalyzer
 
 
@@ -84,46 +82,3 @@ def analyze_guardband(
         end_of_life_mv=scenario.nominal_delta_vth_mv,
         scenario=scenario,
     )
-
-
-def _axis_value(source: "float | AgingScenario") -> float:
-    """The x-axis ΔVth a trajectory reports for one aging point."""
-    if isinstance(source, AgingScenario):
-        return source.nominal_delta_vth_mv
-    return float(source)
-
-
-def baseline_delay_trajectory(
-    analyzer: CompressionTimingAnalyzer,
-    levels_mv: "Iterable[float | AgingScenario]",
-) -> list[tuple[float, float]]:
-    """Normalized delay of the uncompressed MAC over the aging points.
-
-    Returns ``(delta_vth_mv, delay / fresh_delay)`` pairs — the "Baseline"
-    curve of Fig. 4a — in the order the points are given.
-    """
-    fresh = analyzer.fresh_period_ps()
-    return [
-        (_axis_value(level), analyzer.delay_ps(level, None) / fresh)
-        for level in levels_mv
-    ]
-
-
-def compensated_delay_trajectory(
-    analyzer: CompressionTimingAnalyzer,
-    selections: "Mapping[float | AgingScenario, CompressionChoice]",
-) -> list[tuple[float, float]]:
-    """Normalized delay of the compressed MAC over the aging points.
-
-    ``selections`` maps each aging point to the compression Algorithm 1
-    selected for it — the "Ours" curve of Fig. 4a.  Points are emitted in
-    the mapping's iteration order, matching
-    :func:`baseline_delay_trajectory` for the same axis (both curves used to
-    disagree for unsorted axes: the baseline preserved input order while
-    this function sorted its levels).
-    """
-    fresh = analyzer.fresh_period_ps()
-    return [
-        (_axis_value(level), analyzer.delay_ps(level, choice) / fresh)
-        for level, choice in selections.items()
-    ]

@@ -2,9 +2,10 @@
 
 The pipeline strings the substrates together for a whole aging scenario:
 
-1. for every ΔVth level, run the timing phase of Algorithm 1 and record the
-   selected compression and the baseline/compensated MAC delays (Table 2 and
-   Fig. 4a),
+1. for every aging point (a ΔVth level or any aging scenario), run the
+   timing phase of Algorithm 1 and record the selected compression, the
+   baseline/compensated MAC delays and the baseline's guardband (Table 2,
+   Fig. 4a and the scenario sweep),
 2. quantize any number of networks at each level's compression with the best
    method from the library (Table 1 and Fig. 4b),
 3. estimate the per-operation MAC energy under the compressed operand
@@ -34,34 +35,60 @@ from repro.quantization.base import QuantizationMethod
 
 @dataclass(frozen=True)
 class LevelPlan:
-    """Timing decisions for one aging point.
+    """Timing phase of Algorithm 1 and guardband sizing at one aging point.
 
     Attributes:
-        delta_vth_mv: headline ΔVth of the aging point (a scenario reports
-            its nominal level here).
-        timing: STA record of the selected compression.
+        scenario: the aging scenario planned for.
+        timing: STA record of the selected (minimal feasible) compression.
         baseline_delay_ps: delay of the *uncompressed* MAC at this point
-            (what an unprotected NPU would need).
-        scenario: the aging scenario planned for; ``None`` only for records
-            built by hand without one.
+            (what an unprotected NPU would need to clock at).
+        feasible_count: number of feasible (α, β, padding) corners — how
+            much slack the compression space still has at this point.
     """
 
-    delta_vth_mv: float
+    scenario: AgingScenario
     timing: CompressionTiming
     baseline_delay_ps: float
-    scenario: AgingScenario | None = None
+    feasible_count: int
+
+    @property
+    def delta_vth_mv(self) -> float:
+        """Headline ΔVth of the aging point (a scenario's nominal level)."""
+        return self.scenario.nominal_delta_vth_mv
 
     @property
     def compression(self) -> CompressionChoice:
         return self.timing.choice
 
     @property
+    def fresh_delay_ps(self) -> float:
+        """The timing target: fresh uncompressed critical-path delay."""
+        return self.timing.target_period_ps
+
+    @property
     def normalized_baseline_delay(self) -> float:
-        return self.baseline_delay_ps / self.timing.target_period_ps
+        return self.baseline_delay_ps / self.fresh_delay_ps
 
     @property
     def normalized_compensated_delay(self) -> float:
         return self.timing.normalized_delay
+
+    @property
+    def guardband(self) -> GuardbandAnalysis:
+        """Guardband the unprotected baseline needs at this point."""
+        return GuardbandAnalysis(
+            fresh_delay_ps=self.fresh_delay_ps,
+            end_of_life_delay_ps=self.baseline_delay_ps,
+            end_of_life_mv=self.delta_vth_mv,
+            scenario=self.scenario,
+        )
+
+    @property
+    def guardband_percent(self) -> float:
+        return self.guardband.guardband_percent
+
+    def label(self) -> str:
+        return self.scenario.label()
 
 
 @dataclass(frozen=True)
@@ -118,17 +145,29 @@ class DeviceToSystemPipeline:
 
     # ------------------------------------------------------------------ plan
     def plan_level(self, delta_vth_mv: "float | AgingScenario") -> LevelPlan:
-        """Timing phase of Algorithm 1 for one aging point (cached)."""
+        """Timing phase of Algorithm 1 and guardband sizing at one aging point.
+
+        All (α, β, padding) corners of the quantizer's search space run in
+        one levelized STA pass; the selection is the quantizer's, and the
+        feasible count and baseline delay are read back from the analyzer's
+        corner-delay cache.  Plans are cached per scenario.
+        """
         scenario = self.timing_analyzer.scenario(delta_vth_mv)
         key = scenario.cache_token()
         if key not in self._plans:
-            timing = self.quantizer.select_compression(scenario)
-            baseline_delay = self.timing_analyzer.delay_ps(scenario, None)
+            quantizer = self.quantizer
+            timing = quantizer.select_compression(scenario)
+            feasible = self.timing_analyzer.feasible_compressions(
+                scenario,
+                max_alpha=quantizer.max_alpha,
+                max_beta=quantizer.max_beta,
+                paddings=quantizer.paddings,
+            )
             self._plans[key] = LevelPlan(
-                delta_vth_mv=scenario.nominal_delta_vth_mv,
-                timing=timing,
-                baseline_delay_ps=baseline_delay,
                 scenario=scenario,
+                timing=timing,
+                baseline_delay_ps=self.timing_analyzer.delay_ps(scenario, None),
+                feasible_count=len(feasible),
             )
         return self._plans[key]
 

@@ -85,7 +85,6 @@ class CompressionTimingAnalyzer:
         # floats) and never on scenario objects (bound libraries are
         # excluded from equality but not from identity).
         self._analyzers: dict[str, StaticTimingAnalyzer] = {}
-        self._fresh_period_ps: float | None = None
         self._delay_cache: dict[tuple[str, int, int, Padding], float] = {}
 
     # ------------------------------------------------------------------ setup
@@ -102,9 +101,7 @@ class CompressionTimingAnalyzer:
 
     def fresh_period_ps(self) -> float:
         """Timing target: critical path of the fresh, uncompressed MAC."""
-        if self._fresh_period_ps is None:
-            self._fresh_period_ps = self._analyzer(0.0).critical_path_delay()
-        return self._fresh_period_ps
+        return self.delay_ps(0.0)
 
     @property
     def sta_pass_count(self) -> int:
@@ -161,16 +158,13 @@ class CompressionTimingAnalyzer:
         delta_vth_mv: float | AgingScenario,
         choice: CompressionChoice | None = None,
     ) -> float:
-        """Critical-path delay of the MAC at an aging point and compression."""
-        if choice is None:
-            choice = CompressionChoice(0, 0)
-        token = self.scenario(delta_vth_mv).cache_token()
-        cache_key = (token, choice.alpha, choice.beta, choice.padding)
-        if cache_key not in self._delay_cache:
-            self._delay_cache[cache_key] = self._analyzer(delta_vth_mv).critical_path_delay(
-                self._case_analysis(choice)
-            )
-        return self._delay_cache[cache_key]
+        """Critical-path delay of the MAC at an aging point and compression.
+
+        ``None`` is the uncompressed MAC.  One corner of :meth:`delays_ps`,
+        so a delay is cached once whichever method asked for it first.
+        """
+        choice = CompressionChoice(0, 0) if choice is None else choice
+        return self.delays_ps(delta_vth_mv, [choice])[0]
 
     def timing(
         self, delta_vth_mv: float | AgingScenario, choice: CompressionChoice

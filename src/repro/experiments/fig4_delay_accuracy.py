@@ -29,7 +29,6 @@ def run_fig4a(
     rows = []
     for level in settings.aging_levels_mv:
         if level == 0:
-            fresh = pipeline.timing_analyzer.fresh_period_ps()
             rows.append([level, 1.0, 1.0, "(0,0)/MSB"])
             continue
         plan = pipeline.plan_level(level)

@@ -7,8 +7,8 @@ gate-level switching activity plus leakage integrated over the clock period.
 
 Switching activity is glitch-aware: each level's traffic runs through the
 batched event-driven time wheel under that level's aged delays
-(``activity_mode="event"`` in :meth:`~repro.core.pipeline.AgingAwarePipeline.
-energy_study`), so spurious transitions the zero-delay functional baseline
+(``activity_mode="event"`` in :meth:`~repro.core.pipeline.
+DeviceToSystemPipeline.energy_study`), so spurious transitions the zero-delay functional baseline
 cannot see are priced into the dynamic term.
 """
 

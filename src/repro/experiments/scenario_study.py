@@ -4,14 +4,14 @@ For every point of the settings' aging-scenario axis (uniform ΔVth levels,
 mission profiles, per-cell-type stress or per-gate variation draws — see
 :meth:`~repro.experiments.settings.ExperimentSettings.aging_scenarios`) the
 sweep runs Algorithm 1's timing phase through
-:func:`~repro.core.scenario_grid.plan_scenario`: all (α, β, padding)
-compression corners in one levelized STA pass, the minimal feasible
-compression selected by the shared rule, and the guardband an unprotected
-baseline would need at that scenario.
+:meth:`~repro.core.pipeline.DeviceToSystemPipeline.plan_level` — the same
+planner Table 2 and Fig. 4a use: all (α, β, padding) compression corners in
+one levelized STA pass, the minimal feasible compression, and the guardband
+an unprotected baseline would need at that scenario.
 
 The sweep is registered twice:
 
-* :func:`run_scenario_sweep` — the direct entry point (one shared analyzer
+* :func:`run_scenario_sweep` — the direct entry point (one shared planner
   for the whole axis);
 * a pipeline task *family* in :mod:`repro.pipeline.registry` — one
   ``scenario_point:<token>`` task per axis point (the token fingerprints the
@@ -28,7 +28,7 @@ import hashlib
 from collections.abc import Iterable, Sequence
 
 from repro.aging.scenarios.base import AgingScenario
-from repro.core.scenario_grid import ScenarioPlan, plan_scenario
+from repro.core.pipeline import LevelPlan
 from repro.experiments.reporting import ExperimentResult
 from repro.experiments.settings import ExperimentSettings
 from repro.experiments.workspace import ExperimentWorkspace
@@ -78,12 +78,12 @@ def unique_scenarios(scenarios: Iterable[AgingScenario]) -> tuple[AgingScenario,
     return tuple(unique)
 
 
-def plan_row(plan: ScenarioPlan) -> dict[str, object]:
-    """Flatten one :class:`~repro.core.scenario_grid.ScenarioPlan` to a row dict."""
+def plan_row(plan: LevelPlan) -> dict[str, object]:
+    """Flatten one :class:`~repro.core.pipeline.LevelPlan` to a row dict."""
     return {
         "scenario": plan.label(),
         "kind": plan.scenario.kind,
-        "nominal_delta_vth_mv": plan.nominal_delta_vth_mv,
+        "nominal_delta_vth_mv": plan.delta_vth_mv,
         "alpha": plan.compression.alpha,
         "beta": plan.compression.beta,
         "padding": plan.compression.padding.name,
@@ -101,19 +101,12 @@ def scenario_point_row(
 ) -> dict[str, object]:
     """Timing phase + guardband at one scenario, as a plain row dict.
 
-    The body of every ``scenario_point:<token>`` pipeline task.  The shared
-    analyzer of the workspace pipeline caches per-scenario STA engines and
-    corner delays, so the direct sweep and the task family run the identical
-    float operations.
+    The body of every ``scenario_point:<token>`` pipeline task.  The
+    workspace pipeline caches per-scenario STA engines, corner delays and
+    plans, so the direct sweep and the task family run the identical float
+    operations.
     """
-    settings = workspace.settings
-    plan = plan_scenario(
-        workspace.pipeline.timing_analyzer,
-        scenario.bound_to(workspace.library_set.fresh),
-        max_alpha=settings.max_alpha,
-        max_beta=settings.max_beta,
-    )
-    return plan_row(plan)
+    return plan_row(workspace.pipeline.plan_level(scenario))
 
 
 def sweep_result(
@@ -144,7 +137,7 @@ def run_scenario_sweep(
     settings: ExperimentSettings | None = None,
     workspace: ExperimentWorkspace | None = None,
 ) -> ExperimentResult:
-    """Run the scenario sweep directly (no pipeline), one shared analyzer."""
+    """Run the scenario sweep directly (no pipeline), one shared planner."""
     workspace = workspace or ExperimentWorkspace.create(settings)
     scenarios = unique_scenarios(workspace.scenarios)
     rows = [scenario_point_row(workspace, scenario) for scenario in scenarios]

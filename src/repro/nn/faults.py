@@ -61,10 +61,6 @@ class MsbBitFlipInjector:
             raise ValueError("msb_bits must lie inside the product word")
         self._generator = make_rng(self.rng)
 
-    def reseed(self, rng: "int | np.random.Generator | None") -> None:
-        """Replace the internal random stream (used for repeated trials)."""
-        self._generator = make_rng(rng)
-
     def accumulation_deltas(
         self,
         q_activations: np.ndarray,

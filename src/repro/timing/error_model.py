@@ -40,7 +40,6 @@ import repro.observability as observability
 from repro.aging.cell_library import AgingAwareLibrarySet, CellLibrary
 from repro.aging.scenarios.base import (
     AgingScenario,
-    AgingScenarioSet,
     default_fresh_library,
     nominal_delta_vth_mv,
 )
@@ -307,33 +306,27 @@ def _timing_shard_task(
 
 
 def _resolve_scenario_axis(
-    library_set: "AgingAwareLibrarySet | AgingScenarioSet | None",
+    library_set: AgingAwareLibrarySet | None,
     levels_mv: Iterable[float],
     scenarios: "Sequence[AgingScenario] | None",
 ) -> tuple[CellLibrary, tuple[AgingScenario, ...]]:
     """The sweep's (fresh library, scenario axis) from the legacy or new API.
 
-    Explicit ``scenarios`` win (caller order preserved); an
-    :class:`AgingScenarioSet` supplies its own axis; otherwise ``levels_mv``
-    builds the paper's uniform axis (sorted ascending, exactly as the
-    pre-scenario sweep did).  The returned fresh library is also the clock
+    Explicit ``scenarios`` win (caller order preserved); otherwise
+    ``levels_mv`` builds the paper's uniform axis (sorted ascending, exactly
+    as the pre-scenario sweep did).  The returned fresh library is also the clock
     reference, so when no ``library_set`` names one, a pre-bound scenario's
     own library wins over the default — the capture clock must come from
     the same characterisation the scenarios resolve against.
     """
-    if isinstance(library_set, AgingScenarioSet):
+    if isinstance(library_set, AgingAwareLibrarySet):
         fresh = library_set.fresh
-        axis = library_set.scenarios
-    elif isinstance(library_set, AgingAwareLibrarySet):
-        fresh = library_set.fresh
-        axis = None
     elif library_set is None:
         fresh = default_fresh_library()
-        axis = None
     else:
         raise TypeError(
-            "library_set must be an AgingAwareLibrarySet, an AgingScenarioSet "
-            f"or None, got {type(library_set).__name__}"
+            "library_set must be an AgingAwareLibrarySet or None, got "
+            f"{type(library_set).__name__}"
         )
     if scenarios is not None:
         if library_set is None:
@@ -349,7 +342,7 @@ def _resolve_scenario_axis(
         axis = tuple(scenario.bound_to(fresh) for scenario in scenarios)
         if not axis:
             raise ValueError("scenarios must not be empty")
-    elif axis is None:
+    else:
         levels = sorted(float(level) for level in levels_mv)
         axis = tuple(UniformAging(level, library=fresh) for level in levels)
     return fresh, axis
@@ -357,7 +350,7 @@ def _resolve_scenario_axis(
 
 def sweep_timing_errors(
     unit: ArithmeticUnit,
-    library_set: "AgingAwareLibrarySet | AgingScenarioSet | None" = None,
+    library_set: AgingAwareLibrarySet | None = None,
     levels_mv: Iterable[float] = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0),
     num_samples: int = 2000,
     rng: "int | np.random.Generator | None" = None,
@@ -382,8 +375,6 @@ def sweep_timing_errors(
       :class:`~repro.aging.scenarios.AgingScenario` objects (mission
       profiles, per-cell-type stress, per-gate variation, ...); results are
       returned in the given order;
-    * a ``library_set`` that is an :class:`~repro.aging.scenarios.
-      AgingScenarioSet` — its scenarios, in axis order;
     * ``levels_mv`` — the paper's uniform axis, one
       :class:`~repro.aging.scenarios.UniformAging` per level, sorted
       ascending.  This is the legacy interface and produces statistics

@@ -17,9 +17,9 @@ conversions between them living here so every backend shares one layout:
   to/from boolean arrays with :func:`word_to_lane_bits` /
   :func:`lane_bits_to_word`;
 * a little-endian ``uint64[ceil(lanes / 64)]`` NumPy array (the ``ndarray``
-  backend), converted with :func:`word_to_lane_array` /
-  :func:`lane_array_to_word` and expanded to/from boolean arrays with
-  :func:`lane_array_to_bits` / :func:`bits_to_lane_array`.  The array
+  backend), converted from a lane word with :func:`word_to_lane_array` and
+  expanded to/from boolean arrays with :func:`lane_array_to_bits` /
+  :func:`bits_to_lane_array`.  The array
   variants accept any number of leading axes, so a whole level of nets (or
   a whole output bus) converts in one call.
 """
@@ -135,16 +135,6 @@ def word_to_lane_array(word: int, lanes: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint64).copy()
 
 
-def lane_array_to_word(array: np.ndarray, lanes: int) -> int:
-    """Collapse a packed ``uint64`` lane array back into a bigint lane word.
-
-    Bits beyond lane ``lanes - 1`` (the dead tail of the last machine word)
-    are discarded, so backends may carry garbage there.
-    """
-    word = int.from_bytes(np.ascontiguousarray(array, dtype=np.uint64).tobytes(), "little")
-    return word & ((1 << lanes) - 1)
-
-
 def lane_array_to_bits(array: np.ndarray, lanes: int) -> np.ndarray:
     """Expand packed ``uint64`` lane arrays into boolean arrays.
 
@@ -174,13 +164,6 @@ def bits_to_lane_array(bits: np.ndarray) -> np.ndarray:
     padded = np.zeros(bits.shape[:-1] + (words * 8,), dtype=np.uint8)
     padded[..., : packed.shape[-1]] = packed
     return padded.view(np.uint64).reshape(bits.shape[:-1] + (words,))
-
-
-def lane_array_popcount(array: np.ndarray, lanes: int) -> int:
-    """Total number of set bits over the first ``lanes`` lanes of ``array``."""
-    if lanes == 0:
-        return 0
-    return int(lane_array_to_bits(array, lanes).sum())
 
 
 def to_twos_complement(value: int, width: int) -> int:

@@ -12,7 +12,7 @@ import repro.core.pipeline as pipeline_module
 from repro.aging.bti import AgingTimeline
 from repro.core.algorithm import AgingAwareQuantizer
 from repro.core.compression import CompressionChoice
-from repro.core.guardband import analyze_guardband, baseline_delay_trajectory, compensated_delay_trajectory
+from repro.core.guardband import analyze_guardband
 from repro.core.pipeline import DeviceToSystemPipeline
 from repro.core.timing_analysis import CompressionTimingAnalyzer
 from repro.nn.quantized import record_calibration
@@ -265,22 +265,22 @@ class TestGuardband:
         assert analysis.performance_gain_percent == pytest.approx(expected * 100.0)
 
     def test_trajectories(self, timing_analyzer):
-        baseline = baseline_delay_trajectory(timing_analyzer, (0.0, 30.0, 50.0))
-        assert [entry[0] for entry in baseline] == [0.0, 30.0, 50.0]
-        assert baseline[0][1] == pytest.approx(1.0)
-        assert baseline[-1][1] > 1.2
-
         from repro.core.padding import Padding
 
-        selections = {
-            30.0: CompressionChoice(4, 4, Padding.LSB),
-            50.0: CompressionChoice(4, 4, Padding.LSB),
+        fresh = timing_analyzer.fresh_period_ps()
+        baseline = {
+            level: timing_analyzer.delay_ps(level, None) / fresh for level in (0.0, 30.0, 50.0)
         }
-        ours = compensated_delay_trajectory(timing_analyzer, selections)
-        by_level = dict(baseline)
-        for level, normalized in ours:
-            assert normalized < by_level[level]
-        assert ours[-1][1] <= 1.0 + 1e-9
+        assert baseline[0.0] == pytest.approx(1.0)
+        assert baseline[50.0] > 1.2
+
+        choice = CompressionChoice(4, 4, Padding.LSB)
+        ours = {
+            level: timing_analyzer.timing(level, choice).normalized_delay for level in (30.0, 50.0)
+        }
+        for level, normalized in ours.items():
+            assert normalized < baseline[level]
+        assert ours[50.0] <= 1.0 + 1e-9
 
 
 class TestPipeline:

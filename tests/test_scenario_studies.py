@@ -7,8 +7,12 @@ Covers the PR's contracts:
 * mission-profile guardbands match the uniform guardband at the
   BTI-equivalent ΔVth level,
 * timing caches normalise ``-0.0``/int/float aging points to one engine,
-* ``analyze_guardband``/``scenario_grid`` reject conflicting building blocks,
-* the Fig. 4a trajectories share one axis order,
+* ``plan_level`` — the one planner of Algorithm 1's timing phase — reports
+  its corner search (selection, feasible count, baseline delay) on every
+  scenario family, keeps the caller's axis order, and the scenario sweep
+  built on it agrees with Table 2 and Fig. 4a,
+* the analyzer's single-corner delay path equals the scalar STA reference,
+* ``analyze_guardband`` rejects conflicting building blocks,
 * ``energy_study`` routes every level (including the fresh one) through the
   planner,
 * the scenario-aware energy model prices uniform scenarios identically to
@@ -25,26 +29,53 @@ import json
 import pytest
 
 from repro.aging.bti import AgingTimeline
-from repro.aging.scenarios import MissionProfile, UniformAging
-from repro.core.guardband import (
-    analyze_guardband,
-    baseline_delay_trajectory,
-    compensated_delay_trajectory,
+from repro.aging.scenarios import (
+    MissionProfile,
+    PerCellTypeAging,
+    UniformAging,
+    VariationAging,
 )
+from repro.core.compression import enumerate_compressions
+from repro.core.guardband import analyze_guardband
+from repro.core.padding import Padding, mac_case_analysis
 from repro.core.pipeline import DeviceToSystemPipeline
-from repro.core.scenario_grid import scenario_grid
 from repro.core.timing_analysis import CompressionTimingAnalyzer
+from repro.experiments.fig4_delay_accuracy import run_fig4a
 from repro.experiments.reporting import _jsonify
 from repro.experiments.runner import EXPERIMENTS
 from repro.experiments.scenario_study import run_scenario_sweep
 from repro.experiments.settings import ExperimentSettings
+from repro.experiments.table2_compression import run_table2
 from repro.npu.scenario_map import array_scenario_map, pe_seed
 from repro.npu.systolic import SystolicArray
 from repro.pipeline import EXPERIMENT_NAMES, build_experiment_graph, run_pipeline
 from repro.power.energy import EnergyModel
 from repro.power.switching import estimate_switching_activity
+from repro.timing.sta import StaticTimingAnalyzer
 
 LEVELS = (0.0, 10.0, 30.0, 50.0)
+
+#: A few aging points of every scenario family.
+FAMILY_AXES = {
+    "uniform": [UniformAging(level) for level in LEVELS],
+    "mission": [
+        MissionProfile(years=3.0, temperature_c=85.0),
+        MissionProfile(years=7.0, temperature_c=105.0),
+    ],
+    "per_cell_type": [
+        PerCellTypeAging({"XOR2": 50.0}, default_mv=10.0),
+        PerCellTypeAging({"AND2": 40.0, "NAND2": 20.0}, default_mv=0.0),
+    ],
+    "variation": [VariationAging(30.0, 5.0, seed=7), VariationAging(10.0, 8.0, seed=1)],
+}
+
+#: One point of each family for the STA reference check.
+REFERENCE_POINTS = (
+    UniformAging(30.0),
+    MissionProfile(years=7.0, temperature_c=105.0),
+    VariationAging(30.0, 5.0, seed=7),
+    PerCellTypeAging({"XOR2": 50.0}, default_mv=10.0),
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,19 +94,28 @@ def analyzer(device_pipeline) -> CompressionTimingAnalyzer:
     return device_pipeline.timing_analyzer
 
 
+class TestPlanLevel:
+    @pytest.mark.parametrize("family", sorted(FAMILY_AXES))
+    def test_plan_reports_its_corner_search(self, device_pipeline, analyzer, family):
+        for point in FAMILY_AXES[family]:
+            plan = device_pipeline.plan_level(point)
+            feasible = analyzer.feasible_compressions(point, max_alpha=3, max_beta=3)
+            assert plan.feasible_count == len(feasible)
+            assert plan.timing == analyzer.select_timing(point, max_alpha=3, max_beta=3)
+            assert plan.baseline_delay_ps == analyzer.delay_ps(point, None)
+            assert plan.delta_vth_mv == point.nominal_delta_vth_mv
+            assert plan.label() == point.label()
+            assert plan.guardband.end_of_life_delay_ps == plan.baseline_delay_ps
+            assert plan.fresh_delay_ps == analyzer.fresh_period_ps()
+
+    def test_uniform_scenario_and_float_share_one_plan(self, device_pipeline):
+        for level in LEVELS:
+            assert device_pipeline.plan_level(UniformAging(level)) is (
+                device_pipeline.plan_level(level)
+            )
+
+
 class TestUniformScenarioBitIdentity:
-    def test_scenario_grid_matches_legacy_level_plan(self, device_pipeline, analyzer):
-        plans = scenario_grid(
-            [UniformAging(level) for level in LEVELS],
-            analyzer=analyzer,
-            max_alpha=3,
-            max_beta=3,
-        )
-        for level, plan in zip(LEVELS, plans):
-            legacy = device_pipeline.plan_level(level)
-            assert plan.timing == legacy.timing
-            assert plan.baseline_delay_ps == legacy.baseline_delay_ps
-            assert plan.nominal_delta_vth_mv == legacy.delta_vth_mv
 
     def test_feasible_compressions_bit_identical(self, analyzer):
         as_float = analyzer.feasible_compressions(30.0, max_alpha=3, max_beta=3)
@@ -126,22 +166,73 @@ class TestConflictingBuildingBlocks:
         with pytest.raises(ValueError, match="not both"):
             analyze_guardband(library_set=library_set, analyzer=analyzer)
 
-    def test_scenario_grid_rejects_analyzer_plus_parts(self, small_mac, analyzer):
-        with pytest.raises(ValueError, match="not both"):
-            scenario_grid([0.0], mac=small_mac, analyzer=analyzer)
 
 
 class TestTrajectoryAxisOrder:
-    def test_shuffled_axis_keeps_both_curves_aligned(self, analyzer):
+    def test_shuffled_axis_keeps_both_curves_aligned(self, device_pipeline, analyzer):
         levels = [50.0, 0.0, 30.0]
-        baseline = baseline_delay_trajectory(analyzer, levels)
-        selections = {
-            level: analyzer.select_timing(level, max_alpha=3, max_beta=3).choice
-            for level in levels
-        }
-        compensated = compensated_delay_trajectory(analyzer, selections)
-        assert [axis for axis, _ in baseline] == levels
-        assert [axis for axis, _ in compensated] == levels
+        plans = device_pipeline.plan(tuple(levels))
+        assert [plan.delta_vth_mv for plan in plans] == levels
+        fresh = analyzer.fresh_period_ps()
+        for level, plan in zip(levels, plans):
+            assert plan.normalized_baseline_delay == analyzer.delay_ps(level, None) / fresh
+            assert plan.normalized_compensated_delay == (
+                analyzer.delay_ps(level, plan.compression) / fresh
+            )
+
+
+class TestSingleCornerDelayPath:
+    @pytest.mark.parametrize("point", REFERENCE_POINTS, ids=lambda point: point.kind)
+    def test_delay_ps_matches_scalar_sta(self, paper_mac, library_set, point):
+        # A cold analyzer per point, so every delay_ps call runs its own
+        # single-corner pass instead of reading a batch from the cache.
+        analyzer = CompressionTimingAnalyzer(paper_mac, library_set)
+        reference = StaticTimingAnalyzer(paper_mac, analyzer.scenario(point))
+        for choice in enumerate_compressions(7, 7, (Padding.MSB, Padding.LSB)):
+            case = mac_case_analysis(choice.alpha, choice.beta, choice.padding)
+            assert analyzer.delay_ps(point, choice).hex() == (
+                reference.critical_path_delay(case).hex()
+            )
+        assert analyzer.delay_ps(point, None).hex() == reference.critical_path_delay().hex()
+        fresh = StaticTimingAnalyzer(paper_mac, library_set.fresh).critical_path_delay()
+        assert analyzer.fresh_period_ps().hex() == fresh.hex()
+
+
+class TestSweepAgreesWithTable2AndFig4a:
+    def test_uniform_sweep_rows_match_table2_and_fig4a(self):
+        settings = ExperimentSettings.fast()
+        assert settings.scenario == "uniform"
+        sweep = run_scenario_sweep(settings)
+        table2 = run_table2(settings)
+        fig4a = run_fig4a(settings)
+        sweep_rows = [dict(zip(sweep.columns, row)) for row in sweep.rows]
+        table2_rows = [dict(zip(table2.columns, row)) for row in table2.rows]
+        # Table 2 lists the aged levels only; the sweep starts at 0 mV.
+        assert [
+            (
+                row["nominal_delta_vth_mv"],
+                row["alpha"],
+                row["beta"],
+                row["padding"],
+                row["normalized_baseline_delay"],
+                row["normalized_compensated_delay"],
+            )
+            for row in sweep_rows
+            if row["nominal_delta_vth_mv"] > 0
+        ] == [
+            (
+                row["delta_vth_mv"],
+                row["alpha"],
+                row["beta"],
+                row["padding"],
+                row["normalized_delay_baseline"],
+                row["normalized_delay_ours"],
+            )
+            for row in table2_rows
+        ]
+        end_of_life = sweep_rows[-1]
+        assert end_of_life["nominal_delta_vth_mv"] == 50.0
+        assert end_of_life["guardband_percent"] == fig4a.metadata["guardband_percent"]
 
 
 class TestEnergyStudyPlannerRouting:

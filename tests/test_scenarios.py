@@ -23,7 +23,6 @@ from repro.aging.cell_library import AgingAwareLibrarySet, fresh_library
 from repro.aging.scenarios import (
     SCENARIO_KINDS,
     AgingScenario,
-    AgingScenarioSet,
     MissionProfile,
     PerCellTypeAging,
     UniformAging,
@@ -303,26 +302,6 @@ class TestScenarioSweepDeterminism:
             scenario.nominal_delta_vth_mv for scenario in mixed_axis
         ]
 
-    def test_scenario_set_as_axis(self, multiplier6, library_set):
-        via_levels = sweep_timing_errors(
-            multiplier6,
-            library_set,
-            levels_mv=LEVELS,
-            num_samples=40,
-            rng=0,
-            effective_output_width=12,
-            arrival_model="transition",
-        )
-        via_set = sweep_timing_errors(
-            multiplier6,
-            AgingScenarioSet.uniform(LEVELS, library_set.fresh),
-            num_samples=40,
-            rng=0,
-            effective_output_width=12,
-            arrival_model="transition",
-        )
-        assert via_levels == via_set
-
     def test_empty_scenarios_rejected(self, multiplier6, library_set):
         with pytest.raises(ValueError, match="scenarios"):
             sweep_timing_errors(multiplier6, library_set, scenarios=[], num_samples=4)
@@ -392,22 +371,9 @@ class TestKeyFieldsAndAxis:
         assert bound == unbound
 
     def test_library_set_scenario_bridge(self, library_set):
-        axis = library_set.scenarios()
-        assert isinstance(axis, AgingScenarioSet)
-        assert len(axis) == len(library_set.levels_mv)
-        assert [s.nominal_delta_vth_mv for s in axis] == list(library_set.levels_mv)
-        assert axis.fresh is library_set.fresh
         single = library_set.scenario(20.0)
         assert isinstance(single, UniformAging)
         assert single.library is library_set.fresh
-
-    def test_scenario_set_requires_fresh_base(self, library_set):
-        with pytest.raises(ValueError, match="fresh"):
-            AgingScenarioSet([UniformAging(10.0)], library_set.library(50.0))
-        with pytest.raises(ValueError):
-            AgingScenarioSet([])
-        with pytest.raises(TypeError):
-            AgingScenarioSet([object()])  # type: ignore[list-item]
 
     def test_resolve_rejects_unknown_sources(self, multiplier6):
         with pytest.raises(TypeError, match="delay source"):
