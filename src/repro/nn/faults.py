@@ -15,6 +15,13 @@ distribution, gathers only the hit products and scatter-adds the
 corresponding value deltas into the accumulator matrix with one
 ``np.bincount`` (exact in any order: the deltas are integer-valued), which
 keeps the NumPy inference fast while remaining statistically faithful.
+
+Stream contract: each call draws, in this order, the binomial event count,
+one flat product position per event (with replacement, so a product can be
+hit twice) and one index into ``msb_bits`` per event.  The same seed and
+operand shapes therefore draw the same (position, bit) pairs, whatever the
+code dtype or the order in which the activation columns arrive, and the
+generator is left in the same state.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ class MsbBitFlipInjector:
             call (prevents pathological memory use if the caller passes an
             enormous probability and operand count).  Faults drawn beyond
             it are dropped, counted in ``nn.faults.truncated_events`` and
-            reported with a ``RuntimeWarning``.
+            reported with a ``RuntimeWarning``.  The faults applied are
+            counted in ``nn.faults.events``.
     """
 
     probability: float
@@ -69,9 +77,14 @@ class MsbBitFlipInjector:
     ) -> np.ndarray | None:
         """Value deltas to add to the accumulator matrix ``q_a @ q_w``.
 
-        Hit products are drawn as (i, k, j) over the canonical order of k,
-        the order of ``q_weights``' rows, whatever order the activation
-        columns arrive in; so the same random stream hits the same products.
+        Hit products are drawn as flat positions ``(i * K + k) * N + j``
+        over the canonical order of k, the order of ``q_weights``' rows,
+        whatever order the activation columns arrive in; so the same random
+        stream hits the same products.  Each position costs one floor
+        division by the scalar ``K * N``: its remainder is the flat index of
+        ``q_weights[k, j]``, from which k, j, the activation index and the
+        output index follow by integer arithmetic.  The bit flip is applied
+        to the exact int64 product of the two codes.
 
         Args:
             q_activations: unsigned activation codes, shape (M, K).
@@ -116,28 +129,44 @@ class MsbBitFlipInjector:
             )
             num_events = self.max_events_per_call
 
-        # Product (i, k, j) is drawn as (i * inner + k) * cols + j.  Each
-        # index array is dropped once used: a call can draw millions.
-        activation_index, j = divmod(
-            self._generator.integers(0, total_products, size=num_events), cols
-        )
-        i, k = divmod(activation_index, inner)
-        if columns is not None:
-            activation_index = i * inner
-            activation_index += columns[k]
-        activation_codes = q_activations.ravel()[activation_index]
-        del activation_index
-        k *= cols
-        k += j  # the flat index of q_weights[k, j]
-        weight_codes = q_weights.ravel()[k]
-        del k
-        products = activation_codes.astype(np.int64) * weight_codes.astype(np.int64)
-        bits = self._generator.choice(np.array(self.msb_bits), size=num_events)
-        bit_values = (products >> bits) & 1
-        # Flipping bit b adds 2^b where it was clear and subtracts it where set.
-        deltas_values = ((1 - 2 * bit_values) * (1 << bits)).astype(np.float64)
+        observability.add("nn.faults.events", num_events)
 
-        deltas = np.bincount(i * cols + j, weights=deltas_values, minlength=rows * cols)
+        # Stream order: every position d = i * (K * N) + r, then every bit's
+        # index into msb_bits.  r = k * N + j is the flat index of
+        # q_weights[k, j].  Each index array is reused or dropped once used:
+        # a call can draw millions.
+        plane = inner * cols
+        position = self._generator.integers(0, total_products, size=num_events)
+        flips = np.left_shift(1, np.array(self.msb_bits, dtype=np.int64)).take(
+            self._generator.integers(0, len(self.msb_bits), size=num_events)
+        )
+        i = position // plane
+        activation_index = i * plane
+        position -= activation_index  # r
+        weight_codes = q_weights.ravel().take(position)
+        k = position // cols
+        position -= k * cols  # j
+        np.multiply(i, inner, out=activation_index)
+        activation_index += k if columns is None else columns.take(k)
+        del k
+        # The exact int64 product of the codes (each truncated to int64, as
+        # astype would), whatever their dtype and magnitude.
+        products = np.multiply(
+            q_activations.ravel().take(activation_index),
+            weight_codes,
+            dtype=np.int64,
+            casting="unsafe",
+        )
+        del activation_index, weight_codes
+        i *= cols
+        i += position  # the flat index of the output (i, j)
+        del position
+        # The flipped product minus the product: +2^b where bit b was clear,
+        # -2^b where it was set.
+        flips ^= products
+        flips -= products
+        del products
+        deltas = np.bincount(i, weights=flips, minlength=rows * cols)
         return deltas.reshape(rows, cols)
 
     def expected_faults(self, num_products: int) -> float:

@@ -35,7 +35,7 @@ import os
 import pickle
 import threading
 import warnings
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from typing import Any
@@ -180,9 +180,11 @@ class ParallelExecutor:
     def map(self, task: TaskFunction, items: Sequence[Any], payload: Any = None) -> list[Any]:
         """Apply ``task(item, payload)`` to every item, results in item order.
 
-        Items go out in chunks of ``ceil(len(items) / (workers * 4))``.
-        Chunking only batches IPC — results are determined by the work
-        items alone.
+        Items go out in chunks of ``ceil(len(items) / (workers * 4))``,
+        at most ``workers`` chunks in flight: each finished chunk tops the
+        window up with the next one, so a failure leaves few chunks behind
+        it to cancel or to run out.  Chunking only batches IPC — results are
+        determined by the work items alone.
         """
         items = list(items)
         if not items:
@@ -203,13 +205,29 @@ class ParallelExecutor:
                 workers=workers,
                 chunks=len(chunks),
             ):
-                tickets = [session._submit(chunk) for chunk in chunks]
-                # Collecting in submission order restores work-item order
-                # (results and worker telemetry alike), whichever worker
-                # finished first.
-                return [
-                    result for ticket in tickets for result in session._collect(ticket)
-                ]
+                pending = iter(chunks)
+                tickets: deque[int] = deque()
+                running: set[int] = set()
+
+                def submit_next() -> None:
+                    chunk = next(pending, None)
+                    if chunk is not None:
+                        tickets.append(session._submit(chunk))
+                        running.add(tickets[-1])
+
+                for _ in range(workers):
+                    submit_next()
+                results: list[Any] = []
+                while tickets:
+                    for ticket in session._wait_finished(running):
+                        running.discard(ticket)
+                        submit_next()
+                    # Collecting in submission order restores work-item
+                    # order (results and worker telemetry alike), whichever
+                    # worker finished first.
+                    while tickets and tickets[0] not in running:
+                        results.extend(session._collect(tickets.popleft()))
+                return results
 
     def session(self, task: TaskFunction, payload: Any = None) -> "ExecutorSession":
         """Open an incremental submit/collect session for ``task``.
@@ -397,6 +415,18 @@ class ExecutorSession:
         results, snapshot = output
         observability.merge_snapshot(snapshot)
         return results
+
+    def _wait_finished(self, tickets: "set[int]") -> list[int]:
+        """Block until some of the pool ``tickets`` finish; returns those.
+
+        Re-raises the task's exception as soon as a finished item failed.
+        """
+        done, _ = wait([self._futures[t] for t in tickets], return_when=FIRST_COMPLETED)
+        finished = [t for t in sorted(tickets) if self._futures[t] in done]
+        for ticket in finished:
+            if self._futures[ticket].exception() is not None:
+                self._collect(ticket)
+        return finished
 
     def wait_any(self) -> tuple[int, Any]:
         """Block until any outstanding item completes; returns (ticket, result).

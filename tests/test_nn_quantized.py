@@ -236,6 +236,116 @@ class TestCalibrationMemo:
             assert np.array_equal(recording.layer_tensors[name][0], weights)
 
 
+def divmod_deltas(generator, probability, msb_bits, max_events, q_a, q_w, columns=None):
+    """The divmod-based ``accumulation_deltas`` the index decomposition replaced."""
+    rows, inner = q_a.shape
+    cols = q_w.shape[1]
+    total_products = rows * inner * cols
+    num_events = int(generator.binomial(total_products, probability))
+    if num_events == 0:
+        return None
+    num_events = min(num_events, max_events)
+    activation_index, j = divmod(generator.integers(0, total_products, size=num_events), cols)
+    i, k = divmod(activation_index, inner)
+    if columns is not None:
+        activation_index = i * inner
+        activation_index += columns[k]
+    activation_codes = q_a.ravel()[activation_index]
+    k *= cols
+    k += j
+    weight_codes = q_w.ravel()[k]
+    products = activation_codes.astype(np.int64) * weight_codes.astype(np.int64)
+    bits = generator.choice(np.array(msb_bits), size=num_events)
+    bit_values = (products >> bits) & 1
+    deltas_values = ((1 - 2 * bit_values) * (1 << bits)).astype(np.float64)
+    deltas = np.bincount(i * cols + j, weights=deltas_values, minlength=rows * cols)
+    return deltas.reshape(rows, cols)
+
+
+def assert_matches_divmod_oracle(q_a, q_w, columns, probability, msb_bits, **options):
+    """Equal deltas by bytes, and the generator left in the same state."""
+    injector = MsbBitFlipInjector(probability, msb_bits=msb_bits, rng=21, **options)
+    oracle = np.random.default_rng(21)
+    max_events = options.get("max_events_per_call", injector.max_events_per_call)
+    expected = divmod_deltas(oracle, probability, msb_bits, max_events, q_a, q_w, columns)
+    deltas = injector.accumulation_deltas(q_a, q_w, columns)
+    assert expected is not None and deltas is not None
+    assert deltas.dtype == expected.dtype and deltas.shape == expected.shape
+    assert deltas.tobytes() == expected.tobytes()
+    assert injector._generator.random() == oracle.random()
+
+
+class TestFaultDeltasMatchDivmodOracle:
+    SHAPES = [(300, 18, 1), (300, 18, 10), (120, 27, 16), (40, 36, 64), (500, 1, 16), (1, 300, 10)]
+
+    @staticmethod
+    def operands(shape, dtype, permuted):
+        rows, inner, cols = shape
+        rng = np.random.default_rng(rows * inner * cols)
+        q_a = rng.integers(0, 256, (rows, inner)).astype(dtype)
+        q_w = rng.integers(0, 256, (inner, cols)).astype(dtype)
+        return q_a, q_w, rng.permutation(inner) if permuted else None
+
+    @pytest.mark.parametrize("msb_bits", [(15,), (13, 14, 15)], ids=["1bit", "3bits"])
+    @pytest.mark.parametrize("probability", [1e-4, 1e-2, 1.0])
+    @pytest.mark.parametrize("permuted", [False, True], ids=["canonical", "columns"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+    def test_every_shape_and_stream(self, shape, dtype, permuted, probability, msb_bits):
+        q_a, q_w, columns = self.operands(shape, dtype, permuted)
+        assert_matches_divmod_oracle(q_a, q_w, columns, probability, msb_bits)
+
+    @pytest.mark.parametrize("permuted", [False, True], ids=["canonical", "columns"])
+    def test_event_cap(self, permuted):
+        q_a, q_w, columns = self.operands((120, 27, 16), np.float32, permuted)
+        with pytest.warns(RuntimeWarning, match="faults were dropped"):
+            assert_matches_divmod_oracle(
+                q_a, q_w, columns, 1e-2, (14, 15), max_events_per_call=100
+            )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_products_beyond_int32(self, dtype):
+        # Codes near 2**19 give products near 2**38: exact in int64, not in
+        # int32 nor in a float32 product, which rounds away the low bit 5.
+        rng = np.random.default_rng(8)
+        q_a = (2**19 - rng.integers(0, 4096, (60, 9))).astype(dtype)
+        q_w = (2**19 - rng.integers(0, 4096, (9, 12))).astype(dtype)
+        assert (q_a.max() * q_w.max()) >= 2**31
+        assert_matches_divmod_oracle(
+            q_a, q_w, rng.permutation(9), 0.5, (5, 38, 39), product_bits=40
+        )
+
+
+class TestFaultEventCounter:
+    def test_counts_the_events_applied(self):
+        q_a = np.ones((30, 8))
+        q_w = np.ones((8, 5))
+        expected = int(np.random.default_rng(3).binomial(30 * 8 * 5, 0.1))
+        injector = MsbBitFlipInjector(probability=0.1, rng=3)
+        with observability.collecting() as recorded:
+            injector.accumulation_deltas(q_a, q_w)
+        assert expected > 0
+        assert recorded.metrics.counter("nn.faults.events") == expected
+
+    def test_absent_at_zero_probability(self, tiny_model, tiny_recording, tiny_dataset):
+        quantized = QuantizedModel.build(tiny_model, get_method("M2"), 8, 8, tiny_recording)
+        quantized.set_fault_injector(MsbBitFlipInjector(probability=0.0, rng=1))
+        with observability.collecting() as recorded:
+            quantized.forward(tiny_dataset.x_test[:8])
+        assert "nn.faults.events" not in recorded.metrics.counters
+
+    def test_collection_leaves_results_byte_identical(self, tiny_model, tiny_recording, tiny_dataset):
+        quantized = QuantizedModel.build(tiny_model, get_method("M2"), 8, 8, tiny_recording)
+        inputs = tiny_dataset.x_test[:16]
+        quantized.set_fault_injector(MsbBitFlipInjector(probability=0.01, rng=1))
+        plain = quantized.forward(inputs)
+        quantized.set_fault_injector(MsbBitFlipInjector(probability=0.01, rng=1))
+        with observability.collecting() as recorded:
+            collected = quantized.forward(inputs)
+        assert recorded.metrics.counter("nn.faults.events") > 0
+        assert collected.tobytes() == plain.tobytes()
+
+
 class TestFaultInjection:
     def test_zero_probability_injects_nothing(self):
         injector = MsbBitFlipInjector(probability=0.0, rng=0)
@@ -264,6 +374,7 @@ class TestFaultInjection:
             with pytest.warns(RuntimeWarning, match="54 faults were dropped"):
                 deltas = injector.accumulation_deltas(q_a, q_w)
         assert recorded.metrics.counter("nn.faults.truncated_events") == 64 - 10
+        assert recorded.metrics.counter("nn.faults.events") == 10
         # Truncation keeps exactly max_events_per_call faults of +2^14/2^15.
         magnitudes = np.abs(deltas).sum()
         assert 10 * (1 << 14) <= magnitudes <= 10 * (1 << 15)

@@ -67,6 +67,12 @@ def _mark_then_sleep(item, marker_dir):
     return item
 
 
+def _sleep_less_for_later_items(item, payload):
+    """Later items finish sooner, so later chunks complete first."""
+    time.sleep(0.005 * (payload - item))
+    return item
+
+
 def _drain_session(session, items):
     """Submit every item, then collect results back into item order."""
     tickets = {session.submit(item): index for index, item in enumerate(items)}
@@ -102,6 +108,14 @@ class TestParallelExecutor:
         (span,) = [span for span in snapshot.spans if span.name == "parallel:map"]
         assert span.args["chunks"] == num_chunks
         assert span.args["workers"] == min(2, num_items)
+
+    def test_map_window_keeps_item_order_when_later_chunks_finish_first(self):
+        items = list(range(16))
+        with observability.collecting() as snapshot:
+            result = ParallelExecutor(workers=2).map(_sleep_less_for_later_items, items, 16)
+        assert result == items
+        (span,) = [span for span in snapshot.spans if span.name == "parallel:map"]
+        assert span.args["chunks"] == 8
 
     def test_chunk_size_option_is_gone(self):
         """Chunk size is derived from the item count, never passed in."""
@@ -188,14 +202,17 @@ class TestParallelExecutor:
         """A failing item stops the queue: unstarted items never run.
 
         Item 0 fails at once while 19 items of 0.1 s wait behind it on two
-        workers.  Only submissions already handed to a worker process may
-        still run: one per worker plus the pool's call queue of
-        ``workers + 1``.  map submits chunks of ``ceil(20 / 8) = 3`` items,
-        sessions single items; everything else is cancelled when the
-        failure surfaces.
+        workers.  Sessions submit single items, all at once: only those
+        already handed to a worker process may still run, one per worker
+        plus the pool's call queue of ``workers + 1``, so at most
+        ``2 * 2 + 1`` items.  map submits chunks of ``ceil(20 / 8) = 3``
+        items through a window of ``workers = 2`` chunks in flight, topped
+        up only when a chunk finishes.  The failing chunk 0 finishes first
+        (its neighbour sleeps 0.3 s), before any top-up, so only the other
+        chunk in the window, ``(2 - 1) * 3`` items, may run.
         """
         items = list(range(20))
-        unit = 3 if path == "map" else 1
+        bound = (2 - 1) * 3 if path == "map" else 2 * 2 + 1
         with pytest.raises(ValueError, match="item zero"):
             if path == "map":
                 ParallelExecutor(workers=2).map(_mark_then_sleep, items, str(tmp_path))
@@ -209,7 +226,7 @@ class TestParallelExecutor:
                     with pool.session(_mark_then_sleep, str(tmp_path)) as session:
                         _drain_session(session, items)
         ran = len(list(tmp_path.iterdir()))
-        assert ran <= (2 * 2 + 1) * unit < len(items) - 1
+        assert ran <= bound
 
     def test_resolve_workers(self):
         assert resolve_workers(None) == 0
