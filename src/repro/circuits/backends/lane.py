@@ -41,7 +41,8 @@ Arrival propagation
 -------------------
 
 Per-lane arrival times are carried as a ``(nets, lanes)`` float64 array;
-perturbation and value-change masks as ``(nets, lanes)`` booleans.  The
+perturbation and value-change masks stay packed as ``(nets, words)``
+uint64 rows, unpacked to 0/1 activity rows once per batch.  The
 corner-batched STA pass of :func:`corner_case_delays` runs arrival vectors
 of shape ``(nets, corners)`` through the identical
 :meth:`LevelizedGraph.max_plus_pass` schedule — one levelized traversal
@@ -762,10 +763,11 @@ class LaneTimingSimulator:
     Bit-for-bit equivalent to the scalar :class:`~repro.circuits.simulator.
     TimingSimulator` (and therefore to the bigint
     :class:`~repro.circuits.simulator.BatchTimingSimulator`) for the
-    levelized arrival models, but evaluated level by level: net values on
-    packed uint64 rows grouped by cell type, arrival/perturbation state on
-    dense per-lane arrays with one arity-padded max-plus (or or-reduce)
-    step per level.
+    levelized arrival models, but evaluated level by level: net values and
+    perturbation masks on packed uint64 rows, arrivals on dense per-lane
+    float64 rows.  One functional pass evaluates the previous and the
+    current vectors side by side, and both arrival models share one
+    join-segment max-plus kernel (see :meth:`_propagate`).
 
     The per-level arrival and perturbation results are computed straight
     into slice views of the state arrays, the big float buffers are reused
@@ -833,122 +835,81 @@ class LaneTimingSimulator:
     ) -> LaneTimedEvaluation:
         """Simulate the per-lane transitions from previous to current vectors."""
         graph = self.graph
-        prev_values, prev_lanes = graph.pack_inputs(previous_inputs)
-        graph.evaluate(prev_values)
-        curr_values, lanes = graph.pack_inputs(current_inputs)
+        prev_packed, prev_lanes = graph.pack_inputs(previous_inputs)
+        curr_packed, lanes = graph.pack_inputs(current_inputs)
         if prev_lanes != lanes:
             raise ValueError(
                 f"previous and current batches differ in lanes ({prev_lanes} vs {lanes})"
             )
-        settle = self.arrival_model == "settle"
-
-        # Arrival times are dense float64 rows; perturbation (and, for the
-        # transition model, value-change) masks stay *packed* as uint64 rows
-        # — their or/and/xor reductions cost 1/64th of the float traffic,
-        # and a packed equality test against the live-lane pattern gives the
-        # same "every lane active" fast path the bigint engine takes with
-        # ``active == mask`` (skipping the unpack-and-mask entirely, which
-        # is the common case once a few levels of random vectors fan in).
-        words = curr_values.shape[1]
-        live = np.zeros(words, dtype=np.uint64)
-        full, tail = divmod(lanes, 64)
-        live[:full] = UINT64_MASK
-        if tail:
-            live[full] = np.uint64((1 << tail) - 1)
-        perturbed = np.zeros((graph.num_nets, words), dtype=np.uint64)
-        for rows in graph.input_bus_rows.values():
-            perturbed[rows] = curr_values[rows] ^ prev_values[rows]
-
-        arrivals = self._propagate(prev_values, curr_values, perturbed, live, lanes, settle)
+        # Cell functions act bitwise per lane, so the two word blocks side by
+        # side evaluate independently in one functional pass.
+        words = curr_packed.shape[1]
+        values = graph.evaluate(np.concatenate((prev_packed, curr_packed), axis=1))
+        prev_values, curr_values = values[:, :words], values[:, words:]
+        arrivals = self._propagate(prev_values, curr_values, lanes)
         return self._build_evaluation(prev_values, curr_values, arrivals, lanes)
 
     # ------------------------------------------------------ arrival traversal
     def _propagate(
-        self,
-        prev_values: np.ndarray,
-        curr_values: np.ndarray,
-        perturbed: np.ndarray,
-        live: np.ndarray,
-        lanes: int,
-        settle: bool,
+        self, prev_values: np.ndarray, curr_values: np.ndarray, lanes: int
     ) -> np.ndarray:
-        """Packed-domain pass, then float max-plus traversal.
+        """Packed perturbation pass, then the float max-plus traversal.
 
-        Phase 1 runs the cheap packed uint64 work (value evaluation,
-        perturbation / activity masks) over the full width.  Phase 2 runs
-        the bandwidth-bound float64 max-plus traversal; under the settle
-        model each level is a handful of **join-segment** slice-view
-        ``maximum`` calls — both operands read straight from their home
-        rows, the result lands straight in the output block, so each input
-        row is read once and each output row written once.
+        Phase 1 ORs the packed uint64 perturbation rows level by level (1/64th
+        of the float traffic); under "transition" one AND with the
+        value-change rows then keeps only functional changes, and a single
+        unpack yields every level's 0/1 activity rows.  Phase 2 is the
+        bandwidth-bound float64 traversal, shared by both arrival models:
+        each level is a handful of **join-segment** slice-view ``maximum``
+        calls — both operands read straight from their home rows, the result
+        lands straight in the output block — plus gathers for pins beyond
+        the second, then ``(max + delay) * active``.
         """
         graph = self.graph
         arrivals, scratch, level_views = self._lane_buffers(lanes)
-        levels = graph.levels
 
-        # ---- Phase 1: packed-domain values + per-level activity masks.
-        # ``active`` is None when every live lane is active (the common case
-        # once a few levels of random vectors fan in) — phase 2 then skips
-        # the unpack-and-mask entirely, like the bigint fast path.
-        graph.evaluate(curr_values)
-        level_active: list[np.ndarray | None] = []
-        live_row = live[None, :]
-        for level in levels:
+        # ---- Phase 1: packed perturbation masks -> per-net activity bits.
+        changed = curr_values ^ prev_values
+        perturbed = np.zeros_like(changed)
+        for rows in graph.input_bus_rows.values():
+            perturbed[rows] = changed[rows]
+        for level in graph.levels:
             in_rows = level.padded_input_rows
-            out_slice = level.output_slice
-
-            pert = perturbed[out_slice]
+            pert = perturbed[level.output_slice]
             np.take(perturbed, in_rows[0], axis=0, out=pert, mode="clip")
             for rows in in_rows[1:]:
                 np.bitwise_or(pert, perturbed[rows], out=pert)
             pert[level.structural_outputs] = 0
-
-            if settle:
-                active = pert
-            else:  # "transition": only functional value changes carry delay.
-                active = pert & (curr_values[out_slice] ^ prev_values[out_slice])
-            level_active.append(
-                None if np.array_equal(active, np.broadcast_to(live_row, active.shape))
-                else active
-            )
+        if self.arrival_model == "transition":
+            # Only functional value changes carry delay.  Every arrival is
+            # then 0.0 wherever its net does not change (source rows are
+            # 0.0 too), so the scalar model's masking of each input pin by
+            # that pin's value change is the identity here.
+            perturbed &= changed
+        active = lane_array_to_bits(perturbed, lanes)
 
         # ---- Phase 2: float64 max-plus traversal.
+        # Structural / unperturbed / constant inputs all carry a 0.0 arrival
+        # row, so the plain max matches the scalar model's "exclude
+        # structural inputs" rule exactly.  An arity-1 segment (seg_b is
+        # seg_a) degenerates to a row copy: max(a, a) == a bit for bit.
         arrivals[: graph.num_source_rows] = 0.0
-        for level, (out, segments, extra_pins), delays, active in zip(
-            levels, level_views, self._level_delays, level_active
+        for level, (out, segments, extra_pins), delays in zip(
+            graph.levels, level_views, self._level_delays
         ):
-            if settle:
-                # Structural / unperturbed / constant inputs all carry a 0.0
-                # arrival row, so the plain max matches the scalar model's
-                # "exclude structural inputs" rule exactly.  An arity-1
-                # segment (seg_b is seg_a) degenerates to a row copy:
-                # max(a, a) == a bit for bit.
-                for seg_out, seg_a, seg_b in segments:
-                    if seg_b is seg_a:
-                        np.copyto(seg_out, seg_a)
-                    else:
-                        np.maximum(seg_a, seg_b, out=seg_out)
-                for rows in extra_pins:
-                    gathered = scratch[: rows.size]
-                    np.take(arrivals, rows, axis=0, out=gathered, mode="clip")
-                    np.maximum(out, gathered, out=out)
-            else:  # "transition": only functional value changes carry delay.
-                in_rows = level.padded_input_rows
-                in_changed = lane_array_to_bits(
-                    curr_values[in_rows] ^ prev_values[in_rows], lanes
-                )
-                np.take(arrivals, in_rows[0], axis=0, out=out, mode="clip")
-                out *= in_changed[0]
-                for pin in range(1, len(in_rows)):
-                    gathered = scratch[: in_rows.shape[1]]
-                    np.take(arrivals, in_rows[pin], axis=0, out=gathered, mode="clip")
-                    gathered *= in_changed[pin]
-                    np.maximum(out, gathered, out=out)
-            # Arrivals and delays are non-negative, so masking by the 0/1
-            # active bits is the same as where(active, base + delay, 0.0).
+            for seg_out, seg_a, seg_b in segments:
+                if seg_b is seg_a:
+                    np.copyto(seg_out, seg_a)
+                else:
+                    np.maximum(seg_a, seg_b, out=seg_out)
+            for rows in extra_pins:
+                gathered = scratch[: rows.size]
+                np.take(arrivals, rows, axis=0, out=gathered, mode="clip")
+                np.maximum(out, gathered, out=out)
+            # Arrivals and delays are non-negative, so multiplying by the
+            # 0/1 activity bits is where(active, base + delay, 0.0) exactly.
             out += delays[:, None]
-            if active is not None:
-                out *= lane_array_to_bits(active, lanes)
+            out *= active[level.output_slice]
         return arrivals
 
     # ----------------------------------------------------------------- result

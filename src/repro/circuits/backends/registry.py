@@ -20,11 +20,11 @@ model and batch width:
   ``benchmarks/test_bench_events.py``);
 * the levelized models resolve to the bigint word-packed backend for
   narrow batches and to the NumPy ``uint64``-lane backend once the batch
-  is at least :data:`LANE_BACKEND_MIN_LANES` lanes wide, the measured
-  crossover where level-vectorised ufunc evaluation beats CPython bigint
-  bit-twiddling (see ``benchmarks/test_bench_backends.py``).  Both stay
-  registered by name; only single-vector and very narrow batches still go
-  to bigint under ``"auto"``.
+  is at least :data:`LANE_BACKEND_MIN_LANES` lanes wide, a conservative
+  bound on the crossover where level-vectorised ufunc evaluation beats
+  CPython bigint bit-twiddling (see ``benchmarks/test_bench_backends.py``).
+  Both stay registered by name; only narrow batches still go to bigint
+  under ``"auto"``.
 """
 
 from __future__ import annotations
@@ -41,17 +41,18 @@ from repro.circuits.simulator import ARRIVAL_MODELS
 #: ============  =====  =====  =====  =====  =====  =====
 #: lanes             1      8     16     32     64    128
 #: ============  =====  =====  =====  =====  =====  =====
-#: mult transit   0.41   1.83   2.11   2.31   2.24   2.17
-#: mult settle    1.05   1.12   1.06   1.24   1.21   1.49
-#: MAC transit    0.39   1.58   2.24   2.27   2.22   2.24
-#: MAC settle     1.13   1.10   1.12   1.26   1.28   1.52
+#: mult transit   1.00   4.66   4.98   5.50   5.33   5.29
+#: mult settle    1.88   1.77   1.87   1.91   2.01   2.35
+#: MAC transit    1.06   4.46   4.69   5.02   4.97   5.53
+#: MAC settle     1.80   1.80   1.95   2.04   2.20   2.38
 #: ============  =====  =====  =====  =====  =====  =====
 #:
-#: bigint wins only single-vector batches; from 32 lanes ndarray wins both
-#: models by >= 1.2x (below that, settle is within timer noise), and the
-#: gap keeps widening with width — >= 3x on the MAC at 4096 lanes
-#: (``benchmarks/test_bench_backends.py`` re-measures the crossover and
-#: the 8192-lane ratio).
+#: Single-vector batches are a tie for transition; from 8 lanes ndarray
+#: wins both models by >= 1.7x, and the gap keeps widening with width —
+#: >= 3x on the MAC at 4096 lanes (``benchmarks/test_bench_backends.py``
+#: re-measures the crossover and the 8192-lane ratio).  The threshold is
+#: conservative: the ratios no longer need it this high, and lowering it
+#: only changes which of two byte-identical engines runs.
 LANE_BACKEND_MIN_LANES = 32
 
 #: Batch width (in lanes) from which ``"auto"`` prefers the batched event

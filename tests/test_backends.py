@@ -40,6 +40,7 @@ from repro.circuits.simulator import (
 )
 from repro.timing.error_model import characterize_timing_errors, sweep_timing_errors
 from repro.timing.sta import StaticTimingAnalyzer
+from repro.utils.bitops import UINT64_MASK, lane_array_to_bits
 
 from tests.test_batch_simulator import random_netlists
 
@@ -244,6 +245,154 @@ class TestLaneSimulatorEquivalence:
         ]
         assert results[0] == results[1] == results[2]
         assert results[0].error_rate > 0.0
+
+
+# ------------------------------------------------------ lane kernel oracle
+def _reference_lane_arrivals(simulator, previous, current):
+    """Per-net arrivals of the lane kernel's two-branch form, as an oracle.
+
+    Two functional passes; per level, the activity mask with an "every live
+    lane active" fast path that skips the mask; "settle" on join-segment
+    maxima, "transition" masking each input pin by its own value change.
+    Returns ``(prev_values, curr_values, arrivals, lanes)``.
+    """
+    graph = simulator.graph
+    prev_values, lanes = graph.pack_inputs(previous)
+    graph.evaluate(prev_values)
+    curr_values, _ = graph.pack_inputs(current)
+    graph.evaluate(curr_values)
+    settle = simulator.arrival_model == "settle"
+    live = np.zeros(curr_values.shape[1], dtype=np.uint64)
+    full, tail = divmod(lanes, 64)
+    live[:full] = UINT64_MASK
+    if tail:
+        live[full] = np.uint64((1 << tail) - 1)
+    perturbed = np.zeros_like(curr_values)
+    for rows in graph.input_bus_rows.values():
+        perturbed[rows] = curr_values[rows] ^ prev_values[rows]
+    arrivals = np.zeros((graph.num_nets, lanes))
+    for level, delays in zip(graph.levels, simulator._level_delays):
+        in_rows = level.padded_input_rows
+        out_slice = level.output_slice
+        pert = perturbed[out_slice]
+        pert[...] = np.bitwise_or.reduce(perturbed[in_rows], axis=0)
+        pert[level.structural_outputs] = 0
+        if settle:
+            active = pert
+        else:
+            active = pert & (curr_values[out_slice] ^ prev_values[out_slice])
+        if np.array_equal(active, np.broadcast_to(live, active.shape)):
+            active = None
+
+        out = arrivals[out_slice]
+        if settle:
+            for dst_start, dst_stop, src0, src1 in level.join_segments:
+                size = dst_stop - dst_start
+                np.maximum(
+                    arrivals[src0 : src0 + size],
+                    arrivals[src1 : src1 + size],
+                    out=out[dst_start:dst_stop],
+                )
+            for rows in in_rows[2:]:
+                np.maximum(out, arrivals[rows], out=out)
+        else:
+            in_changed = lane_array_to_bits(
+                curr_values[in_rows] ^ prev_values[in_rows], lanes
+            )
+            out[...] = arrivals[in_rows[0]] * in_changed[0]
+            for pin in range(1, len(in_rows)):
+                np.maximum(out, arrivals[in_rows[pin]] * in_changed[pin], out=out)
+        out += delays[:, None]
+        if active is not None:
+            out *= lane_array_to_bits(active, lanes)
+    return prev_values, curr_values, arrivals, lanes
+
+
+def _evaluation_bytes(evaluation):
+    return (
+        evaluation.lanes,
+        evaluation.worst_arrival_ps.tobytes(),
+        *(
+            (bus, words.tobytes())
+            for field in (
+                evaluation.final_output_words,
+                evaluation.previous_output_words,
+                evaluation.output_arrivals_ps,
+            )
+            for bus, words in sorted(field.items())
+        ),
+    )
+
+
+class TestLaneKernelOracle:
+    """One functional pass and one phase-2 kernel, byte for byte."""
+
+    @staticmethod
+    def _check(netlist, library, model, previous, current):
+        simulator = LaneTimingSimulator(netlist, library, model)
+        evaluation = simulator.propagate_batch(previous, current)
+        prev_values, curr_values, arrivals, lanes = _reference_lane_arrivals(
+            simulator, previous, current
+        )
+        assert simulator._arrivals_buffer.tobytes() == arrivals.tobytes()
+        reference = simulator._build_evaluation(prev_values, curr_values, arrivals, lanes)
+        assert _evaluation_bytes(evaluation) == _evaluation_bytes(reference)
+        if model == "transition":
+            # Every gate-output arrival is 0.0 wherever its net's settled
+            # value does not change: masking input pins by their own value
+            # change is the identity, so transition shares settle's kernel.
+            gate_rows = slice(simulator.graph.num_source_rows, None)
+            unchanged = ~lane_array_to_bits(
+                curr_values[gate_rows] ^ prev_values[gate_rows], lanes
+            )
+            assert not arrivals[gate_rows][unchanged].any()
+
+    @given(
+        netlist=random_netlists(),
+        seed=st.integers(0, 2**32 - 1),
+        lanes=st.integers(1, 130),
+        model=st.sampled_from(BATCH_ARRIVAL_MODELS),
+        aging=st.sampled_from(["fresh", "uniform", "variation"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_two_branch_oracle_on_random_netlists(
+        self, netlist, seed, lanes, model, aging
+    ):
+        from repro.aging.scenarios import VariationAging
+
+        rng = np.random.default_rng(seed)
+        library = {
+            "fresh": _LIBRARIES.fresh,
+            "uniform": _LIBRARIES.library(50.0),
+            "variation": VariationAging(25.0, 8.0, seed=5, library=_LIBRARIES.fresh),
+        }[aging]
+        previous = _lane_inputs(netlist, rng, lanes)
+        current = _lane_inputs(netlist, rng, lanes)
+        self._check(netlist, library, model, previous, current)
+
+    @pytest.mark.parametrize("model", BATCH_ARRIVAL_MODELS)
+    @pytest.mark.parametrize("lanes", [1, 63, 64, 65, 130])
+    def test_matches_two_branch_oracle_on_mac(self, model, lanes):
+        rng = np.random.default_rng(lanes)
+        previous = _lane_inputs(_MAC.netlist, rng, lanes)
+        current = _lane_inputs(_MAC.netlist, rng, lanes)
+        self._check(_MAC.netlist, _LIBRARIES.library(20.0), model, previous, current)
+
+    @pytest.mark.parametrize("model", BATCH_ARRIVAL_MODELS)
+    def test_reused_buffers_match_fresh_simulators(self, model):
+        # 208 lanes is the tail batch of a 2000-sample sweep at 256 lanes:
+        # the lane buffers are keyed only on the lane count, so switching
+        # widths and back must not leak state between calls.
+        rng = np.random.default_rng(7)
+        library = _LIBRARIES.library(50.0)
+        reused = LaneTimingSimulator(_MAC.netlist, library, model)
+        for lanes in (256, 208, 256):
+            previous = _lane_inputs(_MAC.netlist, rng, lanes)
+            current = _lane_inputs(_MAC.netlist, rng, lanes)
+            fresh = LaneTimingSimulator(_MAC.netlist, library, model)
+            assert _evaluation_bytes(
+                reused.propagate_batch(previous, current)
+            ) == _evaluation_bytes(fresh.propagate_batch(previous, current))
 
 
 # ---------------------------------------------------- violation-type contract
