@@ -2,7 +2,7 @@
 
 See :mod:`repro.circuits.backends.base` for the protocol and
 :mod:`repro.circuits.backends.registry` for name resolution and the
-batch-width auto-selection heuristic.  Importing this package registers the
+``"auto"`` selection rule.  Importing this package registers the
 four built-in backends (``scalar``, ``bigint``, ``ndarray``, ``event``) as
 stateless singletons.
 """
@@ -32,7 +32,6 @@ from repro.circuits.backends.lane import (
 )
 from repro.circuits.backends.registry import (
     EVENT_BACKEND_MIN_LANES,
-    LANE_BACKEND_MIN_LANES,
     auto_select,
     backend_names,
     get_backend,
@@ -50,7 +49,6 @@ __all__ = [
     "BIGINT_BACKEND",
     "EVENT_BACKEND",
     "EVENT_BACKEND_MIN_LANES",
-    "LANE_BACKEND_MIN_LANES",
     "NDARRAY_BACKEND",
     "SCALAR_BACKEND",
     "BatchedSimulationBackend",

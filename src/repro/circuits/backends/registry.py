@@ -10,7 +10,7 @@ Auto-selection
 --------------
 
 ``"auto"`` picks the fastest registered backend for the requested arrival
-model and batch width:
+model (and, for the ``"event"`` model, batch width):
 
 * the ``"event"`` arrival model resolves to the scalar backend for narrow
   batches and to the batched waveform-propagation backend
@@ -18,13 +18,14 @@ model and batch width:
   :data:`EVENT_BACKEND_MIN_LANES` lanes wide, the measured crossover where
   per-gate lane-word waveforms beat the per-vector Python wheel (see
   ``benchmarks/test_bench_events.py``);
-* the levelized models resolve to the bigint word-packed backend for
-  narrow batches and to the NumPy ``uint64``-lane backend once the batch
-  is at least :data:`LANE_BACKEND_MIN_LANES` lanes wide, a conservative
-  bound on the crossover where level-vectorised ufunc evaluation beats
-  CPython bigint bit-twiddling (see ``benchmarks/test_bench_backends.py``).
-  Both stay registered by name; only narrow batches still go to bigint
-  under ``"auto"``.
+* the levelized models resolve to the NumPy ``uint64``-lane backend at
+  every width.  Measured over interleaved bigint/ndarray pairs on a 2-CPU
+  host (8x8 array multiplier and the 8x22-bit MAC at 50 mV), the two tie
+  on single-vector transition batches and ndarray wins everywhere else:
+  1.8x for single-vector settle batches and >= 1.7x for both models from
+  8 lanes, widening with width (``benchmarks/test_bench_backends.py``
+  re-measures 8 and 8192 lanes).  The bigint word-packed backend stays
+  registered by name and is reachable only when asked for explicitly.
 """
 
 from __future__ import annotations
@@ -32,28 +33,6 @@ from __future__ import annotations
 import repro.observability as observability
 from repro.circuits.backends.base import SimulationBackend
 from repro.circuits.simulator import ARRIVAL_MODELS
-
-#: Batch width (in lanes) from which ``"auto"`` prefers the ndarray backend
-#: over the bigint backend.  Median bigint / ndarray time over interleaved
-#: pairs on a 2-CPU host (8x8 array multiplier and the 8x22-bit MAC at
-#: 50 mV):
-#:
-#: ============  =====  =====  =====  =====  =====  =====
-#: lanes             1      8     16     32     64    128
-#: ============  =====  =====  =====  =====  =====  =====
-#: mult transit   1.00   4.66   4.98   5.50   5.33   5.29
-#: mult settle    1.88   1.77   1.87   1.91   2.01   2.35
-#: MAC transit    1.06   4.46   4.69   5.02   4.97   5.53
-#: MAC settle     1.80   1.80   1.95   2.04   2.20   2.38
-#: ============  =====  =====  =====  =====  =====  =====
-#:
-#: Single-vector batches are a tie for transition; from 8 lanes ndarray
-#: wins both models by >= 1.7x, and the gap keeps widening with width —
-#: >= 3x on the MAC at 4096 lanes (``benchmarks/test_bench_backends.py``
-#: re-measures the crossover and the 8192-lane ratio).  The threshold is
-#: conservative: the ratios no longer need it this high, and lowering it
-#: only changes which of two byte-identical engines runs.
-LANE_BACKEND_MIN_LANES = 32
 
 #: Batch width (in lanes) from which ``"auto"`` prefers the batched event
 #: backend over the scalar event loop.  The batched engine's per-gate cost
@@ -116,12 +95,8 @@ def auto_select(arrival_model: str, batch_size: int) -> SimulationBackend:
                 return wheel[0]
         scalar = [backend for backend in candidates if not backend.batched]
         return scalar[0] if scalar else batched[0]
-    if batch_size >= LANE_BACKEND_MIN_LANES:
-        wide = [backend for backend in batched if backend.name == "ndarray"]
-        if wide:
-            return wide[0]
-    narrow = [backend for backend in batched if backend.name == "bigint"]
-    return narrow[0] if narrow else batched[0]
+    lanes = [backend for backend in batched if backend.name == "ndarray"]
+    return lanes[0] if lanes else batched[0]
 
 
 def resolve_backend(

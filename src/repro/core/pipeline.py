@@ -40,15 +40,15 @@ class LevelPlan:
     Attributes:
         scenario: the aging scenario planned for.
         timing: STA record of the selected (minimal feasible) compression.
-        baseline_delay_ps: delay of the *uncompressed* MAC at this point
-            (what an unprotected NPU would need to clock at).
+        guardband: guardband the unprotected baseline needs at this point,
+            sized by :func:`~repro.core.guardband.analyze_guardband`.
         feasible_count: number of feasible (α, β, padding) corners — how
             much slack the compression space still has at this point.
     """
 
     scenario: AgingScenario
     timing: CompressionTiming
-    baseline_delay_ps: float
+    guardband: GuardbandAnalysis
     feasible_count: int
 
     @property
@@ -66,22 +66,18 @@ class LevelPlan:
         return self.timing.target_period_ps
 
     @property
+    def baseline_delay_ps(self) -> float:
+        """Delay of the *uncompressed* MAC at this point (what an
+        unprotected NPU would need to clock at)."""
+        return self.guardband.end_of_life_delay_ps
+
+    @property
     def normalized_baseline_delay(self) -> float:
         return self.baseline_delay_ps / self.fresh_delay_ps
 
     @property
     def normalized_compensated_delay(self) -> float:
         return self.timing.normalized_delay
-
-    @property
-    def guardband(self) -> GuardbandAnalysis:
-        """Guardband the unprotected baseline needs at this point."""
-        return GuardbandAnalysis(
-            fresh_delay_ps=self.fresh_delay_ps,
-            end_of_life_delay_ps=self.baseline_delay_ps,
-            end_of_life_mv=self.delta_vth_mv,
-            scenario=self.scenario,
-        )
 
     @property
     def guardband_percent(self) -> float:
@@ -148,9 +144,10 @@ class DeviceToSystemPipeline:
         """Timing phase of Algorithm 1 and guardband sizing at one aging point.
 
         All (α, β, padding) corners of the quantizer's search space run in
-        one levelized STA pass; the selection is the quantizer's, and the
-        feasible count and baseline delay are read back from the analyzer's
-        corner-delay cache.  Plans are cached per scenario.
+        one levelized STA pass; the selection is the quantizer's, the
+        feasible count is read back from the analyzer's corner-delay cache,
+        and the guardband is sized by the same :func:`analyze_guardband`
+        that :meth:`guardband` calls.  Plans are cached per scenario.
         """
         scenario = self.timing_analyzer.scenario(delta_vth_mv)
         key = scenario.cache_token()
@@ -166,7 +163,9 @@ class DeviceToSystemPipeline:
             self._plans[key] = LevelPlan(
                 scenario=scenario,
                 timing=timing,
-                baseline_delay_ps=self.timing_analyzer.delay_ps(scenario, None),
+                guardband=analyze_guardband(
+                    analyzer=self.timing_analyzer, end_of_life_mv=scenario
+                ),
                 feasible_count=len(feasible),
             )
         return self._plans[key]
@@ -179,7 +178,12 @@ class DeviceToSystemPipeline:
         return [self.plan_level(level) for level in levels]
 
     def guardband(self) -> GuardbandAnalysis:
-        """Guardband the unprotected baseline would need for the scenario."""
+        """Guardband the unprotected baseline would need for the scenario.
+
+        Unlike ``plan_level(end_of_life).guardband`` this also serves
+        end-of-life points where no compression meets timing (where
+        :meth:`plan_level` raises).
+        """
         return analyze_guardband(
             end_of_life_mv=self.timeline.end_of_life_mv, analyzer=self.timing_analyzer
         )

@@ -60,7 +60,6 @@ def run_fig1a(
         msb_count=2,
         arrival_model=settings.error_arrival_model,
         backend=settings.sim_backend,
-        batch_size=settings.sim_batch_size,
         workers=settings.workers,
     )
     rows = [
@@ -81,12 +80,9 @@ def run_fig1a(
             # Only the statistical configuration is recorded: throughput
             # knobs (sim_backend, workers) never change the rows, and
             # keeping them out of the artifact is what lets the pipeline
-            # cache serve one result for every backend choice.  The batch
-            # size *is* statistical: the sweep's samples-per-shard floor
-            # follows it, which changes the drawn Monte-Carlo streams.
+            # cache serve one result for every backend choice.
             "num_samples": settings.error_samples,
             "arrival_model": settings.error_arrival_model,
-            "sim_batch_size": settings.sim_batch_size,
             "clock_period_ps": statistics[0].clock_period_ps if statistics else None,
             # The scenario axis: family, per-point identity (the same key
             # fields that enter the pipeline cache key), and the calendar

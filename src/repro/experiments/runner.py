@@ -88,7 +88,7 @@ def run_experiments(
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type: an integer >= 1 (``--lanes``)."""
+    """Argparse type: an integer >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
@@ -431,17 +431,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         choices=backend_names(),
         default="auto",
         help="simulation backend for the circuit sweeps (auto picks by arrival "
-        "model and --lanes batch width); results are bit-identical for any value",
-    )
-    parser.add_argument(
-        "--lanes",
-        "--batch-size",
-        dest="lanes",
-        type=_positive_int,
-        default=None,
-        help="Monte-Carlo lanes (vector pairs) per packed simulation batch "
-        "(default: %(default)s -> settings.sim_batch_size); also what the "
-        "auto backend selection keys on",
+        "model: ndarray for settle/transition, the batched event engine for "
+        "event); results are bit-identical for any value",
     )
     parser.add_argument(
         "--scenario",
@@ -480,8 +471,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         overrides["cache_dir"] = arguments.cache_dir
     if arguments.cache_max_bytes is not None:
         overrides["cache_max_bytes"] = arguments.cache_max_bytes
-    if arguments.lanes is not None:
-        overrides["sim_batch_size"] = arguments.lanes
     if arguments.years is not None:
         if any(years < 0 for years in arguments.years):
             parser.error("--years values must be non-negative")

@@ -116,17 +116,16 @@ class ExperimentSettings:
 
     # Simulation-backend selection.  ``sim_backend`` names a registered
     # backend ("scalar", "bigint", "ndarray", "event") or "auto" to pick by
-    # arrival model and batch width: bigint word-packing for narrow batches,
-    # the NumPy uint64-lane backend once ``sim_batch_size`` (the lane count
-    # per packed batch) reaches the measured crossover — see
-    # repro.circuits.backends.LANE_BACKEND_MIN_LANES — and for the "event"
-    # model the batched waveform engine from EVENT_BACKEND_MIN_LANES lanes.
-    # Backend choice never changes results, only throughput, so the backend
-    # is in no cache key: an unknown name is rejected here, where every
-    # entry point (runner, library, service) builds its settings, rather
-    # than answered from a warm cache and failing only on a cold one.
+    # arrival model: the NumPy uint64-lane backend for "settle" and
+    # "transition", and for the "event" model the batched waveform engine
+    # from EVENT_BACKEND_MIN_LANES lanes (the scalar loop below that).  The
+    # sweep runs each sample shard as one packed batch, so no lane-count
+    # setting exists.  Backend choice never changes results, only
+    # throughput, so the backend is in no cache key: an unknown name is
+    # rejected here, where every entry point (runner, library, service)
+    # builds its settings, rather than answered from a warm cache and
+    # failing only on a cold one.
     sim_backend: str = "auto"
-    sim_batch_size: int = 256
 
     # Fig. 1b fault injection.
     flip_probabilities: tuple[float, ...] = (1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2)

@@ -14,9 +14,9 @@ and a settings change invalidates exactly the subtree of tasks that
 (transitively) read the changed field.  Throughput-only knobs (``workers``,
 ``sim_backend``) are never part of any task's declared
 fields, so a cache stays warm across backend or worker-count changes —
-results are bit-identical by the determinism contract.  (``sim_batch_size``
-is *not* a throughput knob for the Monte-Carlo sweep: the samples-per-shard
-floor follows it, which changes the drawn streams, so fig1a declares it.)
+results are bit-identical by the determinism contract.  The Monte-Carlo
+sweep has no batch-width knob at all: each sample shard runs as one packed
+batch, so its streams depend only on the statistical settings fig1a keys.
 
 Layout under ``<cache_dir>/pipeline/``::
 

@@ -151,9 +151,6 @@ def build_experiment_graph(settings: ExperimentSettings) -> TaskGraph:
             "fig1a",
             lambda ctx: run_fig1a(workspace=ctx.workspace),
             depends=("multiplier", "library_set"),
-            # sim_batch_size is statistical configuration, not throughput:
-            # the sweep's samples-per-shard floor follows it, which changes
-            # the drawn Monte-Carlo streams (the backend choice does not).
             # The scenario fields are how scenario key fields participate in
             # the artifact key: they fully determine the scenario axis
             # (settings.aging_scenarios()), so switching the family or any
@@ -164,7 +161,6 @@ def build_experiment_graph(settings: ExperimentSettings) -> TaskGraph:
                 "aging_levels_mv",
                 "error_samples",
                 "error_arrival_model",
-                "sim_batch_size",
                 "scenario",
                 "mission_years",
                 "mission_temperature_c",

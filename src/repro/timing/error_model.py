@@ -12,8 +12,17 @@ All four registered backends are reachable from here: with
 ``arrival_model="event"`` the ``"auto"`` selector batches wide Monte-Carlo
 runs through the glitch-exact batched event backend
 (:mod:`repro.circuits.backends.event`) and falls back to the scalar event
-loop for narrow ones; the levelized settle/transition models pick between
-the bigint and ndarray lane backends by batch width.
+loop for narrow ones; the levelized settle/transition models run on the
+ndarray lane backend at every width.
+
+Batch width
+-----------
+
+:func:`sweep_timing_errors` runs each sample shard as one packed batch, so
+the shard plan is the only thing that splits its work.
+:func:`characterize_timing_errors` keeps a ``batch_size`` argument;
+regrouping a chain into batches never changes its counters, because every
+counter is an integer sum.
 
 Aging scenarios
 ---------------
@@ -44,7 +53,12 @@ from repro.aging.scenarios.base import (
     nominal_delta_vth_mv,
 )
 from repro.aging.scenarios.uniform import UniformAging
-from repro.circuits.backends import ErrorCounters, get_backend, resolve_backend
+from repro.circuits.backends import (
+    ErrorCounters,
+    SimulationBackend,
+    get_backend,
+    resolve_backend,
+)
 from repro.circuits.mac import ArithmeticUnit
 from repro.parallel import ParallelExecutor, shard_sizes, spawn_seed_sequences
 from repro.timing.sta import StaticTimingAnalyzer
@@ -52,13 +66,15 @@ from repro.utils.rng import make_rng
 
 InputSampler = Callable[[np.random.Generator], Mapping[str, int]]
 
-#: Default number of vector pairs packed per bit-parallel batch.
+#: Default number of vector pairs packed per bit-parallel batch of
+#: :func:`characterize_timing_errors`.
 DEFAULT_BATCH_SIZE = 256
 
-#: Default Monte-Carlo samples per sweep work item.  The shard decomposition
-#: (and therefore the per-shard child RNG streams) depends only on this and
-#: on ``num_samples`` — never on the worker count or chunking — which is what
-#: makes parallel sweep results bit-identical to serial ones.
+#: Default Monte-Carlo samples per sweep work item, which is also the lane
+#: count of the shard's one packed batch.  The shard decomposition (and
+#: therefore the per-shard child RNG streams) depends only on this and on
+#: ``num_samples`` — never on the worker count, chunking or backend — which
+#: is what makes parallel sweep results bit-identical to serial ones.
 DEFAULT_SAMPLES_PER_SHARD = 500
 
 
@@ -91,6 +107,25 @@ class TimingErrorStatistics:
     @property
     def output_width(self) -> int:
         return len(self.bit_flip_probabilities)
+
+    @classmethod
+    def from_counters(
+        cls,
+        counters: ErrorCounters,
+        delta_vth_mv: float,
+        clock_period_ps: float,
+        num_samples: int,
+    ) -> "TimingErrorStatistics":
+        """Normalise accumulated Monte-Carlo counters into statistics."""
+        return cls(
+            delta_vth_mv=delta_vth_mv,
+            clock_period_ps=clock_period_ps,
+            num_samples=num_samples,
+            mean_error_distance=counters.total_error_distance / num_samples,
+            error_rate=counters.error_count / num_samples,
+            bit_flip_probabilities=tuple(counters.bit_flip_counts / num_samples),
+            msb_flip_probability=counters.msb_flip_count / num_samples,
+        )
 
 
 def _resolve_output_window(
@@ -137,6 +172,29 @@ def _draw_input_vectors(
     return [dict(zip(names, column)) for column in zip(*(batches[name] for name in names))]
 
 
+def _simulate_chain(
+    backend: SimulationBackend,
+    simulator,
+    unit: ArithmeticUnit,
+    input_sampler: InputSampler | None,
+    generator: np.random.Generator,
+    num_samples: int,
+    clock_period_ps: float,
+    output_bus: str,
+    msb_count: int,
+    width: int,
+    batch_size: int,
+) -> ErrorCounters:
+    """Draw one ``num_samples``-transition input chain and count its errors."""
+    vectors = _draw_input_vectors(unit, input_sampler, generator, num_samples + 1)
+    counters = backend.accumulate_errors(
+        unit, simulator, vectors, clock_period_ps, output_bus, msb_count, width, batch_size
+    )
+    observability.add("sweep.samples", num_samples)
+    observability.add("sim.lanes", num_samples)
+    return counters
+
+
 def characterize_timing_errors(
     unit: ArithmeticUnit,
     library: "CellLibrary | AgingScenario",
@@ -176,13 +234,15 @@ def characterize_timing_errors(
         backend: a registered simulation-backend name (``"scalar"``,
             ``"bigint"``, ``"ndarray"``, ``"event"`` — the batched
             waveform engine for the ``"event"`` arrival model) or
-            ``"auto"`` to let the registry pick by arrival model and batch width — see
+            ``"auto"`` to let the registry pick by arrival model (and, for
+            ``"event"``, batch width) — see
             :func:`repro.circuits.backends.resolve_backend`.  For a given
             arrival model every backend produces bit-for-bit identical
             statistics.
         batch_size: vector pairs (lanes) per packed batch for the batched
-            backends (default :data:`DEFAULT_BATCH_SIZE`); also what the
-            auto-selection heuristic keys on.
+            backends (default :data:`DEFAULT_BATCH_SIZE`); also the width
+            ``"auto"`` keys the ``"event"`` choice on.  It changes only
+            throughput, never the statistics.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
@@ -193,7 +253,6 @@ def characterize_timing_errors(
     )
     width = _resolve_output_window(unit, output_bus, effective_output_width, msb_count)
 
-    generator = make_rng(rng)
     with observability.span(
         "sweep:characterize",
         category="sweep",
@@ -201,23 +260,13 @@ def characterize_timing_errors(
         backend=resolved.name,
         arrival_model=arrival_model,
     ):
-        vectors = _draw_input_vectors(unit, input_sampler, generator, num_samples + 1)
         simulator = resolved.timing_simulator(unit.netlist, library, arrival_model)
-        counters = resolved.accumulate_errors(
-            unit, simulator, vectors, clock_period_ps, output_bus, msb_count, width, batch_size
+        counters = _simulate_chain(
+            resolved, simulator, unit, input_sampler, make_rng(rng), num_samples,
+            clock_period_ps, output_bus, msb_count, width, batch_size,
         )
-        observability.add("sweep.samples", num_samples)
-        observability.add("sim.lanes", num_samples)
-    bit_flip_counts, msb_flip_count, error_count, total_error_distance = counters
-
-    return TimingErrorStatistics(
-        delta_vth_mv=nominal_delta_vth_mv(library),
-        clock_period_ps=clock_period_ps,
-        num_samples=num_samples,
-        mean_error_distance=total_error_distance / num_samples,
-        error_rate=error_count / num_samples,
-        bit_flip_probabilities=tuple(bit_flip_counts / num_samples),
-        msb_flip_probability=msb_flip_count / num_samples,
+    return TimingErrorStatistics.from_counters(
+        counters, nominal_delta_vth_mv(library), clock_period_ps, num_samples
     )
 
 
@@ -245,7 +294,6 @@ class _TimingSweepContext:
     width: int
     arrival_model: str
     backend: str
-    batch_size: int
     simulator_cache: dict = field(default_factory=dict, repr=False)
 
     def __getstate__(self) -> dict:
@@ -270,8 +318,9 @@ def _timing_shard_task(
 ) -> ErrorCounters:
     """Simulate one (scenario, sample shard) work item and return counters.
 
-    Metrics are recorded per *shard*, never per chunk: the shard plan is a
-    pure function of ``(num_samples, samples_per_shard)``, so the merged
+    The shard runs as one packed batch (lanes = ``shard_samples``).  Metrics
+    are recorded per *shard*, never per chunk: the shard plan is a pure
+    function of ``(num_samples, samples_per_shard)``, so the merged
     ``sweep.*``/``sim.*`` counters are bit-identical for any worker count or
     chunking — the same invariance contract the statistics themselves obey.
     """
@@ -284,23 +333,13 @@ def _timing_shard_task(
         samples=shard_samples,
         backend=context.backend,
     ):
-        generator = np.random.default_rng(seed)
-        vectors = _draw_input_vectors(
-            context.unit, context.input_sampler, generator, shard_samples + 1
-        )
-        counters = get_backend(context.backend).accumulate_errors(
-            context.unit,
-            context.simulator(scenario_index),
-            vectors,
-            context.clock_period_ps,
-            context.output_bus,
-            context.msb_count,
-            context.width,
-            context.batch_size,
+        counters = _simulate_chain(
+            get_backend(context.backend), context.simulator(scenario_index),
+            context.unit, context.input_sampler, np.random.default_rng(seed),
+            shard_samples, context.clock_period_ps, context.output_bus,
+            context.msb_count, context.width, shard_samples,
         )
     observability.add("sweep.shards")
-    observability.add("sweep.samples", shard_samples)
-    observability.add("sim.lanes", shard_samples)
     observability.observe("time.shard_seconds", time.perf_counter() - start)
     return counters
 
@@ -359,9 +398,8 @@ def sweep_timing_errors(
     effective_output_width: int | None = None,
     arrival_model: str = "event",
     backend: str = "auto",
-    batch_size: int | None = None,
     workers: int = 0,
-    samples_per_shard: int | None = None,
+    samples_per_shard: int = DEFAULT_SAMPLES_PER_SHARD,
     scenarios: "Sequence[AgingScenario] | None" = None,
 ) -> list[TimingErrorStatistics]:
     """Characterise ``unit`` over an aging-scenario axis, fresh clock throughout.
@@ -380,17 +418,20 @@ def sweep_timing_errors(
       ascending.  This is the legacy interface and produces statistics
       bit-identical to the pre-scenario implementation.
 
-    ``arrival_model``/``backend``/``batch_size`` select the simulation
-    backend through the registry exactly as in
-    :func:`characterize_timing_errors`; the resolved backend name is what
-    ships to worker processes, so the choice survives pickling.
+    ``arrival_model``/``backend`` select the simulation backend through the
+    registry exactly as in :func:`characterize_timing_errors`; ``"auto"``
+    resolves once per sweep, from the widest batch it will run
+    (``min(num_samples, samples_per_shard)`` lanes).  The resolved backend
+    name is what ships to worker processes, so the choice survives pickling.
 
-    The Monte-Carlo work is sharded by scenario *and* by sample batch within
+    The Monte-Carlo work is sharded by scenario *and* by sample block within
     a scenario (``samples_per_shard`` samples per work item, default
-    :data:`DEFAULT_SAMPLES_PER_SHARD` or the batch size, whichever is
-    larger, so wide-lane batches are never truncated by the shard plan) and
-    executed on a :class:`~repro.parallel.ParallelExecutor`:
+    :data:`DEFAULT_SAMPLES_PER_SHARD`) and executed on a
+    :class:`~repro.parallel.ParallelExecutor`.  Each shard runs as one
+    packed batch, so the shard plan is the only thing that splits the work:
 
+    * the statistics depend only on ``num_samples``, ``samples_per_shard``
+      and ``rng`` — the backend and the worker count change throughput only;
     * ``workers=0`` (default) runs the shards serially in-process; ``N > 0``
       fans them out over ``N`` worker processes; ``-1`` uses every CPU.
     * Each work item draws from its own :class:`numpy.random.SeedSequence`
@@ -408,16 +449,9 @@ def sweep_timing_errors(
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    resolved, batch_size = resolve_backend(
-        backend, arrival_model, batch_size, default_batch_size=DEFAULT_BATCH_SIZE
-    )
-    if samples_per_shard is None:
-        # A shard must hold at least one full batch, or wide --lanes settings
-        # would silently run partial batches and never reach the lane widths
-        # the ndarray backend is selected for.
-        samples_per_shard = max(DEFAULT_SAMPLES_PER_SHARD, batch_size)
     if samples_per_shard < 1:
         raise ValueError("samples_per_shard must be >= 1")
+    resolved, _ = resolve_backend(backend, arrival_model, min(num_samples, samples_per_shard))
     output_bus = "out"
     width = _resolve_output_window(unit, output_bus, effective_output_width, msb_count)
 
@@ -445,7 +479,6 @@ def sweep_timing_errors(
         width=width,
         arrival_model=arrival_model,
         backend=resolved.name,
-        batch_size=batch_size,
     )
     executor = ParallelExecutor(workers=workers)
     with observability.span(
@@ -470,14 +503,8 @@ def sweep_timing_errors(
         # serial accumulation for any workers count.
         total = sum(scenario_counters, start=empty)
         results.append(
-            TimingErrorStatistics(
-                delta_vth_mv=scenario.nominal_delta_vth_mv,
-                clock_period_ps=fresh_period_ps,
-                num_samples=num_samples,
-                mean_error_distance=total.total_error_distance / num_samples,
-                error_rate=total.error_count / num_samples,
-                bit_flip_probabilities=tuple(total.bit_flip_counts / num_samples),
-                msb_flip_probability=total.msb_flip_count / num_samples,
+            TimingErrorStatistics.from_counters(
+                total, scenario.nominal_delta_vth_mv, fresh_period_ps, num_samples
             )
         )
     return results

@@ -1,33 +1,10 @@
-"""Shared utilities: bit manipulation, RNG management and table formatting."""
+"""Shared utilities: lane-word packing (:mod:`repro.utils.bitops`), RNG
+management and table formatting."""
 
-from repro.utils.bitops import (
-    bit_flip,
-    bit_slice,
-    bits_to_int,
-    count_set_bits,
-    hamming_distance,
-    int_to_bits,
-    mask_lsbs,
-    mask_msbs,
-    max_unsigned,
-    sign_extend,
-    to_twos_complement,
-)
 from repro.utils.rng import derive_rng, make_rng
 from repro.utils.tables import format_table
 
 __all__ = [
-    "bit_flip",
-    "bit_slice",
-    "bits_to_int",
-    "count_set_bits",
-    "hamming_distance",
-    "int_to_bits",
-    "mask_lsbs",
-    "mask_msbs",
-    "max_unsigned",
-    "sign_extend",
-    "to_twos_complement",
     "derive_rng",
     "make_rng",
     "format_table",

@@ -4,7 +4,7 @@ Three invariants are enforced:
 
 * **registry** — the four built-in backends resolve by name (one name
   each), validation lives in one place, and ``"auto"`` selects by arrival model
-  and batch width;
+  (and, for ``"event"``, batch width);
 * **equivalence** — scalar, bigint and ndarray backends produce bit-identical
   captured outputs, violation masks and Monte-Carlo error counters across
   random netlists, lane counts and clock periods (property-based);
@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.observability as observability
 from repro.aging.cell_library import AgingAwareLibrarySet
 from repro.circuits.backends import (
     EVENT_BACKEND_MIN_LANES,
-    LANE_BACKEND_MIN_LANES,
     LaneTimingSimulator,
     LevelizedGraph,
     SimulationBackend,
@@ -89,23 +89,14 @@ class TestRegistry:
             backend, _ = resolve_backend("auto", "event", batch_size)
             assert backend.name == "event"
 
-    def test_auto_selects_bigint_for_narrow_batches(self):
-        # bigint below the measured crossover, ndarray at and above it
-        # (the default 256-lane batch included).
+    def test_auto_selects_ndarray_at_every_width(self):
+        # bigint is reachable only by name: ndarray ties it on single-vector
+        # transition batches and wins at every other width.
         for model in BATCH_ARRIVAL_MODELS:
-            for batch_size in (1, LANE_BACKEND_MIN_LANES - 1):
-                backend, _ = resolve_backend("auto", model, batch_size)
-                assert backend.name == "bigint"
-            for batch_size in (LANE_BACKEND_MIN_LANES, None):
+            for batch_size in (1, 31, 32, 8192, None):
                 backend, resolved = resolve_backend("auto", model, batch_size)
-                assert backend.name == "ndarray"
+                assert backend.name == "ndarray", (model, batch_size)
         assert resolved == 256
-        assert 1 < LANE_BACKEND_MIN_LANES <= 256
-
-    def test_auto_selects_ndarray_for_wide_batches(self):
-        for model in BATCH_ARRIVAL_MODELS:
-            backend, _ = resolve_backend("auto", model, LANE_BACKEND_MIN_LANES)
-            assert backend.name == "ndarray"
 
     def test_batched_backends_reject_event_model(self):
         for name in BATCHED_BACKENDS:
@@ -488,7 +479,6 @@ class TestErrorModelBackendEquivalence:
             num_samples=40,
             rng=7,
             arrival_model="settle",
-            batch_size=16,
             samples_per_shard=10,
         )
         serial = {
@@ -500,6 +490,60 @@ class TestErrorModelBackendEquivalence:
             unit, _LIBRARIES, backend="ndarray", workers=2, **kwargs
         )
         assert parallel == serial["ndarray"]
+
+    @pytest.mark.parametrize("model", BATCH_ARRIVAL_MODELS + ("event",))
+    def test_sweep_shards_run_as_one_batch_each(self, model):
+        """1100 samples run as three one-batch shards (500/500/100 lanes),
+        with statistics equal across every backend of the model."""
+        names = ("scalar", "event", "auto") if model == "event" else ("scalar", "ndarray", "auto")
+        kwargs = dict(
+            levels_mv=(0.0, 50.0),
+            num_samples=1100,
+            rng=3,
+            effective_output_width=10,
+            arrival_model=model,
+        )
+        results = {}
+        for name in names:
+            with observability.collecting() as snap:
+                results[name] = sweep_timing_errors(_MULT5, _LIBRARIES, backend=name, **kwargs)
+            assert snap.metrics.counter("sweep.shards") == 3 * 2
+        assert results["scalar"] == results[names[1]] == results["auto"]
+        assert results["scalar"][0].error_rate == 0.0
+        assert results["scalar"][1].error_rate > 0.0
+
+    def test_sweep_batch_widths_follow_the_shard_plan(self, monkeypatch):
+        widths = []
+        propagate = LaneTimingSimulator.propagate_batch
+
+        def recording(self, previous, current):
+            widths.append(len(next(iter(previous.values()))))
+            return propagate(self, previous, current)
+
+        monkeypatch.setattr(LaneTimingSimulator, "propagate_batch", recording)
+        sweep_timing_errors(
+            _MULT5, _LIBRARIES, levels_mv=(0.0, 50.0), num_samples=1100, rng=3,
+            arrival_model="transition",
+        )
+        assert widths == [500, 500, 100] * 2
+
+    def test_regrouping_batches_is_exact_on_the_mac(self):
+        """Counters are integer sums, so the batch width never changes the
+        statistics — the fact that lets a sweep run each shard as one batch."""
+        mac = build_mac()
+        # A clock well inside the fresh critical path, so that the full
+        # 22-bit accumulator bus carries large error distances.
+        period = 0.7 * StaticTimingAnalyzer(mac, _LIBRARIES.fresh).critical_path_delay()
+        for model in BATCH_ARRIVAL_MODELS:
+            results = [
+                characterize_timing_errors(
+                    mac, _LIBRARIES.library(50.0), period, num_samples=1100, rng=5,
+                    arrival_model=model, backend="ndarray", batch_size=batch_size,
+                )
+                for batch_size in (7, 256, 500, 1100)
+            ]
+            assert results[0].error_rate > 0.0
+            assert all(result == results[0] for result in results[1:]), model
 
 
 # ----------------------------------------------------------- corner STA pass

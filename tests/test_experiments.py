@@ -332,30 +332,28 @@ class TestRunner:
         ],
     )
     def test_cli_rejects_invalid_parallel_and_backend_args(self, argv, capsys):
-        """Bad --workers/--lanes values fail at parse time.
+        """Bad --workers/--backend values fail at parse time.
 
         Previously a zero/negative value fell through to confusing errors
         deep inside the sweep machinery; argparse must reject it up front.
-        The removed --chunk-size option is rejected like any unknown one.
+        The removed --chunk-size and --lanes/--batch-size options are
+        rejected like any unknown one.
         """
         with pytest.raises(SystemExit) as excinfo:
             main(["--experiments", "fig2", *argv])
         assert excinfo.value.code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_cli_accepts_backend_and_lanes(self, capsys):
-        exit_code = main(
-            ["--experiments", "fig2", "--backend", "ndarray", "--lanes", "512",
-             "--workers", "0"]
-        )
+    def test_cli_accepts_backend(self, capsys):
+        exit_code = main(["--experiments", "fig2", "--backend", "ndarray", "--workers", "0"])
         assert exit_code == 0
         assert "Fig. 2" in capsys.readouterr().out
 
     def test_cli_scenario_and_years(self, tmp_path, capsys):
         """--years implies the mission axis; the rows sweep mission points."""
         exit_code = main(
-            ["--experiments", "fig1a", "--no-cache", "--lanes", "64",
-             "--years", "0", "10", "--output", str(tmp_path)]
+            ["--experiments", "fig1a", "--no-cache", "--years", "0", "10",
+             "--output", str(tmp_path)]
         )
         assert exit_code == 0
         assert "Fig. 1a" in capsys.readouterr().out

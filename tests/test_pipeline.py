@@ -161,14 +161,17 @@ class TestCacheKeys:
         changed = hw_settings.with_overrides(workers=4, sim_backend="ndarray")
         assert compute_cache_keys(build_experiment_graph(changed), changed) == keys
 
-    def test_batch_size_is_statistical_config_for_fig1a(self, hw_settings):
-        """sim_batch_size moves the samples-per-shard floor and hence the
-        drawn Monte-Carlo streams: it must invalidate fig1a (and only it)."""
+    def test_fig1a_key_has_no_throughput_knob(self, hw_settings):
+        """The sweep runs each shard as one batch, so fig1a's key ignores
+        the worker count and the backend, and no lane-count setting
+        exists to key on."""
         keys = compute_cache_keys(build_experiment_graph(hw_settings), hw_settings)
-        changed = hw_settings.with_overrides(sim_batch_size=8192)
-        keys2 = compute_cache_keys(build_experiment_graph(changed), changed)
-        assert keys2["fig1a"] != keys["fig1a"]
-        assert all(keys2[n] == keys[n] for n in keys if n != "fig1a")
+        for overrides in ({"workers": 2}, {"sim_backend": "scalar"}):
+            changed = hw_settings.with_overrides(**overrides)
+            keys2 = compute_cache_keys(build_experiment_graph(changed), changed)
+            assert keys2["fig1a"] == keys["fig1a"], overrides
+        with pytest.raises(TypeError):
+            ExperimentSettings.fast(sim_batch_size=8192)
 
     @staticmethod
     def _scenario_family(keys: "dict[str, str]") -> set[str]:

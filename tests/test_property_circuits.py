@@ -194,26 +194,50 @@ class TestBatchEquivalenceProperties:
             ) < 1e-9
 
 
-class TestBitopsProperties:
-    @given(value=st.integers(0, 2**16 - 1))
+@st.composite
+def _lane_words(draw, min_lanes=0, max_lanes=200):
+    """A lane count and a lane word with no bits past its last lane."""
+    lanes = draw(st.integers(min_lanes, max_lanes))
+    return lanes, draw(st.integers(0, (1 << lanes) - 1))
+
+
+class TestLaneWordProperties:
+    @given(lane_word=_lane_words())
     @settings(max_examples=80, deadline=None)
-    def test_bits_round_trip(self, value):
-        assert bitops.bits_to_int(bitops.int_to_bits(value, 16)) == value
+    def test_word_bits_round_trip(self, lane_word):
+        lanes, word = lane_word
+        assert bitops.lane_bits_to_word(bitops.word_to_lane_bits(word, lanes)) == word
 
-    @given(value=st.integers(0, 2**16 - 1), bit=st.integers(0, 15))
+    @given(lane_word=_lane_words())
     @settings(max_examples=80, deadline=None)
-    def test_double_flip_is_identity(self, value, bit):
-        assert bitops.bit_flip(bitops.bit_flip(value, bit), bit) == value
+    def test_bigint_and_packed_layouts_agree(self, lane_word):
+        lanes, word = lane_word
+        array = bitops.word_to_lane_array(word, lanes)
+        bits = bitops.word_to_lane_bits(word, lanes)
+        assert (array == bitops.bits_to_lane_array(bits)).all()
+        assert (bitops.lane_array_to_bits(array, lanes) == bits).all()
 
-    @given(value=st.integers(-(2**7), 2**7 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_twos_complement_round_trip(self, value):
-        assert bitops.sign_extend(bitops.to_twos_complement(value, 8), 8) == value
+    @given(lane_word=_lane_words(min_lanes=1), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_double_lane_flip_is_identity(self, lane_word, data):
+        lanes, word = lane_word
+        lane = data.draw(st.integers(0, lanes - 1))
+        packed = bitops.word_to_lane_array(word, lanes)
+        flip = bitops.word_to_lane_array(1 << lane, lanes)
+        flipped = bitops.lane_array_to_bits(packed ^ flip, lanes)
+        original = bitops.word_to_lane_bits(word, lanes)
+        assert (flipped != original).nonzero()[0].tolist() == [lane]
+        assert ((packed ^ flip ^ flip) == packed).all()
 
-    @given(a=st.integers(0, 2**12 - 1), b=st.integers(0, 2**12 - 1))
+    @given(lane_word=_lane_words(), data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_hamming_distance_symmetry_and_bounds(self, a, b):
-        distance = bitops.hamming_distance(a, b)
-        assert distance == bitops.hamming_distance(b, a)
-        assert 0 <= distance <= 12
+    def test_packed_hamming_distance_symmetry_and_bounds(self, lane_word, data):
+        lanes, a = lane_word
+        b = data.draw(st.integers(0, (1 << lanes) - 1))
+        packed_a = bitops.word_to_lane_array(a, lanes)
+        packed_b = bitops.word_to_lane_array(b, lanes)
+        distance = int(np.bitwise_count(packed_a ^ packed_b).sum())
+        assert distance == int(np.bitwise_count(packed_b ^ packed_a).sum())
+        assert distance == (a ^ b).bit_count()
+        assert 0 <= distance <= lanes
         assert (distance == 0) == (a == b)

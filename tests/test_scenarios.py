@@ -103,7 +103,6 @@ class TestUniformLegacyEquivalence:
                 effective_output_width=12,
                 arrival_model=arrival_model,
                 backend=backend_name,
-                batch_size=32,
             )
             legacy = sweep_timing_errors(multiplier6, library_set, levels_mv=LEVELS, **kwargs)
             scenario = sweep_timing_errors(

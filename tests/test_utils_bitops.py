@@ -1,4 +1,4 @@
-"""Unit tests for repro.utils.bitops."""
+"""Unit tests for the lane-word helpers of repro.utils.bitops."""
 
 import numpy as np
 import pytest
@@ -7,88 +7,6 @@ from repro.utils import bitops
 
 #: Lane counts straddling every machine-word boundary condition.
 EDGE_LANE_COUNTS = (0, 1, 63, 64, 65)
-
-
-class TestIntBitsRoundTrip:
-    def test_int_to_bits_lsb_first(self):
-        assert bitops.int_to_bits(0b1011, 4) == [1, 1, 0, 1]
-
-    def test_bits_to_int(self):
-        assert bitops.bits_to_int([1, 1, 0, 1]) == 0b1011
-
-    def test_round_trip(self):
-        for value in (0, 1, 37, 255):
-            assert bitops.bits_to_int(bitops.int_to_bits(value, 8)) == value
-
-    def test_value_too_large_raises(self):
-        with pytest.raises(ValueError):
-            bitops.int_to_bits(16, 4)
-
-    def test_negative_value_raises(self):
-        with pytest.raises(ValueError):
-            bitops.int_to_bits(-1, 4)
-
-    def test_invalid_bit_raises(self):
-        with pytest.raises(ValueError):
-            bitops.bits_to_int([0, 2])
-
-
-class TestMaxUnsigned:
-    def test_values(self):
-        assert bitops.max_unsigned(0) == 0
-        assert bitops.max_unsigned(1) == 1
-        assert bitops.max_unsigned(8) == 255
-        assert bitops.max_unsigned(22) == 4194303
-
-    def test_negative_width_raises(self):
-        with pytest.raises(ValueError):
-            bitops.max_unsigned(-1)
-
-
-class TestBitFlip:
-    def test_flip_sets_and_clears(self):
-        assert bitops.bit_flip(0b0000, 2) == 0b0100
-        assert bitops.bit_flip(0b0100, 2) == 0b0000
-
-    def test_flip_msb_of_product(self):
-        assert bitops.bit_flip(0, 15) == 1 << 15
-
-    def test_negative_bit_raises(self):
-        with pytest.raises(ValueError):
-            bitops.bit_flip(1, -1)
-
-
-class TestSlicesAndMasks:
-    def test_bit_slice(self):
-        assert bitops.bit_slice(0b110110, 1, 4) == 0b011
-
-    def test_bit_slice_invalid(self):
-        with pytest.raises(ValueError):
-            bitops.bit_slice(3, 4, 2)
-
-    def test_mask_lsbs(self):
-        assert bitops.mask_lsbs(0b11111111, 3) == 0b11111000
-
-    def test_mask_msbs(self):
-        assert bitops.mask_msbs(0b11111111, 3, 8) == 0b00011111
-
-    def test_mask_msbs_out_of_range(self):
-        with pytest.raises(ValueError):
-            bitops.mask_msbs(1, 9, 8)
-
-
-class TestHammingAndPopcount:
-    def test_hamming_distance(self):
-        assert bitops.hamming_distance(0b1010, 0b0110) == 2
-        assert bitops.hamming_distance(7, 7) == 0
-
-    def test_count_set_bits(self):
-        assert bitops.count_set_bits(0) == 0
-        assert bitops.count_set_bits(0b1011) == 3
-
-    def test_count_negative_raises(self):
-        with pytest.raises(ValueError):
-            bitops.count_set_bits(-3)
 
 
 class TestLaneWordConversions:
@@ -142,22 +60,88 @@ class TestLaneWordConversions:
         with pytest.raises(ValueError):
             bitops.lane_word_count(-1)
 
-    def test_count_set_bits_matches_int_bit_count(self):
-        for value in (0, 1, (1 << 63) | 1, (1 << 200) - 1):
-            assert bitops.count_set_bits(value) == value.bit_count()
+
+class TestLaneBitOrder:
+    """Lane ``k`` is bit ``k`` of a lane word and bit ``k % 64`` of word ``k // 64``."""
+
+    def test_word_to_lane_bits_is_lsb_first(self):
+        assert bitops.word_to_lane_bits(0b1011, 4).tolist() == [True, True, False, True]
+
+    def test_lane_bits_to_word_is_lsb_first(self):
+        assert bitops.lane_bits_to_word(np.array([1, 1, 0, 1], dtype=bool)) == 0b1011
+
+    @pytest.mark.parametrize("lane", (0, 1, 63, 64, 65, 127, 128, 129))
+    def test_one_hot_lane_lands_in_its_machine_word(self, lane):
+        lanes = 130
+        expected = np.zeros(bitops.lane_word_count(lanes), dtype=np.uint64)
+        expected[lane // 64] = np.uint64(1 << (lane % 64))
+        assert (bitops.word_to_lane_array(1 << lane, lanes) == expected).all()
+        one_hot = np.zeros(lanes, dtype=bool)
+        one_hot[lane] = True
+        assert (bitops.bits_to_lane_array(one_hot) == expected).all()
+        assert bitops.word_to_lane_bits(1 << lane, lanes).nonzero()[0].tolist() == [lane]
 
 
-class TestTwosComplement:
-    def test_encode_decode(self):
-        for value in (-128, -1, 0, 1, 127):
-            encoded = bitops.to_twos_complement(value, 8)
-            assert 0 <= encoded <= 255
-            assert bitops.sign_extend(encoded, 8) == value
+class TestPackedLaneArithmetic:
+    """Packed words obey the lane-wise logic and popcounts the backends use."""
 
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            bitops.to_twos_complement(128, 8)
+    @pytest.mark.parametrize(
+        "op", (np.bitwise_and, np.bitwise_or, np.bitwise_xor), ids=("and", "or", "xor")
+    )
+    def test_bitwise_ops_commute_with_packing(self, op):
+        rng = np.random.default_rng(300)
+        for lanes in (1, 63, 64, 65, 130):
+            a = rng.integers(0, 2, size=(4, lanes)).astype(bool)
+            b = rng.integers(0, 2, size=(4, lanes)).astype(bool)
+            packed = op(bitops.bits_to_lane_array(a), bitops.bits_to_lane_array(b))
+            assert (packed == bitops.bits_to_lane_array(op(a, b))).all()
 
-    def test_sign_extend_rejects_wide_patterns(self):
-        with pytest.raises(ValueError):
-            bitops.sign_extend(256, 8)
+    @pytest.mark.parametrize("lanes", EDGE_LANE_COUNTS)
+    def test_popcount_counts_live_lanes(self, lanes):
+        # Dead tail lanes are zero-filled, so a popcount needs no lane mask.
+        rng = np.random.default_rng(400 + lanes)
+        bits = rng.integers(0, 2, size=(3, lanes)).astype(bool)
+        bits[0] = True
+        packed = bitops.bits_to_lane_array(bits)
+        assert (np.bitwise_count(packed).sum(axis=-1) == bits.sum(axis=-1)).all()
+
+    def test_inverting_against_the_all_ones_mask(self):
+        lanes = 70
+        bits = np.random.default_rng(500).integers(0, 2, size=lanes).astype(bool)
+        inverted = bitops.UINT64_MASK ^ bitops.bits_to_lane_array(bits)
+        # The inversion sets the dead tail lanes; unpacking must drop them.
+        assert int(inverted[-1]) >> (lanes % 64) == (1 << (64 - lanes % 64)) - 1
+        assert (bitops.lane_array_to_bits(inverted, lanes) == ~bits).all()
+
+    @pytest.mark.parametrize("lanes", EDGE_LANE_COUNTS)
+    def test_bigint_and_ndarray_layouts_agree(self, lanes):
+        bits = np.random.default_rng(600 + lanes).integers(0, 2, size=lanes).astype(bool)
+        word = bitops.lane_bits_to_word(bits)
+        assert (
+            bitops.word_to_lane_array(word, lanes) == bitops.bits_to_lane_array(bits)
+        ).all()
+
+
+class TestLeadingAxes:
+    def test_column_views_unpack_like_contiguous_copies(self):
+        # Two packed batches side by side, read back through column views.
+        lanes = 100
+        words = bitops.lane_word_count(lanes)
+        rng = np.random.default_rng(700)
+        prev = rng.integers(0, 2, size=(5, lanes)).astype(bool)
+        curr = rng.integers(0, 2, size=(5, lanes)).astype(bool)
+        both = np.concatenate(
+            [bitops.bits_to_lane_array(prev), bitops.bits_to_lane_array(curr)], axis=1
+        )
+        assert not both[:, words:].flags.c_contiguous
+        assert (bitops.lane_array_to_bits(both[:, :words], lanes) == prev).all()
+        assert (bitops.lane_array_to_bits(both[:, words:], lanes) == curr).all()
+
+    def test_two_leading_axes_round_trip(self):
+        lanes = 65
+        bits = np.random.default_rng(800).integers(0, 2, size=(2, 3, lanes)).astype(bool)
+        packed = bitops.bits_to_lane_array(bits)
+        assert packed.shape == (2, 3, 2)
+        assert (bitops.lane_array_to_bits(packed, lanes) == bits).all()
+        for index in np.ndindex(2, 3):
+            assert (packed[index] == bitops.bits_to_lane_array(bits[index])).all()
