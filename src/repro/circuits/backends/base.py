@@ -67,7 +67,7 @@ class ErrorCounters(NamedTuple):
 class SimulationBackend(ABC):
     """One levelized word-evaluation + arrival-propagation engine."""
 
-    #: Registry key; also what ``--backend`` and sweep work items carry.
+    #: Registry key; also what sweep work items carry.
     name: str = ""
     #: Arrival models this backend can propagate.
     arrival_models: tuple[str, ...] = ()

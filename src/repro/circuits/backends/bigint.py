@@ -3,9 +3,10 @@
 This wraps :class:`~repro.circuits.simulator.BatchTimingSimulator`: one
 Python integer per net, bit ``k`` holding the net's value in Monte-Carlo
 lane ``k``, with the bit twiddling running in CPython's C long
-implementation.  It is the fastest backend for narrow-to-medium batches;
-for very wide batches the ndarray backend overtakes it (see
-``benchmarks/test_bench_backends.py`` for the measured crossover).
+implementation.  It is bit-identical to the ndarray backend, which ties it
+on single-vector transition batches and beats it everywhere else (the
+measured table is in :mod:`repro.circuits.backends.registry`), so
+``"auto"`` never picks it; it runs only when named explicitly.
 """
 
 from __future__ import annotations

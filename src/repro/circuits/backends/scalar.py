@@ -1,8 +1,9 @@
 """Scalar reference backend: one vector pair per gate evaluation.
 
-This wraps :class:`~repro.circuits.simulator.TimingSimulator` — the only
-engine that supports the glitch-accurate ``"event"`` arrival model — and is
-the semantic reference the batched backends are tested against.
+This wraps :class:`~repro.circuits.simulator.TimingSimulator`, which
+supports every arrival model (the glitch-accurate ``"event"`` model too,
+which the batched ``event`` backend also runs), and is the semantic
+reference the batched backends are tested against.
 """
 
 from __future__ import annotations

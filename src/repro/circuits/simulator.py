@@ -86,9 +86,6 @@ from repro.circuits.netlist import (
     bus_values_to_bits,
     words_to_bus_batches,
 )
-
-# Canonical lane-word <-> array conversions live in repro.utils.bitops (the
-# ndarray backend shares them); re-exported here for backwards compatibility.
 from repro.utils.bitops import lane_bits_to_word, word_to_lane_bits
 
 __all__ = [
@@ -101,8 +98,6 @@ __all__ = [
     "LogicSimulator",
     "TimedEvaluation",
     "TimingSimulator",
-    "lane_bits_to_word",
-    "word_to_lane_bits",
 ]
 
 ARRIVAL_MODELS = ("event", "settle", "transition")

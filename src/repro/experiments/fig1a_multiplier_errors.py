@@ -15,10 +15,10 @@ families harder than the rest, and ``"variation"`` adds seeded per-gate
 ΔVth jitter.  Each row is annotated with the equivalent stress years from
 the inverse BTI kinetics, so ΔVth levels read as calendar age.
 
-By default the sweep runs on a bit-parallel batched simulation backend
-(``settings.sim_backend``, default ``"auto"``) with the ``"transition"``
-arrival model (``settings.error_arrival_model``); backend choice never
-changes the statistics.
+The sweep runs with the ``"transition"`` arrival model by default
+(``settings.error_arrival_model``) on the bit-parallel backend the sweep's
+``"auto"`` selection picks for it; backend choice never changes the
+statistics.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ def run_fig1a(
         effective_output_width=16,
         msb_count=2,
         arrival_model=settings.error_arrival_model,
-        backend=settings.sim_backend,
         workers=settings.workers,
     )
     rows = [
@@ -77,10 +76,10 @@ def run_fig1a(
         columns=["delta_vth_mv", "mean_error_distance", "msb_flip_probability", "error_rate"],
         rows=rows,
         metadata={
-            # Only the statistical configuration is recorded: throughput
-            # knobs (sim_backend, workers) never change the rows, and
-            # keeping them out of the artifact is what lets the pipeline
-            # cache serve one result for every backend choice.
+            # Only the statistical configuration is recorded: the worker
+            # count never changes the rows, and keeping it out of the
+            # artifact is what lets the pipeline cache serve one result
+            # for every worker count.
             "num_samples": settings.error_samples,
             "arrival_model": settings.error_arrival_model,
             "clock_period_ps": statistics[0].clock_period_ps if statistics else None,

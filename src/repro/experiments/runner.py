@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from collections.abc import Callable, Sequence
 
 from repro.aging.scenarios import SCENARIO_KINDS
-from repro.circuits.backends import backend_names
 from repro.experiments.ablation_precision_scaling import run_precision_scaling_ablation
 from repro.experiments.ablation_surrogate import run_surrogate_ablation
 from repro.experiments.fig1a_multiplier_errors import run_fig1a
@@ -92,6 +92,14 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """Argparse type: a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
 
 
@@ -172,7 +180,7 @@ def _serve_main(argv: Sequence[str]) -> int:
     )
     parser.add_argument(
         "--max-pending",
-        type=int,
+        type=_positive_int,
         default=16,
         help="bounded queue: cold queries waiting to execute before 429s start",
     )
@@ -190,7 +198,7 @@ def _serve_main(argv: Sequence[str]) -> int:
     )
     parser.add_argument(
         "--max-estimated-seconds",
-        type=float,
+        type=_positive_float,
         default=None,
         help="reject a query whose sidecar-estimated cost exceeds this",
     )
@@ -427,14 +435,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "events/s, lanes/s)",
     )
     parser.add_argument(
-        "--backend",
-        choices=backend_names(),
-        default="auto",
-        help="simulation backend for the circuit sweeps (auto picks by arrival "
-        "model: ndarray for settle/transition, the batched event engine for "
-        "event); results are bit-identical for any value",
-    )
-    parser.add_argument(
         "--scenario",
         choices=SCENARIO_KINDS,
         default=None,
@@ -464,7 +464,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     overrides = dict(
         seed=arguments.seed,
         workers=arguments.workers,
-        sim_backend=arguments.backend,
         pipeline_cache=not arguments.no_cache,
     )
     if arguments.cache_dir is not None:

@@ -24,7 +24,6 @@ from repro.aging.scenarios import (
     UniformAging,
     VariationAging,
 )
-from repro.circuits.backends import backend_names
 from repro.nn.zoo import FIG1B_NETWORKS, TABLE1_NETWORKS
 
 
@@ -101,11 +100,12 @@ class ExperimentSettings:
     table1_networks: tuple[str, ...] = ("resnet50", "vgg16", "alexnet", "squeezenet")
     fig1b_networks: tuple[str, ...] = FIG1B_NETWORKS
 
-    # Fig. 1a multiplier error characterisation.  The batched simulation
-    # backends (repro.circuits.backends) make large sample counts cheap:
-    # "settle"/"transition" run on the levelized engines, "event" on the
-    # batched per-gate waveform engine (the scalar event loop for narrow
-    # batches).
+    # Fig. 1a multiplier error characterisation.  The sweep picks its
+    # simulation backend itself ("auto", see repro.circuits.backends): the
+    # NumPy uint64-lane engine for "settle"/"transition", the batched
+    # per-gate waveform engine for "event" (the scalar event loop for
+    # narrow batches).  Each sample shard runs as one packed batch, so no
+    # backend or lane-count setting exists.
     # "transition" (optimistic bound) gives exactly zero mean error
     # distance, MSB flips and errors from 0 to 40 mV at the fast profile;
     # at 50 mV the error rate is 0.002 and MSB flips are still 0, so it
@@ -113,19 +113,6 @@ class ExperimentSettings:
     # bound) saturates the error rate within a few mV of aging.
     error_samples: int = 2000
     error_arrival_model: str = "transition"
-
-    # Simulation-backend selection.  ``sim_backend`` names a registered
-    # backend ("scalar", "bigint", "ndarray", "event") or "auto" to pick by
-    # arrival model: the NumPy uint64-lane backend for "settle" and
-    # "transition", and for the "event" model the batched waveform engine
-    # from EVENT_BACKEND_MIN_LANES lanes (the scalar loop below that).  The
-    # sweep runs each sample shard as one packed batch, so no lane-count
-    # setting exists.  Backend choice never changes results, only
-    # throughput, so the backend is in no cache key: an unknown name is
-    # rejected here, where every entry point (runner, library, service)
-    # builds its settings, rather than answered from a warm cache and
-    # failing only on a cold one.
-    sim_backend: str = "auto"
 
     # Fig. 1b fault injection.
     flip_probabilities: tuple[float, ...] = (1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2)
@@ -145,12 +132,6 @@ class ExperimentSettings:
     ablation_networks: tuple[str, ...] = ("resnet50", "squeezenet")
     ablation_max_compression: int = 6
     ablation_methods: tuple[str, ...] = ("M2", "M4")
-
-    def __post_init__(self) -> None:
-        if self.sim_backend not in backend_names():
-            raise ValueError(
-                f"unknown sim_backend {self.sim_backend!r}; expected one of {backend_names()}"
-            )
 
     @classmethod
     def fast(cls, **overrides) -> "ExperimentSettings":

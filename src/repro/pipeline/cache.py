@@ -11,12 +11,13 @@ Every task's artifact is addressed by a key hashed from
 Keys are therefore *input*-addressed, the way build-system action caches
 work: they are computable before anything runs, identical in every process,
 and a settings change invalidates exactly the subtree of tasks that
-(transitively) read the changed field.  Throughput-only knobs (``workers``,
-``sim_backend``) are never part of any task's declared
-fields, so a cache stays warm across backend or worker-count changes —
-results are bit-identical by the determinism contract.  The Monte-Carlo
-sweep has no batch-width knob at all: each sample shard runs as one packed
-batch, so its streams depend only on the statistical settings fig1a keys.
+(transitively) read the changed field.  The throughput-only knob
+``workers`` is never part of any task's declared fields, so a cache stays
+warm across worker-count changes — results are bit-identical by the
+determinism contract.  The Monte-Carlo sweep has no backend or batch-width
+knob at all: it selects its backend itself and runs each sample shard as
+one packed batch, so its streams depend only on the statistical settings
+fig1a keys.
 
 Layout under ``<cache_dir>/pipeline/``::
 

@@ -76,9 +76,8 @@ class Task:
         depends: names of the tasks whose artifacts the body consumes.
         settings_fields: the :class:`ExperimentSettings` fields the body
             reads.  Together with the upstream cache keys these define the
-            task's cache key — throughput-only knobs (``workers``,
-            ``sim_backend``) are never declared, so
-            changing them keeps the cache warm.
+            task's cache key — the throughput-only knob ``workers`` is
+            never declared, so changing it keeps the cache warm.
         kind: ``"experiment"`` or ``"product"``.
         heavy: heavy tasks are dispatched to worker processes when the
             pipeline runs with ``workers > 0``; light tasks (cheap

@@ -2,9 +2,9 @@
 
 A thin blocking wrapper over one TCP connection speaking the
 newline-delimited JSON protocol (:mod:`repro.service.protocol`).  This is
-what the runner's ``query`` subcommand, the test suite, and the CI smoke
-job use; an asyncio client is trivial to write against the same protocol
-when a caller needs one.
+what the runner's ``query`` subcommand and the test suite use; an asyncio
+client is trivial to write against the same protocol when a caller needs
+one.
 """
 
 from __future__ import annotations

@@ -469,10 +469,7 @@ class AgingAnalysisService:
             if isinstance(value, list) and isinstance(getattr(base, name), tuple):
                 value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
             coerced[name] = value
-        try:
-            return base.with_overrides(**coerced)
-        except ValueError as error:  # e.g. an unknown sim_backend
-            raise ProtocolError(str(error)) from None
+        return base.with_overrides(**coerced)
 
     # ----------------------------------------------------------------- stats
     def _stats_event(self) -> dict[str, Any]:

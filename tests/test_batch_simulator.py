@@ -30,11 +30,10 @@ from repro.circuits.simulator import (
     BatchTimingSimulator,
     LogicSimulator,
     TimingSimulator,
-    lane_bits_to_word,
-    word_to_lane_bits,
 )
 from repro.timing.error_model import characterize_timing_errors
 from repro.timing.sta import StaticTimingAnalyzer
+from repro.utils.bitops import lane_bits_to_word, word_to_lane_bits
 
 # Shared circuits (building them inside @given bodies would dominate runtime).
 _MULT5 = build_multiplier(5, "array")

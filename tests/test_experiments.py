@@ -329,25 +329,21 @@ class TestRunner:
             ["--batch-size", "0"],
             ["--backend", "gpu"],
             ["--backend", "wheel"],
+            ["--backend", "ndarray"],
         ],
     )
     def test_cli_rejects_invalid_parallel_and_backend_args(self, argv, capsys):
-        """Bad --workers/--backend values fail at parse time.
+        """Bad --workers values fail at parse time.
 
         Previously a zero/negative value fell through to confusing errors
         deep inside the sweep machinery; argparse must reject it up front.
-        The removed --chunk-size and --lanes/--batch-size options are
-        rejected like any unknown one.
+        The removed --chunk-size, --lanes/--batch-size and --backend options
+        are rejected like any unknown one, whatever their value.
         """
         with pytest.raises(SystemExit) as excinfo:
             main(["--experiments", "fig2", *argv])
         assert excinfo.value.code == 2
         assert "error" in capsys.readouterr().err
-
-    def test_cli_accepts_backend(self, capsys):
-        exit_code = main(["--experiments", "fig2", "--backend", "ndarray", "--workers", "0"])
-        assert exit_code == 0
-        assert "Fig. 2" in capsys.readouterr().out
 
     def test_cli_scenario_and_years(self, tmp_path, capsys):
         """--years implies the mission axis; the rows sweep mission points."""
@@ -367,6 +363,24 @@ class TestRunner:
         assert levels[0] == 0.0
         assert levels[-1] == pytest.approx(50.0)
         assert "equivalent_stress_years" in stored["metadata"]
+
+    def test_cli_uniform_scenario_matches_default_and_years_differ(
+        self, tmp_path, capsys
+    ):
+        """An explicit --scenario uniform writes byte-identical fig1a JSON to
+        the default invocation; the mission axis from --years does not."""
+        outputs = {}
+        for label, extra in (
+            ("default", []),
+            ("uniform", ["--scenario", "uniform"]),
+            ("mission", ["--years", "0", "2", "5", "10"]),
+        ):
+            argv = ["--experiments", "fig1a", "--no-cache", *extra]
+            assert main([*argv, "--output", str(tmp_path / label)]) == 0
+            outputs[label] = (tmp_path / label / "fig1a.json").read_bytes()
+        capsys.readouterr()
+        assert outputs["uniform"] == outputs["default"]
+        assert outputs["mission"] != outputs["default"]
 
     def test_cli_rejects_bad_scenario_args(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -392,6 +392,25 @@ class TestRunnerCLI:
         sidecar = json.loads(metrics_path.read_text())
         assert sidecar["schema"] == SIDECAR_SCHEMA_VERSION
         assert "fig1a" in sidecar["tasks"]
+        # A warm traced rerun into the same cache is served from it whole,
+        # and an observed run with --output leaves a sidecar beside the JSON.
+        output = tmp_path / "out"
+        code = runner_main(
+            [
+                "--experiments",
+                "fig1a",
+                "--trace",
+                str(trace_path),
+                "--metrics-report",
+                "--output",
+                str(output),
+            ]
+        )
+        assert code == 0
+        assert "cache hit ratio: 100.0%" in capsys.readouterr().out
+        sidecar = json.loads((output / "run.metrics.json").read_text())
+        assert sidecar["schema"] == SIDECAR_SCHEMA_VERSION
+        assert "fig1a" in sidecar["tasks"]
 
     def test_untraced_cli_rerun_is_byte_identical(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))

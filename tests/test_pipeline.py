@@ -158,20 +158,21 @@ class TestCacheKeys:
 
     def test_throughput_knobs_never_change_keys(self, hw_settings):
         keys = compute_cache_keys(build_experiment_graph(hw_settings), hw_settings)
-        changed = hw_settings.with_overrides(workers=4, sim_backend="ndarray")
+        changed = hw_settings.with_overrides(workers=4)
         assert compute_cache_keys(build_experiment_graph(changed), changed) == keys
 
     def test_fig1a_key_has_no_throughput_knob(self, hw_settings):
-        """The sweep runs each shard as one batch, so fig1a's key ignores
-        the worker count and the backend, and no lane-count setting
-        exists to key on."""
+        """The sweep runs each shard as one batch on the backend it picks
+        itself, so fig1a's key ignores the worker count, and no lane-count
+        or backend setting exists to key on."""
         keys = compute_cache_keys(build_experiment_graph(hw_settings), hw_settings)
-        for overrides in ({"workers": 2}, {"sim_backend": "scalar"}):
-            changed = hw_settings.with_overrides(**overrides)
-            keys2 = compute_cache_keys(build_experiment_graph(changed), changed)
-            assert keys2["fig1a"] == keys["fig1a"], overrides
+        changed = hw_settings.with_overrides(workers=2)
+        keys2 = compute_cache_keys(build_experiment_graph(changed), changed)
+        assert keys2["fig1a"] == keys["fig1a"]
         with pytest.raises(TypeError):
             ExperimentSettings.fast(sim_batch_size=8192)
+        with pytest.raises(TypeError):
+            ExperimentSettings.fast(sim_backend="ndarray")
 
     @staticmethod
     def _scenario_family(keys: "dict[str, str]") -> set[str]:
@@ -381,47 +382,6 @@ class TestSchedulerHardware:
     def test_unknown_experiment_rejected(self, hw_settings):
         with pytest.raises(KeyError, match="fig99"):
             run_pipeline(["fig99"], hw_settings, cache=False)
-
-    def test_backend_change_hits_cache_with_identical_output(self, hw_settings, tmp_path):
-        """Throughput knobs must not leak into artifacts: a cache hit under a
-        different backend serves the byte-identical result."""
-        cold = run_pipeline(
-            ["fig1a"], hw_settings.with_overrides(sim_backend="bigint"), cache_dir=tmp_path
-        )
-        warm = run_pipeline(
-            ["fig1a"],
-            hw_settings.with_overrides(sim_backend="ndarray", workers=2),
-            cache_dir=tmp_path,
-        )
-        assert warm.executed == ()
-        assert canonical(warm.results["fig1a"]) == canonical(cold.results["fig1a"])
-        assert "sim_backend" not in cold.results["fig1a"].metadata
-
-    def test_unknown_backend_rejected_before_any_cache_lookup(
-        self, hw_settings, tmp_path, monkeypatch
-    ):
-        """The backend is in no cache key, so a warm cache would answer a bad
-        name; the settings reject it before the pipeline looks anything up."""
-        run_pipeline(["fig2"], hw_settings, cache_dir=tmp_path)
-        lookups = []
-        for method in ("contains", "load"):
-            original = getattr(ArtifactCache, method)
-
-            def counted(self, *args, _original=original, **kwargs):
-                lookups.append(args)
-                return _original(self, *args, **kwargs)
-
-            monkeypatch.setattr(ArtifactCache, method, counted)
-        warm = run_pipeline(["fig2"], hw_settings, cache_dir=tmp_path)
-        assert warm.executed == () and lookups
-        lookups.clear()
-        with pytest.raises(ValueError, match="unknown sim_backend 'gpu'"):
-            run_pipeline(
-                ["fig2"], hw_settings.with_overrides(sim_backend="gpu"), cache_dir=tmp_path
-            )
-        with pytest.raises(ValueError, match="unknown sim_backend"):
-            ExperimentSettings.fast(sim_backend="wheel")
-        assert lookups == []
 
     def test_completed_outputs_survive_a_mid_run_crash(self, hw_settings, tmp_path, monkeypatch):
         """Each requested JSON is written as soon as its task finishes."""

@@ -12,13 +12,19 @@ coalesced identical queries executing each task body exactly once.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.observability as observability
 from repro.experiments.reporting import ExperimentResult, _jsonify
+from repro.experiments.runner import main as runner_main
 from repro.experiments.settings import ExperimentSettings
 from repro.observability.history import (
     HISTORY_SCHEMA_VERSION,
@@ -311,8 +317,6 @@ class TestMetricsHistory:
         assert [row["commit"] for row in read_history(path)] == ["ok"]
 
     def test_runner_append_history_flag(self, tmp_path, hw_settings, monkeypatch, capsys):
-        from repro.experiments.runner import main as runner_main
-
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_COMMIT", "deadbeef")
         history = tmp_path / "runs.jsonl"
@@ -690,3 +694,83 @@ class TestService:
             assert warm.to_execute == () and set(warm.hits) == {"fig4a", "fig5"}
         finally:
             service._pool.close()
+
+
+# ------------------------------------------------------------ serve / query CLI
+class TestServiceCLI:
+    def test_served_queries_byte_identical_to_offline_run(self, tmp_path, capsys):
+        """``runner serve`` in its own process answers ``runner query`` cold,
+        then warm with zero task bodies, byte-identical to an offline run."""
+        assert runner_main(
+            ["--experiments", "fig2", "--no-cache", "--output", str(tmp_path / "offline")]
+        ) == 0
+        offline = (tmp_path / "offline" / "fig2.json").read_bytes()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(repro.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+        )
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.experiments.runner", "serve",
+                "--port", "0", "--cache-dir", str(tmp_path / "cache"),
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            for line in server.stdout:
+                if "repro service listening on" in line:
+                    break
+            else:
+                pytest.fail(f"service exited with {server.wait()} before listening")
+            port = line.strip().rsplit(":", 1)[1]
+            printed = {}
+            for label, accepted in (
+                ("cold", "accepted (cold)"),
+                ("warm", "accepted (warm): 0 task(s) to execute"),
+            ):
+                output = tmp_path / label
+                argv = ["query", "--port", port, "--experiments", "fig2", "--quiet"]
+                assert runner_main([*argv, "--output", str(output)]) == 0
+                printed[label] = capsys.readouterr().out
+                assert accepted in printed[label]
+                assert (output / "fig2.json").read_bytes() == offline
+            cold_tasks = int(printed["cold"].split("accepted (cold): ")[1].split()[0])
+            with ServiceClient("127.0.0.1", int(port)) as client:
+                counters = client.stats()["counters"]
+                assert client.shutdown()["event"] == "bye"
+            assert server.wait(timeout=60) == 0
+            # The warm query executed nothing: the service's executed-task
+            # total is exactly the cold plan's.
+            assert counters.get("service.queries") == 2, counters
+            assert counters.get("service.queries.completed") == 2, counters
+            assert counters.get("service.queries.warm") == 1, counters
+            assert counters.get("pipeline.tasks.executed") == cold_tasks > 0, counters
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            server.stdout.close()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--max-pending", "0"],
+            ["--max-pending", "-2"],
+            ["--max-estimated-seconds", "0"],
+            ["--max-estimated-seconds", "-1"],
+            ["--max-estimated-seconds", "nan"],
+            ["--max-estimated-seconds", "inf"],
+        ],
+    )
+    def test_serve_rejects_admission_limits_that_admit_nothing_or_everything(
+        self, argv, capsys
+    ):
+        """A zero/negative queue bound or cost ceiling rejects every cold
+        query and a NaN ceiling admits any; argparse refuses them up front."""
+        with pytest.raises(SystemExit) as excinfo:
+            runner_main(["serve", *argv])
+        assert excinfo.value.code == 2
+        assert "error" in capsys.readouterr().err
