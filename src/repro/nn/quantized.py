@@ -26,7 +26,9 @@ recording)`` with every layer's parameters fixed, and only runs integer
 inference.  A method's clipping of a layer depends only on the method's
 settings, the recorded tensor and that operand's bit width, so the recording
 memoises it: each (method, layer, bit width) is calibrated once per
-recording, however many configurations are built from it.  In the run
+recording, however many configurations are built from it, and a build
+calibrates all layers missing from the memo for one side in one method call
+(which LAPQ runs as one search).  In the run
 phase, a layer first asks :meth:`QuantizationContext.layer_input` for its
 operand — the activation codes of its whole input, quantized once —
 and then passes those codes (im2col-unfolded for a convolution, padded with
@@ -59,7 +61,7 @@ same GEMM, and the strict epilogue, whose rounding M4's results depend on.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -116,7 +118,9 @@ class LayerQuantization:
       output negative (``None`` on a strict layer).
     * ``zero_col_sums`` and ``zero_product``: the strict epilogue's
       constant zero-point terms ``z_a * sum_k q_w`` and ``K * z_a * z_w``
-      (``None`` on a folded layer).
+      (``None`` on a folded layer).  The strict epilogue allocates one
+      (M, N) float64 temporary, the product ``row_sums * z_w``, and writes
+      each later term over it, so it costs one buffer beyond the GEMM's.
     """
 
     activation: QuantParams
@@ -191,7 +195,9 @@ class CalibrationRecording:
     Building also memoises, on the recording, what it derives per tensor:
     the activation parameters per (method, layer, activation bits), and the
     weight grid with its codes per (method, layer, weight bits), plus the
-    bias-corrected decode beside them.  The method part of each key is its
+    bias-corrected decode beside them (:meth:`memoised_many` fills one
+    side's missing entries for every layer in one computation).  The method
+    part of each key is its
     :attr:`~repro.quantization.base.QuantizationMethod.calibration_key`, so
     M4 and M5 share their clipping.  Building only adds memo entries;
     ``observations``, ``layer_tensors`` (a copy of the weights taken when
@@ -219,14 +225,29 @@ class CalibrationRecording:
         Hits and misses are counted per side as
         ``quantization.calibration.<side>.hits`` / ``.misses``.
         """
-        try:
-            value = self._memo[side, key]
-        except KeyError:
-            observability.add(f"quantization.calibration.{side}.misses")
-            value = self._memo[side, key] = compute()
-        else:
-            observability.add(f"quantization.calibration.{side}.hits")
-        return value
+        return self.memoised_many(side, [key], lambda missing: [compute()])[0]
+
+    def memoised_many(
+        self,
+        side: str,
+        keys: Sequence[tuple],
+        compute_many: Callable[[list[tuple]], Sequence[Any]],
+    ) -> list[Any]:
+        """The memo entries ``(side, key)`` of ``keys``, in order.
+
+        ``compute_many(missing)`` returns the values of the keys not yet
+        memoised, in the order given, in one call.  Each key counts one hit
+        or one miss, as in :meth:`memoised`; a key repeated after a miss
+        counts as a hit.
+        """
+        missing = list(dict.fromkeys(key for key in keys if (side, key) not in self._memo))
+        if missing:
+            observability.add(f"quantization.calibration.{side}.misses", len(missing))
+            for key, value in zip(missing, compute_many(missing), strict=True):
+                self._memo[side, key] = value
+        if len(keys) > len(missing):
+            observability.add(f"quantization.calibration.{side}.hits", len(keys) - len(missing))
+        return [self._memo[side, key] for key in keys]
 
 
 class _CalibrationRecorder:
@@ -341,30 +362,43 @@ class QuantizationContext:
         if self.bias_bits < 1:
             raise ValueError("bias_bits must be >= 1")
         self.fault_injector: MsbBitFlipInjector | None = None
+        # Each side's misses are calibrated in one call over all layers.
+        layers = list(calibration.observations)
+        activation_keys = [(method.calibration_key, name, activation_bits) for name in layers]
+        activations = calibration.memoised_many(
+            "activation",
+            activation_keys,
+            lambda missing: method.activation_params_many(
+                [calibration.observations[name] for _, name, _ in missing], activation_bits
+            ),
+        )
+        weight_keys = [(method.calibration_key, name, weight_bits) for name in layers]
+        weight_codes = calibration.memoised_many(
+            "weight",
+            weight_keys,
+            lambda missing: self._weight_codes(
+                [calibration.layer_tensors[name][0] for _, name, _ in missing]
+            ),
+        )
         self.layer_params: dict[str, LayerQuantization] = {
-            layer_name: self._build_layer_quantization(calibration, layer_name)
-            for layer_name in calibration.observations
+            name: self._build_layer_quantization(calibration, name, activation, codes, key)
+            for name, activation, codes, key in zip(layers, activations, weight_codes, weight_keys)
         }
         folded = sum(params.folded for params in self.layer_params.values())
         observability.add("nn.integer.layers.folded", folded)
         observability.add("nn.integer.layers.strict", len(self.layer_params) - folded)
 
     def _build_layer_quantization(
-        self, calibration: CalibrationRecording, layer_name: str
+        self,
+        calibration: CalibrationRecording,
+        layer_name: str,
+        activation: QuantParams,
+        weight_codes: tuple[QuantParams, np.ndarray],
+        weight_key: tuple,
     ) -> LayerQuantization:
-        method = self.method
-        samples = calibration.observations[layer_name]
         weights, bias = calibration.layer_tensors[layer_name]
-        activation = calibration.memoised(
-            "activation",
-            (method.calibration_key, layer_name, self.activation_bits),
-            lambda: method.activation_params(samples, self.activation_bits),
-        )
-        weight_key = (method.calibration_key, layer_name, self.weight_bits)
-        weight_encode, quantized_weights = calibration.memoised(
-            "weight", weight_key, lambda: self._weight_codes(weights)
-        )
-        if method.wants_bias_correction and weights.ndim > 1:
+        weight_encode, quantized_weights = weight_codes
+        if self.method.wants_bias_correction and weights.ndim > 1:
             weight_decode = calibration.memoised(
                 "weight_decode",
                 weight_key,
@@ -392,16 +426,22 @@ class QuantizationContext:
             kernel_shape=calibration.kernel_shapes[layer_name],
         )
 
-    def _weight_codes(self, weights: np.ndarray) -> tuple[QuantParams, np.ndarray]:
-        """The weight grid and the codes on it.
+    def _weight_codes(
+        self, tensors: list[np.ndarray]
+    ) -> list[tuple[QuantParams, np.ndarray]]:
+        """Each weight tensor's grid and the codes on it.
 
         The codes are read-only: every context built from the recording
         shares them.
         """
-        encode = self.method.weight_params(weights, self.weight_bits, channel_axis=0)
-        codes = encode.quantize(weights)
-        codes.flags.writeable = False
-        return encode, codes
+        pairs = []
+        for encode, weights in zip(
+            self.method.weight_params_many(tensors, self.weight_bits, channel_axis=0), tensors
+        ):
+            codes = encode.quantize(weights)
+            codes.flags.writeable = False
+            pairs.append((encode, codes))
+        return pairs
 
     # -------------------------------------------------------------- execution
     def _params(self, layer: Layer) -> LayerQuantization:
@@ -462,7 +502,10 @@ class QuantizationContext:
             return raw
         # Strictly left to right: decode zero points may be non-integer (bias
         # correction), so reassociating the terms would change the result.
-        accumulator = raw - row_sums * params.weight_zero
+        # ``raw - row_sums * weight_zero``, with the difference written over
+        # the product: one (M, N) temporary, not two.
+        accumulator = np.multiply(row_sums, params.weight_zero)
+        np.subtract(raw, accumulator, out=accumulator)
         accumulator -= params.zero_col_sums
         accumulator += params.zero_product
         accumulator += params.quantized_bias

@@ -10,6 +10,7 @@ differs in how it chooses the clipping range the affine mapping covers.
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +63,14 @@ class QuantParams:
         if self.num_bits < 1:
             raise ValueError("num_bits must be >= 1")
         scale = np.asarray(self.scale, dtype=np.float64)
-        if np.any(scale <= 0):
+        # Written so that a NaN scale fails the test too.
+        if not np.all(scale > 0):
             raise ValueError("scale must be strictly positive")
+        zero_point = np.asarray(self.zero_point, dtype=np.float64)
+        if not np.all(np.isfinite(zero_point)):
+            raise ValueError("zero_point must be finite")
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "zero_point", np.asarray(self.zero_point, dtype=np.float64))
+        object.__setattr__(self, "zero_point", zero_point)
 
     # ------------------------------------------------------------------ levels
     @property
@@ -192,6 +197,32 @@ class QuantizationMethod(abc.ABC):
         ``samples`` holds calibration activations (any shape); parameters are
         always per-tensor because the activation range is data dependent.
         """
+
+    # ------------------------------------------------------------ many tensors
+    def weight_params_many(
+        self,
+        tensors: Sequence[np.ndarray],
+        num_bits: int,
+        per_channel: bool = True,
+        channel_axis: int = 0,
+    ) -> list[QuantParams]:
+        """:meth:`weight_params` of each tensor, in order.
+
+        A quantization context calibrates every layer of a recording for one
+        bit width in one call, so a method whose search batches across
+        tensors overrides this; the results must equal the one-tensor calls.
+        """
+        return [
+            self.weight_params(weights, num_bits, per_channel, channel_axis)
+            for weights in tensors
+        ]
+
+    def activation_params_many(
+        self, samples: Sequence[np.ndarray], num_bits: int
+    ) -> list[QuantParams]:
+        """:meth:`activation_params` of each sample set, in order (see
+        :meth:`weight_params_many`)."""
+        return [self.activation_params(values, num_bits) for values in samples]
 
     # --------------------------------------------------------------- behaviour
     @property

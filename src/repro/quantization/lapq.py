@@ -9,23 +9,27 @@ this implementation performs the per-tensor stage, which is the part that
 matters for the per-layer (α, β) compression study, and keeps the
 p-exponent dependence on the target bit-width.
 
-The Lp-metric clipping search runs over all rows of a tensor at once (every
-output channel of a weight tensor, or the one row of an activation sample):
-a coarse grid of candidate clips, then Brent's bounded method (golden-section
-plus parabolic steps) around each row's best candidate, run in lock step over
-the rows.  The refinement is a port of scipy.optimize's bounded scalar
-minimiser with its constants, tolerance and evaluation cap, and
-:func:`lp_errors` does the codec's arithmetic op for op, so every row's clip
-equals a one-row-at-a-time ``minimize_scalar(method="bounded")`` search bit
-for bit.  An activation row's exact zeros (often most of a post-ReLU row)
-are left out of the codec arithmetic but kept in the mean, which keeps that
-equality.
+The Lp-metric clipping search runs over every tensor of one call at once:
+all layers of a calibration recording for one side (weights or activations)
+and bit width, each tensor contributing its rows (every output channel of a
+weight tensor, or the one row of an activation sample).  Each tensor's
+coarse grid of candidate clips is one codec call on its rows repeated once
+per candidate; then Brent's bounded method (golden-section plus parabolic
+steps) refines each row around its best candidate, run in lock step over
+the rows of all tensors.  The refinement is a port of scipy.optimize's
+bounded scalar minimiser with its constants, tolerance and evaluation cap,
+and :func:`lp_errors` does the codec's arithmetic op for op and reduces
+each row alone, so every row's clip equals a one-row-at-a-time
+``minimize_scalar(method="bounded")`` search bit for bit, whichever tensors
+share the call.  An activation row's exact zeros (often most of a post-ReLU
+row) are left out of the codec arithmetic but kept in the mean, which keeps
+that equality.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -110,18 +114,20 @@ def _bounded_minimise(
     low: np.ndarray,
     high: np.ndarray,
     xatol: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimise independent scalar problems on ``[low, high]``, in lock step.
 
     A port of scipy 1.17's ``_minimize_scalar_bounded`` (Brent's method:
     golden-section steps, replaced by parabolic ones where the parabola
     through the last three points is trustworthy) over arrays of problems.
-    ``objective(index, x)`` evaluates the problems ``index`` at ``x``.  Every
-    problem still searching takes one step per pass, so all of them share
-    the evaluation count and stop at the same cap.
+    ``objective(index, x)`` evaluates the problems ``index`` (ascending) at
+    ``x``.  Every problem still searching takes one step per pass, so all of
+    them share the evaluation count and stop at the same cap, and each
+    problem's search is the one it would run alone.
 
     Returns each problem's best point, whether its search converged (not
-    capped at :data:`MAX_EVALUATIONS`, no NaN), and the number of passes.
+    capped at :data:`MAX_EVALUATIONS`, no NaN), and the number of passes it
+    took a step in.
     """
     a = low.copy()
     b = high.copy()
@@ -139,8 +145,8 @@ def _bounded_minimise(
     tol2 = 2.0 * tol1
     active = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
     capped = np.zeros_like(active)
+    steps = np.zeros(len(xf), dtype=np.int64)
     evaluations = 1
-    passes = 0
     # Every step is computed for every problem and kept only where the
     # problem is still searching, so the finished ones may divide by zero.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -169,7 +175,7 @@ def _bounded_minimise(
             index = np.flatnonzero(active)
             fu[index] = objective(index, x[index])
             evaluations += 1
-            passes += 1
+            steps += active
 
             better = active & (fu <= fx)
             worse = active & ~(fu <= fx)
@@ -197,7 +203,94 @@ def _bounded_minimise(
                 break
             active = active & (np.abs(xf - xm) > (tol2 - 0.5 * (b - a)))
     converged = ~capped & ~(np.isnan(xf) | np.isnan(fx) | np.isnan(fu))
-    return xf, converged, passes
+    return xf, converged, steps
+
+
+def _candidate_grid(max_abs: np.ndarray, num_candidates: int) -> np.ndarray:
+    """Each row's ``np.linspace(0.2 * max_abs, max_abs, num_candidates)``."""
+    start = 0.2 * max_abs
+    delta = max_abs - start
+    div = num_candidates - 1
+    step = delta / div
+    ramp = np.arange(num_candidates, dtype=np.float64)
+    # linspace scales the ramp by delta / div, or by 1 / div then delta
+    # where that step underflows to zero (denormal ranges).
+    grid = np.where((step == 0)[:, None], ramp / div * delta[:, None], ramp * step[:, None])
+    grid += start[:, None]
+    grid[:, -1] = max_abs
+    return grid
+
+
+class _TensorSearch:
+    """One tensor's part of a batched clip search, up to its refinement.
+
+    It keeps the tensor's nonzero rows (R, K), and for ``one_sided`` rows
+    with columns where every row is zero, the other columns only, plus one
+    zero buffer of full-width rows that :func:`lp_errors` takes each mean
+    over, so its errors are those of the search over whole rows bit for
+    bit.  Construction evaluates the candidate grid in one codec call (the
+    rows repeated once per candidate) and picks each row's best candidate
+    and the bracket around it; ``search`` lists the rows to refine, the
+    others (``high <= low``) keep their candidate.
+    """
+
+    def __init__(
+        self, rows: np.ndarray, one_sided: bool, num_bits: int, num_candidates: int
+    ) -> None:
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        if not np.isfinite(rows).all():
+            raise ValueError("cannot choose a clipping range for NaN or infinite values")
+        self.num_bits = num_bits
+        self.p = lp_exponent_for_bits(num_bits)
+        self.one_sided = one_sided
+        self.clips = np.full(len(rows), 1e-8)
+        max_abs = np.abs(rows).max(axis=1)
+        self.live = np.flatnonzero(max_abs > 0)
+        if self.live.size < len(rows):
+            rows, max_abs = rows[self.live], max_abs[self.live]
+        self.columns = self.full = grid_full = None
+        if one_sided:
+            nonzero = rows.any(axis=0)
+            if not nonzero.all():
+                # The grid runs every row once per candidate, the refinement
+                # at most once, so it keeps only the smaller buffer.
+                self.columns = np.flatnonzero(nonzero)
+                self.full = np.zeros_like(rows)
+                grid_full = np.zeros((len(rows) * num_candidates, rows.shape[1]))
+                rows = rows[:, self.columns]
+        self.rows = rows
+
+        candidates = _candidate_grid(max_abs, num_candidates)
+        errors = lp_errors(
+            np.tile(rows, (num_candidates, 1)),
+            candidates.T.ravel(),
+            num_bits,
+            self.p,
+            one_sided,
+            self.columns,
+            grid_full,
+        )
+        best = np.argmin(errors.reshape(num_candidates, len(rows)), axis=0)
+        row = np.arange(len(rows))
+        self.chosen = candidates[row, best]
+        low = candidates[row, np.maximum(best - 1, 0)]
+        high = candidates[row, np.minimum(best + 1, num_candidates - 1)]
+        self.search = np.flatnonzero(~(high <= low))
+        self.low, self.high = low[self.search], high[self.search]
+        self.xatol = max_abs[self.search] * 1e-3
+
+    def errors(self, index: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The Lp errors of the searched rows ``index`` at clips ``x``."""
+        index = self.search[index]
+        rows = self.rows[index] if index.size < len(self.rows) else self.rows
+        return lp_errors(rows, x, self.num_bits, self.p, self.one_sided, self.columns, self.full)
+
+    def finish(self, refined: np.ndarray, converged: np.ndarray) -> np.ndarray:
+        """Every row's clip, given the refinement of the searched rows."""
+        search = self.search
+        self.chosen[search] = np.maximum(np.where(converged, refined, self.chosen[search]), 1e-8)
+        self.clips[self.live] = self.chosen
+        return self.clips
 
 
 class LAPQQuantizer(QuantizationMethod):
@@ -218,73 +311,47 @@ class LAPQQuantizer(QuantizationMethod):
         self.num_candidates = num_candidates
 
     # ------------------------------------------------------------------ search
-    def _candidates(self, max_abs: np.ndarray) -> np.ndarray:
-        """Each row's ``np.linspace(0.2 * max_abs, max_abs, num_candidates)``."""
-        start = 0.2 * max_abs
-        delta = max_abs - start
-        div = self.num_candidates - 1
-        step = delta / div
-        ramp = np.arange(self.num_candidates, dtype=np.float64)
-        # linspace scales the ramp by delta / div, or by 1 / div then delta
-        # where that step underflows to zero (denormal ranges).
-        grid = np.where(
-            (step == 0)[:, None], ramp / div * delta[:, None], ramp * step[:, None]
-        )
-        grid += start[:, None]
-        grid[:, -1] = max_abs
-        return grid
+    def _optimise_clips(
+        self, tensors: Sequence[tuple[np.ndarray, bool]], num_bits: int
+    ) -> list[np.ndarray]:
+        """The Lp-optimal clip of every row of each ``(rows, one_sided)`` tensor.
 
-    def _optimise_clips(self, rows: np.ndarray, num_bits: int, one_sided: bool) -> np.ndarray:
-        """The Lp-optimal clip of every row of ``rows`` (R, K).
-
-        For ``one_sided`` rows, the columns where every row is zero are found
-        once: the grid and every refinement pass run the codec on the other
-        columns only, and :func:`lp_errors` takes each mean over one
-        full-length zero buffer allocated here, so the clips are those of
-        the search over whole rows bit for bit.
+        Each tensor's rows are evaluated on that tensor's own columns
+        (:class:`_TensorSearch`).  One lock-step refinement runs over the
+        searched rows of all tensors, its objective handing each tensor the
+        active rows that are its own.  ``quantization.lapq.refine_steps``
+        adds each tensor's pass count: the passes a call with that tensor
+        alone runs.
         """
-        rows = np.ascontiguousarray(rows, dtype=np.float64)
-        if not np.isfinite(rows).all():
-            raise ValueError("cannot choose a clipping range for NaN or infinite values")
-        p = lp_exponent_for_bits(num_bits)
-        max_abs = np.abs(rows).max(axis=1)
-        clips = np.full(len(rows), 1e-8)
-        live = np.flatnonzero(max_abs > 0)
-        observability.add("quantization.lapq.rows", len(rows))
-        if live.size < len(rows):
-            rows, max_abs = rows[live], max_abs[live]
+        searches = [
+            _TensorSearch(rows, one_sided, num_bits, self.num_candidates)
+            for rows, one_sided in tensors
+        ]
+        observability.add("quantization.lapq.rows", sum(len(t.clips) for t in searches))
+        offsets = np.cumsum([0] + [t.search.size for t in searches])
+        refined = converged = steps = np.empty(0)
+        if offsets[-1]:
 
-        columns = full = None
-        if one_sided:
-            nonzero = rows.any(axis=0)
-            if not nonzero.all():
-                columns = np.flatnonzero(nonzero)
-                full = np.zeros_like(rows)
-                rows = rows[:, columns]
+            def objective(index: np.ndarray, x: np.ndarray) -> np.ndarray:
+                cuts = np.searchsorted(index, offsets)
+                return np.concatenate([
+                    t.errors(index[lo:hi] - start, x[lo:hi])
+                    for t, start, lo, hi in zip(searches, offsets, cuts[:-1], cuts[1:])
+                    if lo < hi
+                ])
 
-        def evaluate(index: np.ndarray, x: np.ndarray) -> np.ndarray:
-            subset = rows[index] if index.size < len(rows) else rows
-            return lp_errors(subset, x, num_bits, p, one_sided, columns, full)
-
-        candidates = self._candidates(max_abs)
-        row = np.arange(len(rows))
-        errors = np.stack([evaluate(row, column) for column in candidates.T], axis=1)
-        best = np.argmin(errors, axis=1)
-        chosen = candidates[row, best]
-        low = candidates[row, np.maximum(best - 1, 0)]
-        high = candidates[row, np.minimum(best + 1, self.num_candidates - 1)]
-        search = np.flatnonzero(~(high <= low))
-
-        def objective(index: np.ndarray, x: np.ndarray) -> np.ndarray:
-            return evaluate(search[index], x)
-
-        refined, converged, passes = _bounded_minimise(
-            objective, low[search], high[search], max_abs[search] * 1e-3
-        )
+            refined, converged, steps = _bounded_minimise(
+                objective,
+                np.concatenate([t.low for t in searches]),
+                np.concatenate([t.high for t in searches]),
+                np.concatenate([t.xatol for t in searches]),
+            )
+        passes = 0
+        for t, lo, hi in zip(searches, offsets[:-1], offsets[1:]):
+            t.finish(refined[lo:hi], converged[lo:hi])
+            passes += int(steps[lo:hi].max(initial=0))
         observability.add("quantization.lapq.refine_steps", passes)
-        chosen[search] = np.maximum(np.where(converged, refined, chosen[search]), 1e-8)
-        clips[live] = chosen
-        return clips
+        return [t.clips for t in searches]
 
     # ----------------------------------------------------------------- weights
     def weight_params(
@@ -294,19 +361,44 @@ class LAPQQuantizer(QuantizationMethod):
         per_channel: bool = True,
         channel_axis: int = 0,
     ) -> QuantParams:
-        weights = np.asarray(weights, dtype=np.float64)
-        if per_channel and weights.ndim > 1:
-            moved = np.moveaxis(weights, channel_axis, 0).reshape(weights.shape[channel_axis], -1)
-            clips = self._optimise_clips(moved, num_bits, one_sided=False)
-            return QuantParams.symmetric(clips, num_bits, channel_axis=channel_axis)
-        clip = self._optimise_clips(weights.reshape(1, -1), num_bits, one_sided=False)[0]
-        return QuantParams.symmetric(clip, num_bits)
+        return self.weight_params_many([weights], num_bits, per_channel, channel_axis)[0]
+
+    def weight_params_many(
+        self,
+        tensors: Sequence[np.ndarray],
+        num_bits: int,
+        per_channel: bool = True,
+        channel_axis: int = 0,
+    ) -> list[QuantParams]:
+        shaped = []
+        for weights in tensors:
+            weights = np.asarray(weights, dtype=np.float64)
+            if per_channel and weights.ndim > 1:
+                moved = np.moveaxis(weights, channel_axis, 0)
+                shaped.append((moved.reshape(len(moved), -1), channel_axis))
+            else:
+                shaped.append((weights.reshape(1, -1), None))
+        clips = self._optimise_clips([(rows, False) for rows, _ in shaped], num_bits)
+        return [
+            QuantParams.symmetric(clip, num_bits, channel_axis=axis)
+            if axis is not None
+            else QuantParams.symmetric(clip[0], num_bits)
+            for clip, (_, axis) in zip(clips, shaped)
+        ]
 
     # ------------------------------------------------------------- activations
     def activation_params(self, samples: np.ndarray, num_bits: int) -> QuantParams:
-        samples = np.asarray(samples, dtype=np.float64)
-        one_sided = bool(samples.min() >= 0.0)
-        clip = self._optimise_clips(samples.reshape(1, -1), num_bits, one_sided)[0]
-        if one_sided:
-            return QuantParams.from_range(0.0, clip, num_bits)
-        return QuantParams.symmetric(clip, num_bits)
+        return self.activation_params_many([samples], num_bits)[0]
+
+    def activation_params_many(
+        self, samples: Sequence[np.ndarray], num_bits: int
+    ) -> list[QuantParams]:
+        rows = [np.asarray(s, dtype=np.float64).reshape(1, -1) for s in samples]
+        one_sided = [bool(r.min() >= 0.0) for r in rows]
+        clips = self._optimise_clips(list(zip(rows, one_sided)), num_bits)
+        return [
+            QuantParams.from_range(0.0, clip[0], num_bits)
+            if sided
+            else QuantParams.symmetric(clip[0], num_bits)
+            for clip, sided in zip(clips, one_sided)
+        ]

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ import pytest
 import repro.observability as observability
 from repro.nn.evaluate import evaluate_with_fault_injection, quantize_and_evaluate
 from repro.nn.faults import MsbBitFlipInjector
-from repro.nn.quantized import QuantizationContext, QuantizedModel, record_calibration
+from repro.nn.quantized import (
+    LayerQuantization,
+    QuantizationContext,
+    QuantizedModel,
+    record_calibration,
+)
+from repro.quantization.base import QuantParams
 from repro.quantization.lapq import LAPQQuantizer
 from repro.quantization.registry import METHOD_KEYS, get_method
 
@@ -234,6 +241,142 @@ class TestCalibrationMemo:
             param.value *= 2.0
         for name, weights in kept.items():
             assert np.array_equal(recording.layer_tensors[name][0], weights)
+
+
+    @pytest.mark.parametrize("key", METHOD_KEYS)
+    def test_partly_warm_recording_matches_a_fresh_build(self, key, tiny_model, tiny_calibration):
+        # The activation width is memoised, the weight width is not: one
+        # side's call computes nothing, the other computes every layer.
+        recording = record_calibration(tiny_model, tiny_calibration)
+        layers = len(recording.observations)
+        QuantizedModel.build(tiny_model, get_method(key), 6, 5, recording)
+        with observability.collecting() as recorded:
+            warm = _layer_params_bytes(tiny_model, get_method(key), recording, (6, 4))
+        fresh = record_calibration(tiny_model, tiny_calibration)
+        assert warm == _layer_params_bytes(tiny_model, get_method(key), fresh, (6, 4))
+        expected = {"activation.hits": layers, "weight.misses": layers}
+        if get_method(key).wants_bias_correction:
+            expected["weight_decode.misses"] = layers
+        assert {
+            name.removeprefix("quantization.calibration."): value
+            for name, value in recorded.metrics.counters.items()
+            if name.startswith("quantization.calibration.")
+        } == expected
+
+    def test_memoised_many_computes_only_the_misses(self, tiny_model, tiny_calibration):
+        recording = record_calibration(tiny_model, tiny_calibration)
+        calls = []
+
+        def compute(missing):
+            calls.append(list(missing))
+            return [f"value of {key}" for key in missing]
+
+        assert recording.memoised("test", ("b",), lambda: "b") == "b"
+        with observability.collecting() as recorded:
+            values = recording.memoised_many("test", [("a",), ("b",), ("c",), ("a",)], compute)
+            again = recording.memoised_many("test", [("c",), ("b",)], compute)
+        assert values == ["value of ('a',)", "b", "value of ('c',)", "value of ('a',)"]
+        assert again == ["value of ('c',)", "b"]
+        assert calls == [[("a",), ("c",)]]
+        assert recorded.metrics.counter("quantization.calibration.test.misses") == 2
+        assert recorded.metrics.counter("quantization.calibration.test.hits") == 4
+
+
+# -------------------------------------------------------- the strict epilogue
+def old_strict_linear(q_activations, params):
+    """``_integer_linear`` of a strict layer as written before its epilogue
+    reused the product buffer (no fault injector)."""
+    accumulated = (q_activations @ params.gemm_operand).astype(np.float64, copy=False)
+    raw, row_sums = accumulated[:, :-1], accumulated[:, -1:]
+    accumulator = raw - row_sums * params.weight_zero
+    accumulator -= params.zero_col_sums
+    accumulator += params.zero_product
+    accumulator += params.quantized_bias
+    accumulator *= params.bias_scale
+    return accumulator
+
+
+def strict_layer(channels, inner, activation_bits, weight_bits, zero_shift, seed=0):
+    """A layer with fractional decode zero points ``z_w + zero_shift``."""
+    rng = np.random.default_rng(seed)
+    activation = QuantParams.from_range(-1.0, 3.0, activation_bits)
+    encode = QuantParams.symmetric(rng.uniform(0.5, 1.0, channels), weight_bits, channel_axis=0)
+    decode = QuantParams(
+        scale=encode.scale * rng.uniform(0.9, 1.1, channels),
+        zero_point=encode.zero_point + zero_shift + rng.uniform(-0.4, 0.4, channels),
+        num_bits=weight_bits,
+        channel_axis=0,
+    )
+    codes = rng.integers(0, 1 << weight_bits, size=(channels, inner))
+    params = LayerQuantization(
+        activation=activation,
+        weight_encode=encode,
+        weight_decode=decode,
+        quantized_weights=codes,
+        quantized_bias=np.round(rng.normal(0.0, 300.0, channels)),
+        bias_scale=activation.scale * decode.scale,
+    )
+    assert not params.folded
+    q_activations = rng.integers(0, 1 << activation_bits, size=(257, inner))
+    return params, q_activations.astype(params.code_dtype)
+
+
+class TestStrictEpilogue:
+    @pytest.mark.parametrize(
+        "case, code_dtype",
+        [("float32", np.float32), ("float64", np.float64), ("negative_zero", np.float32)],
+    )
+    def test_matches_the_old_formula_bytewise(self, case, code_dtype, tiny_model, tiny_recording):
+        context = QuantizedModel.build(tiny_model, get_method("M4"), 6, 5, tiny_recording).context
+        if case == "float64":
+            # 8-bit codes over 600 taps: the bound is above 2**24.
+            params, q_activations = strict_layer(16, 600, 8, 8, zero_shift=0.0)
+        elif case == "negative_zero":
+            # A zero-code row against negative decode zero points makes
+            # ``row_sums * z_w`` -0.0, which the subtraction overwrites.
+            params, q_activations = strict_layer(8, 27, 4, 3, zero_shift=-10.0)
+            q_activations[5] = 0.0
+            assert (params.weight_zero < 0).all()
+        else:
+            params, q_activations = strict_layer(12, 72, 6, 5, zero_shift=0.0)
+        assert params.code_dtype == code_dtype
+        assert not np.all(params.weight_zero == np.round(params.weight_zero))
+        got = context._integer_linear(q_activations, params)
+        assert got.tobytes() == old_strict_linear(q_activations, params).tobytes()
+
+    def test_real_bias_corrected_layers_match_the_old_formula(self, tiny_model, tiny_recording, tiny_dataset):
+        quantized = QuantizedModel.build(tiny_model, get_method("M4"), 5, 4, tiny_recording)
+        context = quantized.context
+        strict = [p for p in context.layer_params.values() if not p.folded]
+        assert strict
+        rng = np.random.default_rng(1)
+        for params in strict:
+            inner = params.gemm_operand.shape[0]
+            q_activations = rng.integers(0, params.activation.max_level + 1, size=(64, inner))
+            q_activations = q_activations.astype(params.code_dtype)
+            got = context._integer_linear(q_activations, params)
+            assert got.tobytes() == old_strict_linear(q_activations, params).tobytes()
+
+    def test_peak_memory_is_one_product_buffer(self, tiny_model, tiny_recording):
+        context = QuantizedModel.build(tiny_model, get_method("M4"), 6, 5, tiny_recording).context
+        params, _ = strict_layer(16, 72, 6, 5, zero_shift=0.0)
+        rows, channels = 8192, 16
+        q_activations = np.random.default_rng(2).integers(0, 64, size=(rows, 72))
+        q_activations = q_activations.astype(params.code_dtype)
+        # The float64 GEMM result (M, N + 1) plus two (M, N) float64 arrays:
+        # the old formula's product and difference beside it.
+        bound = rows * (channels + 1) * 8 + 2 * rows * channels * 8
+
+        def peak(linear):
+            tracemalloc.start()
+            try:
+                linear(q_activations, params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(context._integer_linear) < bound
+        assert peak(old_strict_linear) >= bound
 
 
 def divmod_deltas(generator, probability, msb_bits, max_events, q_a, q_w, columns=None):

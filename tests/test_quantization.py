@@ -68,6 +68,20 @@ class TestQuantParams:
         with pytest.raises(ValueError):
             QuantParams(scale=np.array(1.0), zero_point=np.array(0.0), num_bits=0)
 
+    def test_nan_scale_and_non_finite_zero_point_are_rejected(self):
+        # ``scale <= 0`` is False for NaN, so a NaN scale needs its own test.
+        with pytest.raises(ValueError, match="scale"):
+            QuantParams.from_range(0.0, np.nan, 8)
+        with pytest.raises(ValueError, match="scale"):
+            QuantParams(scale=np.array([0.5, np.nan]), zero_point=np.zeros(2), num_bits=8)
+        for zero_point in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="zero_point"):
+                QuantParams(scale=np.array(0.5), zero_point=np.array(zero_point), num_bits=8)
+        samples = np.maximum(np.random.default_rng(9).normal(0.0, 1.0, 200), 0.0)
+        samples[17] = np.nan
+        with pytest.raises(ValueError, match="scale"):
+            AsymmetricMinMaxQuantizer().activation_params(samples, 8)
+
     def test_statistics(self):
         stats = TensorStatistics.from_array(np.array([1.0, -1.0, 3.0, -3.0]))
         assert stats.minimum == -3.0 and stats.maximum == 3.0
@@ -455,3 +469,97 @@ class TestLAPQTelemetry:
         with observability.collecting():
             traced = LAPQQuantizer().weight_params(weights, 5)
         assert plain.scale.tobytes() == traced.scale.tobytes()
+
+
+# ------------------------------------------------ one search over many tensors
+# A context calibrates every layer of one (side, bit width) in one call; the
+# clips and the refinement-step count must be those of one call per tensor.
+
+
+def _per_tensor_clips(method, tensors, num_bits):
+    """(clips, summed refine_steps) of one ``_optimise_clips`` call per tensor."""
+    clips, steps = [], 0
+    for tensor in tensors:
+        with observability.collecting() as recorded:
+            clips.append(method._optimise_clips([tensor], num_bits)[0])
+        steps += recorded.metrics.counter("quantization.lapq.refine_steps")
+    return clips, steps
+
+
+def _assert_batched_equals_per_tensor(tensors, num_bits, num_candidates=12):
+    method = LAPQQuantizer(num_candidates=num_candidates)
+    expected, expected_steps = _per_tensor_clips(method, tensors, num_bits)
+    with observability.collecting() as recorded:
+        batched = method._optimise_clips(tensors, num_bits)
+    assert [clips.tobytes() for clips in batched] == [clips.tobytes() for clips in expected]
+    assert recorded.metrics.counter("quantization.lapq.refine_steps") == expected_steps
+    assert recorded.metrics.counter("quantization.lapq.rows") == sum(len(r) for r, _ in tensors)
+    return batched, expected_steps
+
+
+def _mixed_tensors():
+    """Weight rows (two-sided) and activation rows of both signs, interleaved."""
+    tensors = []
+    for weights, (name, samples) in zip(_WEIGHTS.values(), sorted(_SAMPLES.items())):
+        tensors.append((weights.reshape(len(weights), -1), False))
+        tensors.append((samples.reshape(1, -1), bool(samples.min() >= 0.0)))
+    return tensors
+
+
+class TestLayerBatchedLAPQ:
+    @pytest.mark.parametrize("num_candidates", [12, 2])
+    @pytest.mark.parametrize("num_bits", [2, 4, 5, 8])
+    def test_mixed_one_and_two_sided_tensors(self, num_bits, num_candidates):
+        tensors = _mixed_tensors()
+        assert {one_sided for _, one_sided in tensors} == {True, False}
+        _, steps = _assert_batched_equals_per_tensor(tensors, num_bits, num_candidates)
+        assert steps > 0
+
+    def test_all_zero_activation_keeps_the_floor_clip(self):
+        tensors = [(_SAMPLES["all_zero"].reshape(1, -1), True), *_mixed_tensors()[:3]]
+        batched, _ = _assert_batched_equals_per_tensor(tensors, 4)
+        assert batched[0].tolist() == [1e-8]
+
+    def test_row_with_an_empty_bracket(self):
+        # A denormal range collapses the grid, so this row's best candidate
+        # has high <= low and is kept without refinement.
+        tiny = np.zeros((1, 30))
+        tiny[0, :3] = [2e-323, -2e-323, 1e-323]
+        assert lapq._TensorSearch(tiny, False, 4, 12).search.size == 0
+        rows = np.vstack([_WEIGHTS["laplace"][:3], tiny, _WEIGHTS["laplace"][3:]])
+        tensors = [(rows, False), (_SAMPLES["relu"].reshape(1, -1), True), (tiny, False)]
+        _assert_batched_equals_per_tensor(tensors, 4)
+
+    def test_evaluation_cap(self, monkeypatch):
+        monkeypatch.setattr(lapq, "MAX_EVALUATIONS", 3)
+        capped, _ = _assert_batched_equals_per_tensor(_mixed_tensors(), 4)
+        monkeypatch.undo()
+        refined, _ = _assert_batched_equals_per_tensor(_mixed_tensors(), 4)
+        assert [c.tobytes() for c in capped] != [c.tobytes() for c in refined]
+
+    def test_many_calls_equal_one_tensor_calls(self):
+        method = LAPQQuantizer()
+        weights = list(_WEIGHTS.values())
+        samples = list(_SAMPLES.values())
+        for got, one in zip(method.weight_params_many(weights, 5), weights):
+            _assert_same_params(got, method.weight_params(one, 5))
+        for got, one in zip(method.weight_params_many(weights, 5, per_channel=False), weights):
+            _assert_same_params(got, method.weight_params(one, 5, per_channel=False))
+        for got, one in zip(method.activation_params_many(samples, 3), samples):
+            _assert_same_params(got, method.activation_params(one, 3))
+
+    @pytest.mark.parametrize("key", ["M1", "M2", "M4", "M5"])
+    def test_default_many_calls_loop_over_tensors(self, key):
+        method = get_method(key)
+        weights = list(_WEIGHTS.values())
+        samples = list(_SAMPLES.values())
+        for got, one in zip(method.weight_params_many(weights, 4), weights):
+            _assert_same_params(got, method.weight_params(one, 4))
+        for got, one in zip(method.activation_params_many(samples, 6), samples):
+            _assert_same_params(got, method.activation_params(one, 6))
+
+    def test_non_finite_tensor_is_rejected_in_a_batch(self):
+        weights = _WEIGHTS["gaussian"].copy()
+        weights[3, 0, 0, 0] = np.inf
+        with pytest.raises(ValueError):
+            LAPQQuantizer().weight_params_many([_WEIGHTS["laplace"], weights], 4)
