@@ -12,18 +12,18 @@ package provides the equivalent structural view in pure Python:
 * :mod:`repro.circuits.mac` — the MAC unit builder used as the paper's
   driving circuit,
 * :mod:`repro.circuits.simulator` — zero-delay functional simulation and the
-  two-vector timed simulation used for aged-circuit error characterisation,
-  in scalar (one vector at a time) and bit-parallel batched variants,
+  scalar (one vector at a time) two-vector timed simulation used for
+  aged-circuit error characterisation, the reference of every batched engine,
 * :mod:`repro.circuits.backends` — the pluggable backend registry putting
-  the scalar, bigint word-packed and NumPy ``uint64``-lane engines behind
-  one :class:`~repro.circuits.backends.SimulationBackend` interface.
+  the scalar engine, the NumPy ``uint64``-lane levelized engine and the
+  batched event engine behind one
+  :class:`~repro.circuits.backends.SimulationBackend` interface.
 """
 
 from repro.circuits.gates import (
     CELL_FUNCTIONS,
     WORD_CELL_FUNCTIONS,
     evaluate_cell,
-    evaluate_cell_word,
 )
 from repro.circuits.netlist import Gate, Net, Netlist
 from repro.circuits.adders import (
@@ -35,9 +35,6 @@ from repro.circuits.adders import (
 from repro.circuits.multipliers import array_multiplier, wallace_tree_multiplier
 from repro.circuits.mac import ArithmeticUnit, build_mac, build_multiplier, build_adder
 from repro.circuits.simulator import (
-    BatchLogicSimulator,
-    BatchTimedEvaluation,
-    BatchTimingSimulator,
     LogicSimulator,
     TimedEvaluation,
     TimingSimulator,
@@ -57,7 +54,6 @@ __all__ = [
     "CELL_FUNCTIONS",
     "WORD_CELL_FUNCTIONS",
     "evaluate_cell",
-    "evaluate_cell_word",
     "Gate",
     "Net",
     "Netlist",
@@ -74,7 +70,4 @@ __all__ = [
     "LogicSimulator",
     "TimingSimulator",
     "TimedEvaluation",
-    "BatchLogicSimulator",
-    "BatchTimingSimulator",
-    "BatchTimedEvaluation",
 ]

@@ -3,8 +3,9 @@
 See :mod:`repro.circuits.backends.base` for the protocol and
 :mod:`repro.circuits.backends.registry` for name resolution and the
 ``"auto"`` selection rule.  Importing this package registers the
-four built-in backends (``scalar``, ``bigint``, ``ndarray``, ``event``) as
-stateless singletons.
+three built-in engines (``scalar``, ``ndarray``, ``event``) as stateless
+singletons, plus ``bigint``, a retired name that runs the ``ndarray``
+engine (see :class:`~repro.circuits.backends.lane.BigintAliasBackend`).
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from repro.circuits.backends.base import (
     ErrorCounters,
     SimulationBackend,
 )
-from repro.circuits.backends.bigint import BigintBackend
 from repro.circuits.backends.event import (
     EventBackend,
     EventTimedEvaluation,
     EventWheelSimulator,
 )
 from repro.circuits.backends.lane import (
+    BigintAliasBackend,
     LaneBackend,
     LaneTimedEvaluation,
     LaneTimingSimulator,
@@ -41,18 +42,17 @@ from repro.circuits.backends.registry import (
 from repro.circuits.backends.scalar import ScalarBackend
 
 SCALAR_BACKEND = register_backend(ScalarBackend())
-BIGINT_BACKEND = register_backend(BigintBackend())
 NDARRAY_BACKEND = register_backend(LaneBackend())
 EVENT_BACKEND = register_backend(EventBackend())
+register_backend(BigintAliasBackend())
 
 __all__ = [
-    "BIGINT_BACKEND",
     "EVENT_BACKEND",
     "EVENT_BACKEND_MIN_LANES",
     "NDARRAY_BACKEND",
     "SCALAR_BACKEND",
     "BatchedSimulationBackend",
-    "BigintBackend",
+    "BigintAliasBackend",
     "ErrorCounters",
     "EventBackend",
     "EventTimedEvaluation",

@@ -3,21 +3,22 @@
 A simulation backend bundles one physical representation of the
 two-vector data path — how net values are stored, how gates are evaluated,
 and how per-lane arrival times are propagated — behind a uniform
-interface.  Four implementations are registered by default:
+interface.  Three engines are registered by default:
 
 ========== ===================================================== ==============
 name       net-value representation                              arrival models
 ========== ===================================================== ==============
 scalar     one Python int per net, one vector pair per call      event, settle,
                                                                  transition
-bigint     one arbitrary-precision int per net, bit ``k`` =      settle,
-           lane ``k`` (word-packed Monte-Carlo lanes)            transition
 ndarray    one ``uint64[ceil(lanes / 64)]`` NumPy row per net,   settle,
            a whole level of same-type gates per ufunc call       transition
 event      per net, a waveform of exact commit times with        event
            ``uint64[ceil(lanes / 64)]`` changed-lane and value
            rows, one gate at a time (glitch-exact)
 ========== ===================================================== ==============
+
+The name ``bigint`` is also registered; it is the ``ndarray`` engine under a
+retired name (:class:`~repro.circuits.backends.lane.BigintAliasBackend`).
 
 Every backend must be **bit-identical** to the scalar reference for the
 arrival models it supports: same captured outputs, same violation masks,
@@ -119,13 +120,12 @@ class SimulationBackend(ABC):
 
 
 class BatchedSimulationBackend(SimulationBackend):
-    """Template for lane-packed backends: one chunking loop, two layouts.
+    """Template for lane-packed backends: one chunking loop.
 
     The transition-chain chunking (pack up to ``batch_size`` consecutive
     ``vectors[i] -> vectors[i + 1]`` pairs per ``propagate_batch`` call) is
-    identical for every batched backend; only the per-batch counter
-    extraction differs with the lane-word layout, so subclasses implement
-    just :meth:`_batch_counters`.
+    identical for every batched backend; subclasses implement just
+    :meth:`_batch_counters`.
     """
 
     batched = True

@@ -217,7 +217,7 @@ class EventWheelSimulator:
             raise ValueError(
                 f"arrival_model must be 'event' for the batched event backend, "
                 f"got {arrival_model!r} (the levelized models run on the "
-                f"'bigint'/'ndarray' backends)"
+                f"'ndarray' backend)"
             )
         self.netlist = netlist
         self.library = library

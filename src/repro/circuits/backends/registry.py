@@ -18,14 +18,10 @@ model (and, for the ``"event"`` model, batch width):
   :data:`EVENT_BACKEND_MIN_LANES` lanes wide, the measured crossover where
   per-gate lane-word waveforms beat the per-vector Python wheel (see
   ``benchmarks/test_bench_events.py``);
-* the levelized models resolve to the NumPy ``uint64``-lane backend at
-  every width.  Measured over interleaved bigint/ndarray pairs on a 2-CPU
-  host (8x8 array multiplier and the 8x22-bit MAC at 50 mV), the two tie
-  on single-vector transition batches and ndarray wins everywhere else:
-  1.8x for single-vector settle batches and >= 1.7x for both models from
-  8 lanes, widening with width (``benchmarks/test_bench_backends.py``
-  re-measures 8 and 8192 lanes).  The bigint word-packed backend stays
-  registered by name and is reachable only when asked for explicitly.
+* the levelized models resolve to the NumPy ``uint64``-lane backend
+  (``ndarray``) at every width; it is the only levelized engine.  The
+  retired name ``bigint`` resolves to the same engine but is never picked
+  by ``"auto"``.
 """
 
 from __future__ import annotations

@@ -9,15 +9,18 @@ Two function tables are provided:
 
 * :data:`CELL_FUNCTIONS` — scalar 0/1 semantics, one call per vector.
 * :data:`WORD_CELL_FUNCTIONS` — bit-parallel word semantics for the batched
-  simulators: every argument is an arbitrary-precision integer whose bit
-  ``k`` holds the value of Monte-Carlo lane ``k``, and the extra leading
-  ``mask`` argument (``(1 << lanes) - 1``) implements negation without
-  producing negative numbers.  One call evaluates the cell for every lane.
+  simulators: every argument is a ``uint64`` lane row (or stack of rows)
+  whose bit ``k % 64`` of word ``k // 64`` holds the value of Monte-Carlo
+  lane ``k``, and the extra leading ``mask`` argument
+  (:data:`repro.utils.bitops.UINT64_MASK`) implements negation by XOR.  One
+  call evaluates the cell for every lane.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+
+import numpy as np
 
 
 def _inv(a: int) -> int:
@@ -97,53 +100,53 @@ CELL_INPUT_COUNTS: dict[str, int] = {
 }
 
 
-def _winv(mask: int, a: int) -> int:
+def _winv(mask: np.uint64, a: np.ndarray) -> np.ndarray:
     return mask ^ a
 
 
-def _wbuf(mask: int, a: int) -> int:
+def _wbuf(mask: np.uint64, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _wnand2(mask: int, a: int, b: int) -> int:
+def _wnand2(mask: np.uint64, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return mask ^ (a & b)
 
 
-def _wnor2(mask: int, a: int, b: int) -> int:
+def _wnor2(mask: np.uint64, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return mask ^ (a | b)
 
 
-def _wand2(mask: int, a: int, b: int) -> int:
+def _wand2(mask: np.uint64, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a & b
 
 
-def _wor2(mask: int, a: int, b: int) -> int:
+def _wor2(mask: np.uint64, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a | b
 
 
-def _wxor2(mask: int, a: int, b: int) -> int:
+def _wxor2(mask: np.uint64, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a ^ b
 
 
-def _wxnor2(mask: int, a: int, b: int) -> int:
+def _wxnor2(mask: np.uint64, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return mask ^ (a ^ b)
 
 
-def _wmux2(mask: int, a: int, b: int, sel: int) -> int:
+def _wmux2(mask: np.uint64, a: np.ndarray, b: np.ndarray, sel: np.ndarray) -> np.ndarray:
     """Lane-wise 2:1 multiplexer: ``a`` where ``sel`` is 0, ``b`` where 1."""
     return (a & (mask ^ sel)) | (b & sel)
 
 
-def _waoi21(mask: int, a: int, b: int, c: int) -> int:
+def _waoi21(mask: np.uint64, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return mask ^ ((a & b) | c)
 
 
-def _woai21(mask: int, a: int, b: int, c: int) -> int:
+def _woai21(mask: np.uint64, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return mask ^ ((a | b) & c)
 
 
 #: Word-level (bit-parallel) cell semantics; see the module docstring.
-WORD_CELL_FUNCTIONS: dict[str, Callable[..., int]] = {
+WORD_CELL_FUNCTIONS: dict[str, Callable[..., np.ndarray]] = {
     "INV": _winv,
     "BUF": _wbuf,
     "NAND2": _wnand2,
@@ -156,35 +159,6 @@ WORD_CELL_FUNCTIONS: dict[str, Callable[..., int]] = {
     "AOI21": _waoi21,
     "OAI21": _woai21,
 }
-
-
-def evaluate_cell_word(cell_name: str, inputs: Sequence[int], lanes: int) -> int:
-    """Evaluate ``cell_name`` bit-parallel over ``lanes`` Monte-Carlo lanes.
-
-    Raises:
-        KeyError: for an unknown cell.
-        ValueError: if the number of inputs does not match the cell, if
-            ``lanes`` is not positive, or if an input word has bits set
-            beyond lane ``lanes - 1``.
-    """
-    try:
-        func = WORD_CELL_FUNCTIONS[cell_name]
-        arity = CELL_INPUT_COUNTS[cell_name]
-    except KeyError:
-        raise KeyError(f"unknown cell {cell_name!r}") from None
-    if len(inputs) != arity:
-        raise ValueError(
-            f"cell {cell_name} expects {arity} inputs, got {len(inputs)}"
-        )
-    if lanes < 1:
-        raise ValueError(f"lanes must be >= 1, got {lanes}")
-    mask = (1 << lanes) - 1
-    for word in inputs:
-        if word < 0 or word > mask:
-            raise ValueError(
-                f"input word {word!r} does not fit in {lanes} lanes"
-            )
-    return func(mask, *inputs)
 
 
 def evaluate_cell(cell_name: str, inputs: Sequence[int]) -> int:

@@ -320,76 +320,3 @@ def bits_to_bus_values(bit_values: dict[Net, int], buses: dict[str, list[Net]]) 
             value |= (bit_values[net] & 1) << i
         result[bus_name] = value
     return result
-
-
-def bus_batches_to_words(
-    values: dict[str, Sequence[int]], buses: dict[str, list[Net]]
-) -> tuple[dict[Net, int], int]:
-    """Pack per-lane bus integers into per-net lane words.
-
-    ``values[bus][k]`` is the integer driven onto ``bus`` in Monte-Carlo lane
-    ``k``; the result maps each bus net to a word whose bit ``k`` is that
-    net's value in lane ``k`` (the transpose of :func:`bus_values_to_bits`
-    applied lane by lane).
-
-    Returns:
-        ``(words, lanes)`` — the per-net lane words and the common lane
-        count.
-
-    Raises:
-        KeyError: if a bus has no value sequence.
-        ValueError: if lane counts differ between buses, no lane is given,
-            or a lane value does not fit its bus.
-    """
-    words: dict[Net, int] = {}
-    lanes: int | None = None
-    for bus_name, nets in buses.items():
-        if bus_name not in values:
-            raise KeyError(f"missing values for input bus {bus_name!r}")
-        lane_values = list(values[bus_name])
-        if lanes is None:
-            lanes = len(lane_values)
-            if lanes == 0:
-                raise ValueError("batched evaluation needs at least one lane")
-        elif len(lane_values) != lanes:
-            raise ValueError(
-                f"bus {bus_name!r} has {len(lane_values)} lanes, expected {lanes}"
-            )
-        width = len(nets)
-        limit = 1 << width
-        bit_words = [0] * width
-        for lane, value in enumerate(lane_values):
-            if value < 0 or value >= limit:
-                raise ValueError(
-                    f"value {value} does not fit in {width}-bit bus {bus_name!r}"
-                )
-            lane_bit = 1 << lane
-            bit = 0
-            while value:
-                if value & 1:
-                    bit_words[bit] |= lane_bit
-                value >>= 1
-                bit += 1
-        for net, word in zip(nets, bit_words):
-            words[net] = word
-    assert lanes is not None
-    return words, lanes
-
-
-def words_to_bus_batches(
-    words: dict[Net, int], buses: dict[str, list[Net]], lanes: int
-) -> dict[str, list[int]]:
-    """Collapse per-net lane words back into per-lane bus integers."""
-    result: dict[str, list[int]] = {}
-    for bus_name, nets in buses.items():
-        values = [0] * lanes
-        for bit, net in enumerate(nets):
-            word = words[net]
-            lane = 0
-            while word:
-                if word & 1:
-                    values[lane] |= 1 << bit
-                word >>= 1
-                lane += 1
-        result[bus_name] = values
-    return result

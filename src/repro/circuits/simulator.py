@@ -28,72 +28,39 @@ Three simulators/models are provided:
   settling time) and ``"transition"`` (optimistic, functional transitions
   only), useful for quick envelope studies and for testing.
 
-Bit-parallel batched engine
----------------------------
+Batched engines
+---------------
 
-:class:`BatchLogicSimulator` and :class:`BatchTimingSimulator` evaluate many
-Monte-Carlo vectors at once using pattern-parallel word packing, the standard
-technique for high-throughput gate-level fault/timing simulation:
-
-* **Word-packing layout** — a batch of ``W`` input vectors is transposed
-  into one arbitrary-precision Python integer *per net*, whose bit ``k``
-  holds that net's 0/1 value in lane (vector) ``k``.  Evaluating a gate is
-  then a single word-wide bitwise expression from
-  :data:`~repro.circuits.gates.WORD_CELL_FUNCTIONS` — one Python-level
-  operation per gate per batch instead of one per gate per vector, with the
-  actual bit twiddling running in CPython's C long implementation (64 lanes
-  per machine word).
-* **Arrival times** — the batched timing engine supports the two levelized
-  arrival models (``"settle"`` and ``"transition"``); per-lane arrival times
-  are carried as NumPy ``float64`` arrays of shape ``(W,)`` and combined
-  with vectorised ``maximum``/``where`` operations, again one NumPy call per
-  gate per batch.  The event-driven model needs per-lane glitch sequences
-  and is batched separately by the waveform engine in
-  :mod:`repro.circuits.backends.event`, which reproduces the scalar
-  engine's delta-cycle commits lane by lane.
-
-Both batched classes are bit-for-bit equivalent to running their scalar
-counterpart once per lane; ``tests/test_batch_simulator.py`` enforces this
-with property-based equivalence tests.
-
-The engines in this module are consumed through the pluggable backend
-registry of :mod:`repro.circuits.backends` (``scalar`` wraps
-:class:`TimingSimulator`, ``bigint`` wraps :class:`BatchTimingSimulator`,
-the ``ndarray`` uint64-lane engine lives in
+The batched engines live behind the pluggable backend registry of
+:mod:`repro.circuits.backends`: ``scalar`` wraps :class:`TimingSimulator`,
+the ``ndarray`` uint64-lane engine for the two levelized models lives in
 :mod:`repro.circuits.backends.lane`, and the batched ``event`` waveform
-engine in :mod:`repro.circuits.backends.event`).
+engine in :mod:`repro.circuits.backends.event`.  Each is bit-for-bit
+equivalent to running :class:`TimingSimulator` once per lane.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
-
-import numpy as np
+from collections.abc import Mapping
 
 import repro.observability as observability
 from repro.aging.cell_library import CellLibrary
 from repro.aging.scenarios.base import AgingScenario, resolve_gate_delays
 from repro.circuits.constants import propagate_constants
-from repro.circuits.gates import CELL_FUNCTIONS, WORD_CELL_FUNCTIONS
+from repro.circuits.gates import CELL_FUNCTIONS
 from repro.circuits.netlist import (
     Gate,
     Net,
     Netlist,
     bits_to_bus_values,
-    bus_batches_to_words,
     bus_values_to_bits,
-    words_to_bus_batches,
 )
-from repro.utils.bitops import lane_bits_to_word, word_to_lane_bits
 
 __all__ = [
     "ARRIVAL_MODELS",
     "BATCH_ARRIVAL_MODELS",
-    "BatchLogicSimulator",
-    "BatchTimedEvaluation",
-    "BatchTimingSimulator",
     "EventCounters",
     "LogicSimulator",
     "TimedEvaluation",
@@ -102,7 +69,7 @@ __all__ = [
 
 ARRIVAL_MODELS = ("event", "settle", "transition")
 
-#: Arrival models supported by the batched (bit-parallel) timing engine.
+#: Arrival models supported by the batched levelized (lane) timing engine.
 BATCH_ARRIVAL_MODELS = ("settle", "transition")
 
 
@@ -464,282 +431,6 @@ class TimingSimulator:
             final_outputs=final_outputs,
             previous_outputs=previous_outputs,
             output_bit_timelines=output_timelines,
-            output_arrivals_ps=output_arrivals,
-            worst_arrival_ps=worst,
-        )
-
-
-# ======================================================================
-# Bit-parallel batched engine (see the module docstring for the layout).
-# ======================================================================
-class BatchLogicSimulator:
-    """Zero-delay functional simulator over a batch of packed vectors.
-
-    Functionally equivalent to calling :class:`LogicSimulator` once per
-    lane, but every gate is evaluated once per *batch* on lane words.
-    """
-
-    def __init__(self, netlist: Netlist) -> None:
-        self.netlist = netlist
-        self._order = netlist.topological_gates()
-
-    def evaluate_words(
-        self, inputs: Mapping[str, Sequence[int]]
-    ) -> tuple[dict[Net, int], int]:
-        """Evaluate a batch; returns per-net lane words and the lane count.
-
-        ``inputs[bus][k]`` is the integer applied to ``bus`` in lane ``k``;
-        every bus must supply the same number of lanes.
-        """
-        words, lanes = bus_batches_to_words(dict(inputs), self.netlist.input_buses)
-        mask = (1 << lanes) - 1
-        for net in self.netlist.nets.values():
-            if net.is_constant:
-                words[net] = mask if net.constant_value else 0
-        for gate in self._order:
-            func = WORD_CELL_FUNCTIONS[gate.cell_name]
-            words[gate.output] = func(mask, *(words[net] for net in gate.inputs))
-        return words, lanes
-
-    def evaluate_batch(self, inputs: Mapping[str, Sequence[int]]) -> dict[str, list[int]]:
-        """Evaluate a batch and return per-lane output bus values."""
-        words, lanes = self.evaluate_words(inputs)
-        return words_to_bus_batches(words, self.netlist.output_buses, lanes)
-
-
-@dataclass
-class BatchTimedEvaluation:
-    """Result of a batched two-vector timed simulation.
-
-    All per-bit containers are LSB-first and parallel to the output bus
-    nets; lane words follow the packing layout of the module docstring.
-
-    Attributes:
-        lanes: number of vector pairs in the batch.
-        final_output_words: per bus, the per-bit lane words after settling.
-        previous_output_words: per bus, the settled per-bit lane words of the
-            previous vectors.
-        output_arrivals_ps: per bus, a ``(bits, lanes)`` float array of final
-            settling times (0.0 for bits that do not change in a lane).
-        worst_arrival_ps: per lane, the latest settling time over all output
-            bits (shape ``(lanes,)``).
-    """
-
-    lanes: int
-    final_output_words: dict[str, list[int]]
-    previous_output_words: dict[str, list[int]]
-    output_arrivals_ps: dict[str, np.ndarray]
-    worst_arrival_ps: np.ndarray
-
-    def final_outputs(self) -> dict[str, list[int]]:
-        """Per-lane settled output bus values (functionally exact)."""
-        return self._unpack(self.final_output_words)
-
-    def previous_outputs(self) -> dict[str, list[int]]:
-        """Per-lane settled output values of the previous vectors."""
-        return self._unpack(self.previous_output_words)
-
-    def captured_output_words(self, clock_period_ps: float) -> dict[str, list[int]]:
-        """Per-bit lane words captured by a flip-flop at the clock edge.
-
-        A bit whose (single, levelized) change arrives after the edge keeps
-        the stale value of the previous computation, exactly as in
-        :meth:`TimedEvaluation.captured_outputs`.
-        """
-        if clock_period_ps <= 0:
-            raise ValueError("clock_period_ps must be positive")
-        captured: dict[str, list[int]] = {}
-        for bus, final_words in self.final_output_words.items():
-            previous_words = self.previous_output_words[bus]
-            arrivals = self.output_arrivals_ps[bus]
-            bus_words = []
-            for bit, (final, previous) in enumerate(zip(final_words, previous_words)):
-                changed = final ^ previous
-                if changed:
-                    late = lane_bits_to_word(arrivals[bit] > clock_period_ps)
-                    final ^= changed & late
-                bus_words.append(final)
-            captured[bus] = bus_words
-        return captured
-
-    def captured_outputs(self, clock_period_ps: float) -> dict[str, list[int]]:
-        """Per-lane output bus values captured at the clock edge."""
-        return self._unpack(self.captured_output_words(clock_period_ps))
-
-    def has_timing_violation(self, clock_period_ps: float) -> np.ndarray:
-        """Per-lane violation mask: does any output bit settle after the edge?
-
-        Always an ``ndarray`` of dtype ``bool`` and shape ``(lanes,)`` (the
-        scalar evaluation returns a plain :class:`bool` instead; the two
-        types are part of the API contract and regression-tested).
-        """
-        return np.asarray(self.worst_arrival_ps > clock_period_ps, dtype=bool)
-
-    def _unpack(self, bus_words: dict[str, list[int]]) -> dict[str, list[int]]:
-        result: dict[str, list[int]] = {}
-        for bus, words in bus_words.items():
-            values = [0] * self.lanes
-            for bit, word in enumerate(words):
-                lane = 0
-                while word:
-                    if word & 1:
-                        values[lane] |= 1 << bit
-                    word >>= 1
-                    lane += 1
-            result[bus] = values
-        return result
-
-
-class BatchTimingSimulator:
-    """Batched two-vector timed simulation with aged cell delays.
-
-    Bit-for-bit equivalent to running :class:`TimingSimulator` with the same
-    levelized arrival model once per lane: net values are evaluated on lane
-    words, and per-lane arrival times are carried as ``(lanes,)`` NumPy
-    arrays combined with vectorised max/where operations.
-
-    Only the levelized arrival models are supported here; the event-driven
-    model tracks per-lane glitch sequences and is batched by the waveform
-    engine in :mod:`repro.circuits.backends.event` instead.
-    """
-
-    def __init__(
-        self,
-        netlist: Netlist,
-        library: "CellLibrary | AgingScenario",
-        arrival_model: str = "settle",
-    ) -> None:
-        if arrival_model not in BATCH_ARRIVAL_MODELS:
-            raise ValueError(
-                f"arrival_model must be one of {BATCH_ARRIVAL_MODELS} "
-                f"(the event-driven model runs on the scalar TimingSimulator "
-                f"or the batched 'event' backend)"
-            )
-        self.netlist = netlist
-        self.library = library
-        self.arrival_model = arrival_model
-        self._order = netlist.topological_gates()
-        self._logic = BatchLogicSimulator(netlist)
-        self._gate_delay_ps = resolve_gate_delays(netlist, library)
-        self._structural_constants = propagate_constants(netlist)
-
-    def propagate_batch(
-        self,
-        previous_inputs: Mapping[str, Sequence[int]],
-        current_inputs: Mapping[str, Sequence[int]],
-    ) -> BatchTimedEvaluation:
-        """Simulate the per-lane transitions from previous to current vectors."""
-        prev_words, prev_lanes = self._logic.evaluate_words(previous_inputs)
-        curr_words, lanes = bus_batches_to_words(
-            dict(current_inputs), self.netlist.input_buses
-        )
-        if prev_lanes != lanes:
-            raise ValueError(
-                f"previous and current batches differ in lanes ({prev_lanes} vs {lanes})"
-            )
-        mask = (1 << lanes) - 1
-        settle = self.arrival_model == "settle"
-        structural = self._structural_constants
-
-        # Per-net state: current lane word, perturbed lane mask, and (only
-        # for nets that can have one) a per-lane arrival array.
-        perturbed: dict[Net, int] = {}
-        arrivals: dict[Net, np.ndarray] = {}
-        for net in self.netlist.nets.values():
-            if net.is_constant:
-                curr_words[net] = mask if net.constant_value else 0
-                perturbed[net] = 0
-            elif net.is_primary_input:
-                perturbed[net] = curr_words[net] ^ prev_words[net]
-
-        for gate in self._order:
-            output = gate.output
-            func = WORD_CELL_FUNCTIONS[gate.cell_name]
-            new_word = func(mask, *(curr_words[net] for net in gate.inputs))
-            curr_words[output] = new_word
-            pert = 0
-            for net in gate.inputs:
-                pert |= perturbed[net]
-            if output in structural or pert == 0:
-                perturbed[output] = 0
-                continue
-            perturbed[output] = pert
-            delay = self._gate_delay_ps[gate]
-            if settle:
-                base = np.zeros(lanes)
-                for net in gate.inputs:
-                    if net in structural:
-                        continue
-                    arrival = arrivals.get(net)
-                    if arrival is not None:
-                        np.maximum(base, arrival, out=base)
-                active = pert
-            else:  # "transition": only functional value changes carry delay.
-                active = pert & (new_word ^ prev_words[output])
-                if active == 0:
-                    continue
-                base = np.zeros(lanes)
-                for net in gate.inputs:
-                    arrival = arrivals.get(net)
-                    if arrival is None:
-                        continue
-                    changed = curr_words[net] ^ prev_words[net]
-                    if changed == 0:
-                        continue
-                    if changed == mask:
-                        np.maximum(base, arrival, out=base)
-                    else:
-                        np.maximum(
-                            base,
-                            np.where(word_to_lane_bits(changed, lanes), arrival, 0.0),
-                            out=base,
-                        )
-            if active == mask:
-                arrivals[output] = base + delay
-            else:
-                arrivals[output] = np.where(
-                    word_to_lane_bits(active, lanes), base + delay, 0.0
-                )
-
-        return self._build_evaluation(prev_words, curr_words, arrivals, lanes)
-
-    # ----------------------------------------------------------------- result
-    def _build_evaluation(
-        self,
-        prev_words: dict[Net, int],
-        curr_words: dict[Net, int],
-        arrivals: dict[Net, np.ndarray],
-        lanes: int,
-    ) -> BatchTimedEvaluation:
-        final_output_words: dict[str, list[int]] = {}
-        previous_output_words: dict[str, list[int]] = {}
-        output_arrivals: dict[str, np.ndarray] = {}
-        worst = np.zeros(lanes)
-        for bus, nets in self.netlist.output_buses.items():
-            final_output_words[bus] = [curr_words[net] for net in nets]
-            previous_output_words[bus] = [prev_words[net] for net in nets]
-            bus_arrivals = np.zeros((len(nets), lanes))
-            for index, net in enumerate(nets):
-                arrival = arrivals.get(net)
-                if arrival is None:
-                    continue
-                # As in the scalar engine, a bit only reports an arrival in
-                # lanes where its value actually changes.
-                changed = curr_words[net] ^ prev_words[net]
-                if changed == 0:
-                    continue
-                if changed == (1 << lanes) - 1:
-                    bus_arrivals[index] = arrival
-                else:
-                    bus_arrivals[index] = np.where(
-                        word_to_lane_bits(changed, lanes), arrival, 0.0
-                    )
-                np.maximum(worst, bus_arrivals[index], out=worst)
-            output_arrivals[bus] = bus_arrivals
-        return BatchTimedEvaluation(
-            lanes=lanes,
-            final_output_words=final_output_words,
-            previous_output_words=previous_output_words,
             output_arrivals_ps=output_arrivals,
             worst_arrival_ps=worst,
         )

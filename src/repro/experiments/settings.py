@@ -108,8 +108,8 @@ class ExperimentSettings:
     # backend or lane-count setting exists.
     # "transition" (optimistic bound) gives exactly zero mean error
     # distance, MSB flips and errors from 0 to 40 mV at the fast profile;
-    # at 50 mV the error rate is 0.002 and MSB flips are still 0, so it
-    # does not show the paper's monotone rise.  "settle" (pessimistic
+    # at 50 mV the error rate is 0.0015 (MED 10.24) and MSB flips are
+    # still 0, so it does not show the paper's monotone rise.  "settle" (pessimistic
     # bound) saturates the error rate within a few mV of aging.
     error_samples: int = 2000
     error_arrival_model: str = "transition"

@@ -260,7 +260,7 @@ class ArrayScenarioMap:
         return min(record.lifetime_years for record in self.records)
 
 
-def array_scenario_map(
+def _array_work(
     array: SystolicArray,
     nominal_mv: float,
     sigma_mv: float = 5.0,
@@ -271,21 +271,12 @@ def array_scenario_map(
     bti: BTIModel | None = None,
     num_transitions: int = 200,
     rng: int = 0,
-    batched: bool = True,
-) -> ArrayScenarioMap:
-    """Map per-PE :class:`VariationAging` draws over a systolic array.
+) -> "tuple[list[tuple[int, int, float, float, int]], dict]":
+    """The per-PE work items and the shared payload of one array map.
 
-    Every PE gets its own seeded scenario (see :func:`pe_seed`), evaluated
-    for delay, timing margin, energy and projected lifetime.  The clock
-    defaults to the fresh uncompressed critical path — the guardband-free
-    clock the paper's technique keeps.
-
-    With ``batched=True`` (the default) the whole array evaluates as corner
-    columns: one ``(nets, PEs)`` max-plus pass for timing and one vectorised
-    leakage reduction for energy — a 64×64 array is a single levelized
-    traversal instead of 4096 scalar STA runs.  ``batched=False`` runs the
-    per-PE scalar reference serially, one STA per PE; both paths are
-    bit-identical to each other.
+    Takes the arguments of :func:`array_scenario_map`, which runs the pair
+    corner-batched; the per-PE reference :func:`_evaluate_pe` consumes the
+    very same pair.
     """
     if nominal_mv < 0:
         raise ValueError("nominal_mv must be non-negative")
@@ -313,13 +304,41 @@ def array_scenario_map(
         for row in range(array.rows)
         for col in range(array.cols)
     ]
-    if batched:
-        records = _evaluate_array_batched(items, payload)
-    else:
-        records = [_evaluate_pe(item, payload) for item in items]
+    return items, payload
+
+
+def array_scenario_map(
+    array: SystolicArray,
+    nominal_mv: float,
+    sigma_mv: float = 5.0,
+    seed: int = 0,
+    mac: ArithmeticUnit | None = None,
+    library: CellLibrary | None = None,
+    clock_period_ps: float | None = None,
+    bti: BTIModel | None = None,
+    num_transitions: int = 200,
+    rng: int = 0,
+) -> ArrayScenarioMap:
+    """Map per-PE :class:`VariationAging` draws over a systolic array.
+
+    Every PE gets its own seeded scenario (see :func:`pe_seed`), evaluated
+    for delay, timing margin, energy and projected lifetime.  The clock
+    defaults to the fresh uncompressed critical path — the guardband-free
+    clock the paper's technique keeps.
+
+    The whole array evaluates as corner columns: one ``(nets, PEs)``
+    max-plus pass for timing and one vectorised leakage reduction for
+    energy — a 64×64 array is a single levelized traversal instead of 4096
+    scalar STA runs.  The records are bit-identical to the per-PE scalar
+    reference :func:`_evaluate_pe`.
+    """
+    items, payload = _array_work(
+        array, nominal_mv, sigma_mv, seed, mac, library, clock_period_ps, bti,
+        num_transitions, rng,
+    )
     return ArrayScenarioMap(
         array=array,
-        clock_period_ps=clock,
-        fresh_delay_ps=fresh_delay,
-        records=tuple(records),
+        clock_period_ps=payload["clock_period_ps"],
+        fresh_delay_ps=payload["fresh_delay_ps"],
+        records=tuple(_evaluate_array_batched(items, payload)),
     )

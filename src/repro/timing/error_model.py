@@ -8,7 +8,7 @@ Output bits that settle after the clock edge capture stale values, producing
 the MSB-dominated error pattern the paper reports (rising Mean Error
 Distance and MSB bit-flip probability as aging grows).
 
-All four registered backends are reachable from here: with
+All three simulation engines are reachable from here: with
 ``arrival_model="event"`` the ``"auto"`` selector batches wide Monte-Carlo
 runs through the glitch-exact batched event backend
 (:mod:`repro.circuits.backends.event`) and falls back to the scalar event
@@ -232,8 +232,9 @@ def characterize_timing_errors(
         arrival_model: ``"event"`` (exact, glitch-accurate), ``"settle"``
             (pessimistic bound) or ``"transition"`` (optimistic bound).
         backend: a registered simulation-backend name (``"scalar"``,
-            ``"bigint"``, ``"ndarray"``, ``"event"`` — the batched
-            waveform engine for the ``"event"`` arrival model) or
+            ``"ndarray"`` — the lane engine for the levelized models,
+            ``"event"`` — the batched waveform engine for the ``"event"``
+            arrival model) or
             ``"auto"`` to let the registry pick by arrival model (and, for
             ``"event"``, batch width) — see
             :func:`repro.circuits.backends.resolve_backend`.  For a given
@@ -379,11 +380,12 @@ def _resolve_scenario_axis(
                     fresh = bound
                     break
         axis = tuple(scenario.bound_to(fresh) for scenario in scenarios)
-        if not axis:
-            raise ValueError("scenarios must not be empty")
     else:
         levels = sorted(float(level) for level in levels_mv)
         axis = tuple(UniformAging(level, library=fresh) for level in levels)
+    if not axis:
+        name = "scenarios" if scenarios is not None else "levels_mv"
+        raise ValueError(f"{name} must not be empty")
     return fresh, axis
 
 

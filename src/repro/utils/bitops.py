@@ -7,19 +7,13 @@ Lane words
 ----------
 
 The batched simulation backends pack one Monte-Carlo *lane* (vector index)
-per bit: bit ``k`` of a lane word holds a net's 0/1 value in lane ``k``.
-Two interchangeable physical representations are supported, with the
-conversions between them living here so every backend shares one layout:
-
-* an arbitrary-precision Python integer (the ``bigint`` backend), converted
-  to/from boolean arrays with :func:`word_to_lane_bits` /
-  :func:`lane_bits_to_word`;
-* a little-endian ``uint64[ceil(lanes / 64)]`` NumPy array (the ``ndarray``
-  backend), converted from a lane word with :func:`word_to_lane_array` and
-  expanded to/from boolean arrays with :func:`lane_array_to_bits` /
-  :func:`bits_to_lane_array`.  The array
-  variants accept any number of leading axes, so a whole level of nets (or
-  a whole output bus) converts in one call.
+per bit: a net's lane word is a little-endian ``uint64[ceil(lanes / 64)]``
+NumPy row, lane ``k`` being bit ``k % 64`` of machine word ``k // 64``.
+:func:`word_to_lane_array` converts a Python-int lane word (bit ``k`` =
+lane ``k``) into that layout, and :func:`lane_array_to_bits` /
+:func:`bits_to_lane_array` expand rows to/from boolean arrays.  The array
+helpers accept any number of leading axes, so a whole level of nets (or a
+whole output bus) converts in one call.
 """
 
 from __future__ import annotations
@@ -37,21 +31,8 @@ def lane_word_count(lanes: int) -> int:
     return (lanes + 63) // 64
 
 
-def word_to_lane_bits(word: int, lanes: int) -> np.ndarray:
-    """Expand a lane word into a boolean NumPy array of shape ``(lanes,)``."""
-    raw = word.to_bytes((lanes + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits[:lanes].astype(bool)
-
-
-def lane_bits_to_word(bits: np.ndarray) -> int:
-    """Pack a boolean array back into a lane word (inverse of the above)."""
-    packed = np.packbits(np.asarray(bits).astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 def word_to_lane_array(word: int, lanes: int) -> np.ndarray:
-    """Convert a bigint lane word into a packed ``uint64`` lane array.
+    """Convert a Python-int lane word into a packed ``uint64`` lane array.
 
     The result has shape ``(lane_word_count(lanes),)``; machine word ``w``
     holds lanes ``[64 * w, 64 * (w + 1))`` little-endian, so lane ``k`` is

@@ -2,10 +2,11 @@
 
 Three invariants are enforced:
 
-* **registry** — the four built-in backends resolve by name (one name
-  each), validation lives in one place, and ``"auto"`` selects by arrival model
-  (and, for ``"event"``, batch width);
-* **equivalence** — scalar, bigint and ndarray backends produce bit-identical
+* **registry** — the three built-in engines resolve by name (one name
+  each, plus the retired ``bigint`` name for the ndarray engine), validation
+  lives in one place, and ``"auto"`` selects by arrival model (and, for
+  ``"event"``, batch width);
+* **equivalence** — the scalar and ndarray backends produce bit-identical
   captured outputs, violation masks and Monte-Carlo error counters across
   random netlists, lane counts and clock periods (property-based);
 * **orchestration** — the backend choice survives pickling into sweep
@@ -23,6 +24,7 @@ import repro.observability as observability
 from repro.aging.cell_library import AgingAwareLibrarySet
 from repro.circuits.backends import (
     EVENT_BACKEND_MIN_LANES,
+    LaneBackend,
     LaneTimingSimulator,
     LevelizedGraph,
     SimulationBackend,
@@ -33,11 +35,7 @@ from repro.circuits.backends import (
     resolve_backend,
 )
 from repro.circuits.mac import build_mac, build_multiplier
-from repro.circuits.simulator import (
-    BATCH_ARRIVAL_MODELS,
-    BatchTimingSimulator,
-    TimingSimulator,
-)
+from repro.circuits.simulator import ARRIVAL_MODELS, BATCH_ARRIVAL_MODELS, TimingSimulator
 from repro.timing.error_model import characterize_timing_errors, sweep_timing_errors
 from repro.timing.sta import StaticTimingAnalyzer
 from repro.utils.bitops import UINT64_MASK, lane_array_to_bits
@@ -48,8 +46,8 @@ _MULT5 = build_multiplier(5, "array")
 _MAC = build_mac(multiplier_width=5, accumulator_width=12)
 _LIBRARIES = AgingAwareLibrarySet.generate((0.0, 20.0, 50.0))
 
-ALL_BACKENDS = ("scalar", "bigint", "ndarray")
-BATCHED_BACKENDS = ("bigint", "ndarray")
+ALL_BACKENDS = ("scalar", "ndarray")
+BATCHED_BACKENDS = ("ndarray",)
 
 
 def _lane_inputs(netlist, rng, lanes):
@@ -73,7 +71,7 @@ class TestRegistry:
             assert backend.name == name
 
     def test_aliases(self):
-        with pytest.raises(ValueError, match="registered backends: .*'bigint'"):
+        with pytest.raises(ValueError, match="registered backends: .*'ndarray'"):
             get_backend("batch")
 
     def test_unknown_backend_rejected(self):
@@ -90,13 +88,45 @@ class TestRegistry:
             assert backend.name == "event"
 
     def test_auto_selects_ndarray_at_every_width(self):
-        # bigint is reachable only by name: ndarray ties it on single-vector
-        # transition batches and wins at every other width.
+        # The lane engine is the only levelized engine; the retired bigint
+        # name is reachable only when asked for.
         for model in BATCH_ARRIVAL_MODELS:
             for batch_size in (1, 31, 32, 8192, None):
                 backend, resolved = resolve_backend("auto", model, batch_size)
                 assert backend.name == "ndarray", (model, batch_size)
         assert resolved == 256
+
+    def test_bigint_name_is_a_separate_lane_backend(self):
+        bigint = get_backend("bigint")
+        assert isinstance(bigint, LaneBackend)
+        assert bigint is not get_backend("ndarray")
+        assert bigint.name == "bigint"
+        assert bigint.arrival_models == ("settle", "transition")
+        assert not bigint.supports("event")
+        with pytest.raises(ValueError, match="batched engine"):
+            resolve_backend("bigint", "event", 64)
+
+    @pytest.mark.parametrize("model", BATCH_ARRIVAL_MODELS)
+    def test_bigint_name_statistics_equal_ndarray(self, model):
+        unit = build_multiplier(6, "array")
+        period = StaticTimingAnalyzer(unit, _LIBRARIES.fresh).critical_path_delay()
+        results = [
+            characterize_timing_errors(
+                unit, _LIBRARIES.library(50.0), period, num_samples=150, rng=0,
+                effective_output_width=12, arrival_model=model, backend=name,
+                batch_size=64,
+            )
+            for name in ("bigint", "ndarray")
+        ]
+        assert results[0] == results[1]
+        assert results[0].error_rate > 0.0
+
+    def test_auto_never_returns_the_bigint_name(self):
+        bigint = get_backend("bigint")
+        for model in ARRIVAL_MODELS:
+            for batch_size in (1, 31, 8192):
+                backend, _ = resolve_backend("auto", model, batch_size)
+                assert backend is not bigint, (model, batch_size)
 
     def test_batched_backends_reject_event_model(self):
         for name in BATCHED_BACKENDS:
@@ -118,11 +148,11 @@ class TestRegistry:
 
 # ------------------------------------------------------- simulator identity
 class TestLaneSimulatorEquivalence:
-    """The ndarray lane simulator against the scalar/bigint references."""
+    """The ndarray lane simulator against the scalar reference."""
 
     @pytest.mark.parametrize("model", BATCH_ARRIVAL_MODELS)
     @pytest.mark.parametrize("level", [0.0, 50.0])
-    def test_matches_bigint_on_mac(self, model, level):
+    def test_matches_scalar_on_mac(self, model, level):
         rng = np.random.default_rng(11)
         library = _LIBRARIES.library(level)
         lanes = 130  # two full words + a partial tail word
@@ -131,20 +161,25 @@ class TestLaneSimulatorEquivalence:
         lane_eval = LaneTimingSimulator(_MAC.netlist, library, model).propagate_batch(
             previous, current
         )
-        big_eval = BatchTimingSimulator(_MAC.netlist, library, model).propagate_batch(
-            previous, current
-        )
-        assert lane_eval.lanes == big_eval.lanes
-        assert np.array_equal(lane_eval.worst_arrival_ps, big_eval.worst_arrival_ps)
-        assert lane_eval.final_outputs() == big_eval.final_outputs()
-        assert lane_eval.previous_outputs() == big_eval.previous_outputs()
-        clock = float(np.quantile(big_eval.worst_arrival_ps, 0.5)) or 10.0
-        assert lane_eval.captured_outputs(clock) == big_eval.captured_outputs(clock)
-        assert np.array_equal(
-            lane_eval.has_timing_violation(clock), big_eval.has_timing_violation(clock)
-        )
-        for bus, arrivals in big_eval.output_arrivals_ps.items():
-            assert np.array_equal(lane_eval.output_arrivals_ps[bus], arrivals)
+        scalar_sim = TimingSimulator(_MAC.netlist, library, arrival_model=model)
+        references = [
+            scalar_sim.propagate(_lane_slice(previous, lane), _lane_slice(current, lane))
+            for lane in range(lanes)
+        ]
+        assert lane_eval.lanes == lanes
+        clock = float(np.quantile(lane_eval.worst_arrival_ps, 0.5)) or 10.0
+        finals = lane_eval.final_outputs()
+        previous_outputs = lane_eval.previous_outputs()
+        captured = lane_eval.captured_outputs(clock)
+        violations = lane_eval.has_timing_violation(clock)
+        for lane, reference in enumerate(references):
+            assert lane_eval.worst_arrival_ps[lane] == reference.worst_arrival_ps
+            assert _lane_slice(finals, lane) == reference.final_outputs
+            assert _lane_slice(previous_outputs, lane) == reference.previous_outputs
+            assert _lane_slice(captured, lane) == reference.captured_outputs(clock)
+            assert bool(violations[lane]) == reference.has_timing_violation(clock)
+            for bus, arrivals in lane_eval.output_arrivals_ps.items():
+                assert arrivals[:, lane].tolist() == reference.output_arrivals_ps[bus]
 
     @given(
         netlist=random_netlists(),
@@ -185,13 +220,13 @@ class TestLaneSimulatorEquivalence:
         with pytest.raises(ValueError, match="lanes"):
             simulator.propagate_batch({"a": [1, 2], "b": [3, 4]}, {"a": [1], "b": [3]})
 
-    def test_input_validation_matches_bigint_packing(self):
+    def test_input_validation_messages(self):
         simulator = LaneTimingSimulator(_MULT5.netlist, _LIBRARIES.fresh)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="missing values for input bus 'b'"):
             simulator.propagate_batch({"a": [1]}, {"a": [1]})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="batched evaluation needs at least one lane"):
             simulator.propagate_batch({"a": [], "b": []}, {"a": [], "b": []})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="value 32 does not fit in 5-bit bus 'a'"):
             simulator.propagate_batch({"a": [32], "b": [0]}, {"a": [0], "b": [0]})
 
     def test_levelized_graph_is_cached_per_netlist(self):
@@ -211,8 +246,8 @@ class TestLaneSimulatorEquivalence:
         assert tracker() is None  # the graph cache must not pin the netlist
 
     def test_wide_output_bus_counters_are_exact(self):
-        # Output buses past 62 bits exceed int64 bit weights; both batched
-        # backends must fall back to exact Python-int accumulation.
+        # Output buses past 62 bits exceed int64 bit weights; the lane
+        # backend must fall back to exact Python-int accumulation.
         from repro.circuits.mac import ArithmeticUnit
         from repro.circuits.netlist import Netlist
 
@@ -234,7 +269,7 @@ class TestLaneSimulatorEquivalence:
             )
             for name in ALL_BACKENDS
         ]
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
         assert results[0].error_rate > 0.0
 
 
@@ -397,9 +432,8 @@ class TestViolationTypes:
             result = evaluation.has_timing_violation(clock)
             assert type(result) is bool
 
-    @pytest.mark.parametrize("factory", [BatchTimingSimulator, LaneTimingSimulator])
-    def test_batched_return_boolean_ndarray(self, factory):
-        simulator = factory(_MULT5.netlist, _LIBRARIES.library(50.0), "settle")
+    def test_batched_return_boolean_ndarray(self):
+        simulator = LaneTimingSimulator(_MULT5.netlist, _LIBRARIES.library(50.0), "settle")
         evaluation = simulator.propagate_batch(
             {"a": [0, 3], "b": [0, 5]}, {"a": [31, 3], "b": [31, 5]}
         )
@@ -429,7 +463,7 @@ class TestErrorModelBackendEquivalence:
             )
             for name in ALL_BACKENDS
         }
-        assert results["scalar"] == results["bigint"] == results["ndarray"]
+        assert results["scalar"] == results["ndarray"]
         assert results["scalar"].error_rate > 0.0
 
     @given(
@@ -470,7 +504,7 @@ class TestErrorModelBackendEquivalence:
             )
             for name in ALL_BACKENDS
         ]
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
 
     def test_sweep_backend_choice_survives_worker_pickling(self):
         unit = build_multiplier(4, "array")
@@ -485,7 +519,7 @@ class TestErrorModelBackendEquivalence:
             name: sweep_timing_errors(unit, _LIBRARIES, backend=name, workers=0, **kwargs)
             for name in ALL_BACKENDS
         }
-        assert serial["scalar"] == serial["bigint"] == serial["ndarray"]
+        assert serial["scalar"] == serial["ndarray"]
         parallel = sweep_timing_errors(
             unit, _LIBRARIES, backend="ndarray", workers=2, **kwargs
         )
@@ -498,7 +532,7 @@ class TestErrorModelBackendEquivalence:
         if model == "event":
             names = ("scalar", "event", "auto")
         else:
-            names = ("scalar", "bigint", "ndarray", "auto")
+            names = ("scalar", "ndarray", "auto")
         kwargs = dict(
             levels_mv=(0.0, 50.0),
             num_samples=1100,
@@ -669,7 +703,7 @@ class TestCornerStaPass:
 
 # ------------------------------------------------------- level-ordered layout
 class TestLevelOrderedLayout:
-    """The level-ordered net numbering against the bigint and scalar engines."""
+    """The level-ordered net numbering against the scalar engine."""
 
     def test_row_permutation_is_a_bijection(self):
         for netlist in (_MULT5.netlist, _MAC.netlist):
@@ -738,17 +772,8 @@ class TestLevelOrderedLayout:
             lane = LaneTimingSimulator(_MAC.netlist, scenario, model).propagate_batch(
                 previous, current
             )
-            reference = BatchTimingSimulator(_MAC.netlist, scenario, model).propagate_batch(
-                previous, current
-            )
-            clock = float(np.quantile(reference.worst_arrival_ps, 0.5)) or 10.0
-            assert np.array_equal(lane.worst_arrival_ps, reference.worst_arrival_ps)
-            assert lane.final_outputs() == reference.final_outputs()
-            assert lane.captured_outputs(clock) == reference.captured_outputs(clock)
-            for bus, arrivals in reference.output_arrivals_ps.items():
-                assert np.array_equal(lane.output_arrivals_ps[bus], arrivals)
-            # Every lane against the scalar simulator too, so the chain
-            # ndarray == bigint == scalar closes per family.
+            clock = float(np.quantile(lane.worst_arrival_ps, 0.5)) or 10.0
+            # Every lane against the scalar simulator, per family.
             scalar_sim = TimingSimulator(_MAC.netlist, scenario, arrival_model=model)
             finals = lane.final_outputs()
             captured = lane.captured_outputs(clock)
@@ -759,6 +784,8 @@ class TestLevelOrderedLayout:
                 assert _lane_slice(finals, index) == scalar_eval.final_outputs
                 assert _lane_slice(captured, index) == scalar_eval.captured_outputs(clock)
                 assert lane.worst_arrival_ps[index] == scalar_eval.worst_arrival_ps
+                for bus, arrivals in lane.output_arrivals_ps.items():
+                    assert arrivals[:, index].tolist() == scalar_eval.output_arrivals_ps[bus]
 
     def test_gather_locality_improves_under_level_layout(self):
         graph = levelized_graph(_MAC.netlist)

@@ -1,39 +1,27 @@
-"""Equivalence and unit tests of the bit-parallel batched simulation engines.
+"""Equivalence and unit tests of the batched levelized (lane) engine.
 
-The batched engines (bigint words and ndarray lanes) must be bit-for-bit
-equivalent to running the scalar simulators once per lane — on the
-arithmetic circuits the experiments use, and on randomized netlists,
-vectors, batch sizes and ΔVth levels.
+The ndarray lane engine must be bit-for-bit equivalent to running the scalar
+simulators once per lane — on the arithmetic circuits the experiments use,
+and on randomized netlists, vectors, batch sizes and ΔVth levels.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.aging.cell_library import AgingAwareLibrarySet, fresh_library
-from repro.circuits.backends import LaneTimingSimulator
-from repro.circuits.gates import (
-    CELL_FUNCTIONS,
-    CELL_INPUT_COUNTS,
-    WORD_CELL_FUNCTIONS,
-    evaluate_cell_word,
-)
+from repro.aging.cell_library import AgingAwareLibrarySet
+from repro.circuits.backends import LaneTimedEvaluation, LaneTimingSimulator, levelized_graph
+from repro.circuits.gates import CELL_FUNCTIONS, CELL_INPUT_COUNTS, WORD_CELL_FUNCTIONS
 from repro.circuits.mac import build_mac, build_multiplier
-from repro.circuits.netlist import (
-    Netlist,
-    bus_batches_to_words,
-    words_to_bus_batches,
-)
+from repro.circuits.netlist import Netlist
 from repro.circuits.simulator import (
     BATCH_ARRIVAL_MODELS,
-    BatchLogicSimulator,
-    BatchTimingSimulator,
     LogicSimulator,
     TimingSimulator,
 )
 from repro.timing.error_model import characterize_timing_errors
 from repro.timing.sta import StaticTimingAnalyzer
-from repro.utils.bitops import lane_bits_to_word, word_to_lane_bits
+from repro.utils.bitops import UINT64_MASK, bits_to_lane_array, lane_array_to_bits
 
 # Shared circuits (building them inside @given bodies would dominate runtime).
 _MULT5 = build_multiplier(5, "array")
@@ -41,7 +29,7 @@ _MAC = build_mac(multiplier_width=5, accumulator_width=12)
 _LIBRARIES = AgingAwareLibrarySet.generate((0.0, 20.0, 50.0))
 
 #: The batched two-vector timing engines held to the scalar reference.
-TIMING_ENGINES = (BatchTimingSimulator, LaneTimingSimulator)
+TIMING_ENGINES = (LaneTimingSimulator,)
 
 
 # ----------------------------------------------------------------- helpers
@@ -79,34 +67,53 @@ def _lane_slice(batch, lane):
     return {bus: values[lane] for bus, values in batch.items()}
 
 
-# ------------------------------------------------------------ word helpers
-class TestWordHelpers:
-    def test_word_round_trip(self):
-        rng = np.random.default_rng(0)
-        for lanes in (1, 7, 64, 65, 200):
-            bits = rng.integers(0, 2, size=lanes).astype(bool)
-            assert (word_to_lane_bits(lane_bits_to_word(bits), lanes) == bits).all()
+def _lane_logic(netlist, inputs):
+    """Per-lane output bus values of one zero-delay lane pass."""
+    graph = levelized_graph(netlist)
+    values, lanes = graph.pack_inputs(inputs)
+    graph.evaluate(values)
+    result = {}
+    for bus, rows in graph.output_bus_rows.items():
+        bits = lane_array_to_bits(values[rows], lanes)
+        result[bus] = [
+            sum(int(bit) << index for index, bit in enumerate(bits[:, lane]))
+            for lane in range(lanes)
+        ]
+    return result
 
+
+# ---------------------------------------------------------- input packing
+class TestInputPacking:
     def test_bus_packing_round_trip(self):
         rng = np.random.default_rng(1)
-        buses = _MULT5.netlist.input_buses
-        values = {bus: [int(rng.integers(0, 32)) for _ in range(77)] for bus in buses}
-        words, lanes = bus_batches_to_words(values, buses)
+        graph = levelized_graph(_MULT5.netlist)
+        values = {
+            bus: [int(rng.integers(0, 32)) for _ in range(77)] for bus in graph.input_bus_rows
+        }
+        packed, lanes = graph.pack_inputs(values)
         assert lanes == 77
-        assert words_to_bus_batches(words, buses, lanes) == values
+        rows = {bus: packed[bus_rows] for bus, bus_rows in graph.input_bus_rows.items()}
+        evaluation = LaneTimedEvaluation(
+            lanes=lanes,
+            final_output_words=rows,
+            previous_output_words=rows,
+            output_arrivals_ps={},
+            worst_arrival_ps=np.zeros(lanes),
+        )
+        assert evaluation.final_outputs() == values
 
     def test_bus_packing_validation(self):
-        buses = _MULT5.netlist.input_buses
-        with pytest.raises(KeyError):
-            bus_batches_to_words({"a": [1]}, buses)
-        with pytest.raises(ValueError):
-            bus_batches_to_words({"a": [], "b": []}, buses)
-        with pytest.raises(ValueError):
-            bus_batches_to_words({"a": [1, 2], "b": [3]}, buses)
-        with pytest.raises(ValueError):
-            bus_batches_to_words({"a": [32], "b": [0]}, buses)
-        with pytest.raises(ValueError):
-            bus_batches_to_words({"a": [-1], "b": [0]}, buses)
+        graph = levelized_graph(_MULT5.netlist)
+        with pytest.raises(KeyError, match="missing values for input bus 'b'"):
+            graph.pack_inputs({"a": [1]})
+        with pytest.raises(ValueError, match="at least one lane"):
+            graph.pack_inputs({"a": [], "b": []})
+        with pytest.raises(ValueError, match="bus 'b' has 1 lanes, expected 2"):
+            graph.pack_inputs({"a": [1, 2], "b": [3]})
+        with pytest.raises(ValueError, match="value 32 does not fit in 5-bit bus 'a'"):
+            graph.pack_inputs({"a": [32], "b": [0]})
+        with pytest.raises(ValueError, match="value -1 does not fit in 5-bit bus 'a'"):
+            graph.pack_inputs({"a": [-1], "b": [0]})
 
 
 class TestWordCellFunctions:
@@ -118,25 +125,13 @@ class TestWordCellFunctions:
     def test_word_functions_match_scalar_per_lane(self, seed, lanes):
         rng = np.random.default_rng(seed)
         for cell, arity in CELL_INPUT_COUNTS.items():
-            words = [
-                lane_bits_to_word(rng.integers(0, 2, size=lanes).astype(bool))
-                for _ in range(arity)
-            ]
-            result = evaluate_cell_word(cell, words, lanes)
+            bits = rng.integers(0, 2, size=(arity, lanes)).astype(bool)
+            rows = bits_to_lane_array(bits)
+            result = lane_array_to_bits(WORD_CELL_FUNCTIONS[cell](UINT64_MASK, *rows), lanes)
             scalar = CELL_FUNCTIONS[cell]
             for lane in range(lanes):
-                expected = scalar(*((word >> lane) & 1 for word in words))
-                assert (result >> lane) & 1 == expected
-
-    def test_word_function_validation(self):
-        with pytest.raises(KeyError):
-            evaluate_cell_word("NAND99", [0, 0], 4)
-        with pytest.raises(ValueError):
-            evaluate_cell_word("NAND2", [0], 4)
-        with pytest.raises(ValueError):
-            evaluate_cell_word("NAND2", [0, 0], 0)
-        with pytest.raises(ValueError):
-            evaluate_cell_word("NAND2", [1 << 4, 0], 4)
+                expected = scalar(*(int(pin) for pin in bits[:, lane]))
+                assert int(result[lane]) == expected
 
 
 # -------------------------------------------------------- logic equivalence
@@ -146,7 +141,7 @@ class TestBatchLogicSimulator:
     def test_matches_scalar_on_mac(self, seed, lanes):
         rng = np.random.default_rng(seed)
         inputs = _lane_inputs(_MAC.netlist, rng, lanes)
-        batch = BatchLogicSimulator(_MAC.netlist).evaluate_batch(inputs)
+        batch = _lane_logic(_MAC.netlist, inputs)
         scalar = LogicSimulator(_MAC.netlist)
         for lane in range(lanes):
             assert _lane_slice(batch, lane) == scalar.evaluate(_lane_slice(inputs, lane))
@@ -156,13 +151,13 @@ class TestBatchLogicSimulator:
     def test_matches_scalar_on_random_netlists(self, netlist, seed, lanes):
         rng = np.random.default_rng(seed)
         inputs = _lane_inputs(netlist, rng, lanes)
-        batch = BatchLogicSimulator(netlist).evaluate_batch(inputs)
+        batch = _lane_logic(netlist, inputs)
         scalar = LogicSimulator(netlist)
         for lane in range(lanes):
             assert _lane_slice(batch, lane) == scalar.evaluate(_lane_slice(inputs, lane))
 
     def test_single_lane_matches_multiplication(self):
-        batch = BatchLogicSimulator(_MULT5.netlist).evaluate_batch({"a": [7], "b": [9]})
+        batch = _lane_logic(_MULT5.netlist, {"a": [7], "b": [9]})
         assert batch["out"] == [63]
 
 
@@ -285,7 +280,7 @@ class TestErrorModelEngines:
         )
         # A batch size smaller than the sample count exercises chunking.
         batch = characterize_timing_errors(
-            unit, library, period, backend="bigint", batch_size=64, **kwargs
+            unit, library, period, backend="ndarray", batch_size=64, **kwargs
         )
         assert scalar == batch
         assert batch.error_rate > 0.0
@@ -314,7 +309,7 @@ class TestErrorModelEngines:
             )
         with pytest.raises(ValueError, match="batched engine"):
             characterize_timing_errors(
-                unit, library, 100.0, num_samples=4, arrival_model="event", backend="bigint"
+                unit, library, 100.0, num_samples=4, arrival_model="event", backend="ndarray"
             )
         with pytest.raises(ValueError, match="batch_size"):
             characterize_timing_errors(

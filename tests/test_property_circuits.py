@@ -8,12 +8,8 @@ from repro.circuits.constants import case_assignments, propagate_constants
 from repro.circuits.gates import CELL_FUNCTIONS, CELL_INPUT_COUNTS
 from repro.circuits.mac import build_adder, build_mac, build_multiplier
 from repro.circuits.netlist import Netlist
-from repro.circuits.simulator import (
-    BatchLogicSimulator,
-    BatchTimingSimulator,
-    LogicSimulator,
-    TimingSimulator,
-)
+from repro.circuits.backends import LaneTimingSimulator
+from repro.circuits.simulator import LogicSimulator, TimingSimulator
 from repro.core.padding import Padding, mac_case_analysis
 from repro.timing.sta import StaticTimingAnalyzer
 from repro.aging.cell_library import fresh_library
@@ -147,7 +143,7 @@ class TestCaseConstantProperties:
 
 
 class TestBatchEquivalenceProperties:
-    """The bit-parallel engine must match the scalar engines lane by lane."""
+    """The lane engine must match the scalar engines lane by lane."""
 
     @given(
         lanes=st.lists(
@@ -156,12 +152,16 @@ class TestBatchEquivalenceProperties:
     )
     @settings(max_examples=30, deadline=None)
     def test_batch_logic_matches_scalar_multiplier(self, lanes):
-        batch = BatchLogicSimulator(_MULT5.netlist).evaluate_batch(
+        graph = levelized_graph(_MULT5.netlist)
+        values, count = graph.pack_inputs(
             {"a": [a for a, _ in lanes], "b": [b for _, b in lanes]}
         )
+        graph.evaluate(values)
+        bits = bitops.lane_array_to_bits(values[graph.output_bus_rows["out"]], count)
+        out = (bits.T.astype(np.int64) @ (1 << np.arange(bits.shape[0]))).tolist()
         for lane, (a, b) in enumerate(lanes):
-            assert batch["out"][lane] == _MULT5_SIM.evaluate({"a": a, "b": b})["out"]
-            assert batch["out"][lane] == a * b
+            assert out[lane] == _MULT5_SIM.evaluate({"a": a, "b": b})["out"]
+            assert out[lane] == a * b
 
     @given(
         pairs=st.lists(
@@ -179,7 +179,7 @@ class TestBatchEquivalenceProperties:
     def test_batch_timing_matches_scalar_lane_by_lane(self, pairs, model, clock_fraction):
         previous = {"a": [p[0] for p in pairs], "b": [p[1] for p in pairs]}
         current = {"a": [p[2] for p in pairs], "b": [p[3] for p in pairs]}
-        batch_sim = BatchTimingSimulator(_MULT5.netlist, _FRESH, model)
+        batch_sim = LaneTimingSimulator(_MULT5.netlist, _FRESH, model)
         scalar_sim = TimingSimulator(_MULT5.netlist, _FRESH, arrival_model=model)
         evaluation = batch_sim.propagate_batch(previous, current)
         clock = max(clock_fraction * float(evaluation.worst_arrival_ps.max()), 1e-3)
@@ -201,19 +201,27 @@ def _lane_words(draw, min_lanes=0, max_lanes=200):
     return lanes, draw(st.integers(0, (1 << lanes) - 1))
 
 
+def _word_bits(word, lanes):
+    """Test oracle: a Python-int lane word as ``(lanes,)`` bools, bit ``k`` = lane ``k``."""
+    raw = np.frombuffer(word.to_bytes((lanes + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:lanes].astype(bool)
+
+
 class TestLaneWordProperties:
     @given(lane_word=_lane_words())
     @settings(max_examples=80, deadline=None)
     def test_word_bits_round_trip(self, lane_word):
         lanes, word = lane_word
-        assert bitops.lane_bits_to_word(bitops.word_to_lane_bits(word, lanes)) == word
+        bits = bitops.lane_array_to_bits(bitops.word_to_lane_array(word, lanes), lanes)
+        packed = bitops.bits_to_lane_array(bits)
+        assert int.from_bytes(packed.astype("<u8").tobytes(), "little") == word
 
     @given(lane_word=_lane_words())
     @settings(max_examples=80, deadline=None)
-    def test_bigint_and_packed_layouts_agree(self, lane_word):
+    def test_int_word_and_packed_layouts_agree(self, lane_word):
         lanes, word = lane_word
         array = bitops.word_to_lane_array(word, lanes)
-        bits = bitops.word_to_lane_bits(word, lanes)
+        bits = _word_bits(word, lanes)
         assert (array == bitops.bits_to_lane_array(bits)).all()
         assert (bitops.lane_array_to_bits(array, lanes) == bits).all()
 
@@ -225,7 +233,7 @@ class TestLaneWordProperties:
         packed = bitops.word_to_lane_array(word, lanes)
         flip = bitops.word_to_lane_array(1 << lane, lanes)
         flipped = bitops.lane_array_to_bits(packed ^ flip, lanes)
-        original = bitops.word_to_lane_bits(word, lanes)
+        original = _word_bits(word, lanes)
         assert (flipped != original).nonzero()[0].tolist() == [lane]
         assert ((packed ^ flip ^ flip) == packed).all()
 

@@ -46,7 +46,13 @@ from repro.experiments.runner import EXPERIMENTS
 from repro.experiments.scenario_study import run_scenario_sweep
 from repro.experiments.settings import ExperimentSettings
 from repro.experiments.table2_compression import run_table2
-from repro.npu.scenario_map import array_scenario_map, pe_seed
+from repro.npu.scenario_map import (
+    ArrayScenarioMap,
+    _array_work,
+    _evaluate_pe,
+    array_scenario_map,
+    pe_seed,
+)
 from repro.npu.systolic import SystolicArray
 from repro.pipeline import EXPERIMENT_NAMES, build_experiment_graph, run_pipeline
 from repro.power.energy import EnergyModel
@@ -287,10 +293,16 @@ class TestArrayScenarioMap:
             library=fresh_cells,
             num_transitions=30,
         )
-        scalar = array_scenario_map(array, batched=False, **kwargs)
+        items, payload = _array_work(array, **kwargs)
+        scalar = ArrayScenarioMap(
+            array=array,
+            clock_period_ps=payload["clock_period_ps"],
+            fresh_delay_ps=payload["fresh_delay_ps"],
+            records=tuple(_evaluate_pe(item, payload) for item in items),
+        )
         graph = levelized_graph(small_mac.netlist)
         before = graph.max_plus_passes
-        batched = array_scenario_map(array, batched=True, **kwargs)
+        batched = array_scenario_map(array, **kwargs)
         # 9 PEs, one corner-batched max-plus traversal for the whole array.
         assert graph.max_plus_passes - before == 1
         assert batched.records == scalar.records

@@ -302,8 +302,10 @@ class TestScenarioSweepDeterminism:
         ]
 
     def test_empty_scenarios_rejected(self, multiplier6, library_set):
-        with pytest.raises(ValueError, match="scenarios"):
+        with pytest.raises(ValueError, match="scenarios must not be empty"):
             sweep_timing_errors(multiplier6, library_set, scenarios=[], num_samples=4)
+        with pytest.raises(ValueError, match="levels_mv must not be empty"):
+            sweep_timing_errors(multiplier6, library_set, levels_mv=(), num_samples=4)
 
     def test_bound_scenario_library_sets_the_clock_reference(self, multiplier6):
         """Regression: with no library_set, the capture clock must come from

@@ -9,6 +9,11 @@ from repro.utils import bitops
 EDGE_LANE_COUNTS = (0, 1, 63, 64, 65)
 
 
+def _int_word(bits):
+    """Test oracle: the Python-int lane word (bit ``k`` = lane ``k``) of bools."""
+    return sum(1 << int(lane) for lane in np.flatnonzero(bits))
+
+
 class TestLaneWordConversions:
     """Round trips of the lane-word <-> ndarray conversions at word edges."""
 
@@ -16,21 +21,23 @@ class TestLaneWordConversions:
     def test_word_bits_round_trip(self, lanes):
         rng = np.random.default_rng(lanes)
         bits = rng.integers(0, 2, size=lanes).astype(bool)
-        word = bitops.lane_bits_to_word(bits)
+        packed = bitops.bits_to_lane_array(bits)
+        word = int.from_bytes(packed.astype("<u8").tobytes(), "little")
         assert word >> max(lanes, 1) == 0  # no stray bits past the last lane
-        recovered = bitops.word_to_lane_bits(word, lanes)
+        assert word == _int_word(bits)
+        recovered = bitops.lane_array_to_bits(bitops.word_to_lane_array(word, lanes), lanes)
         assert recovered.shape == (lanes,)
         assert (recovered == bits).all()
 
     @pytest.mark.parametrize("lanes", EDGE_LANE_COUNTS)
     def test_word_array_round_trip(self, lanes):
         rng = np.random.default_rng(100 + lanes)
-        word = int(bitops.lane_bits_to_word(rng.integers(0, 2, size=lanes).astype(bool)))
+        word = _int_word(rng.integers(0, 2, size=lanes).astype(bool))
         array = bitops.word_to_lane_array(word, lanes)
         assert array.dtype == np.uint64
         assert array.shape == (bitops.lane_word_count(lanes),)
         bits = bitops.lane_array_to_bits(array, lanes)
-        assert bitops.lane_bits_to_word(bits) == word
+        assert _int_word(bits) == word
 
     @pytest.mark.parametrize("lanes", EDGE_LANE_COUNTS)
     def test_array_bits_round_trip(self, lanes):
@@ -44,7 +51,6 @@ class TestLaneWordConversions:
     def test_all_ones_at_word_boundaries(self):
         for lanes in (1, 63, 64, 65):
             word = (1 << lanes) - 1
-            assert bitops.word_to_lane_bits(word, lanes).all()
             array = bitops.word_to_lane_array(word, lanes)
             assert bitops.lane_array_to_bits(array, lanes).all()
 
@@ -64,11 +70,13 @@ class TestLaneWordConversions:
 class TestLaneBitOrder:
     """Lane ``k`` is bit ``k`` of a lane word and bit ``k % 64`` of word ``k // 64``."""
 
-    def test_word_to_lane_bits_is_lsb_first(self):
-        assert bitops.word_to_lane_bits(0b1011, 4).tolist() == [True, True, False, True]
+    def test_word_to_lane_array_is_lsb_first(self):
+        array = bitops.word_to_lane_array(0b1011, 4)
+        assert bitops.lane_array_to_bits(array, 4).tolist() == [True, True, False, True]
 
-    def test_lane_bits_to_word_is_lsb_first(self):
-        assert bitops.lane_bits_to_word(np.array([1, 1, 0, 1], dtype=bool)) == 0b1011
+    def test_bits_to_lane_array_is_lsb_first(self):
+        packed = bitops.bits_to_lane_array(np.array([1, 1, 0, 1], dtype=bool))
+        assert packed.tolist() == [0b1011]
 
     @pytest.mark.parametrize("lane", (0, 1, 63, 64, 65, 127, 128, 129))
     def test_one_hot_lane_lands_in_its_machine_word(self, lane):
@@ -79,7 +87,6 @@ class TestLaneBitOrder:
         one_hot = np.zeros(lanes, dtype=bool)
         one_hot[lane] = True
         assert (bitops.bits_to_lane_array(one_hot) == expected).all()
-        assert bitops.word_to_lane_bits(1 << lane, lanes).nonzero()[0].tolist() == [lane]
 
 
 class TestPackedLaneArithmetic:
@@ -114,9 +121,9 @@ class TestPackedLaneArithmetic:
         assert (bitops.lane_array_to_bits(inverted, lanes) == ~bits).all()
 
     @pytest.mark.parametrize("lanes", EDGE_LANE_COUNTS)
-    def test_bigint_and_ndarray_layouts_agree(self, lanes):
+    def test_int_word_and_ndarray_layouts_agree(self, lanes):
         bits = np.random.default_rng(600 + lanes).integers(0, 2, size=lanes).astype(bool)
-        word = bitops.lane_bits_to_word(bits)
+        word = _int_word(bits)
         assert (
             bitops.word_to_lane_array(word, lanes) == bitops.bits_to_lane_array(bits)
         ).all()
